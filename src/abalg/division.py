@@ -12,11 +12,12 @@ to order N; both identities are exact in the truncated algebra.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .coefficients import GaussianRational, ONE
-from .elements import (LEFT, RIGHT, AlgebraElement, mul, reorder_coeff, scale, shear,
-                       to_right, with_ordering)
+from .elements import (LEFT, RIGHT, AlgebraElement, _by_degree, _from_ints, _scalar_ints,
+                       _times_b_power, _to_ints, mul, scale, shear, with_ordering)
 from .errors import (NotHomogeneousError, NotMonicError, OrderMismatchError,
                      ZeroConstantTermError, ZeroElementError)
 from .polynomials import Poly, gaussian_roots, interpolate
@@ -26,46 +27,71 @@ from .series import APolynomial, BSeries
 def invert(x: AlgebraElement) -> AlgebraElement:
     """Two-sided inverse of a unit in the order-N quotient.
 
-    After scaling the constant term to 1, the inverse's LEFT coefficients
-    are produced by the product-formula recursion
-
-        y_{m,n} = - sum over x-terms (p,q) != (0,0), j in [0, n-q] of
-                    (-1)^j reorder_coeff(m+j-p, q, j) x_{p,q} y_{m+j-p, n-q-j}
-
-    where every referenced y has strictly smaller total degree, so filling
-    the table degree by degree terminates.  (The recursion defines a right
+    After scaling the constant term to 1 (x = 1 + x'), the inverse y obeys
+    y = 1 - x' y, and the degree-d part of x' y involves only parts of y of
+    degree < d, so y is filled degree by degree.  As in elements.mul,
+    x' y = sum x_{p,q} a^p (b^q y), and b^q y is extended by one degree
+    block each time a block of y is done.  (The recursion defines a right
     inverse; the truncated algebra is finite-dimensional, so it is
     automatically two-sided.)
+
+    The loop runs on integers: with x' = X / D in the layout of
+    elements._to_ints, it keeps Y_{m,n} = y_{m,n} D^(m+n), which is a
+    Gaussian integer, since
+
+        Y_d = - sum over deg = 1..d of D^(deg-1) (X_deg * Y_(d-deg))_d
+
+    where X_deg is the degree-deg part of X.  The division by D^(m+n), and
+    by the constant term, happens once per coefficient at the end.
     """
     src = with_ordering(x, LEFT)
     c0 = src.constant_term
     if not c0:
         raise ZeroConstantTermError("constant term is zero; element is not a unit")
-    xs = scale(c0.inverse(), src)
     order = x.order
-    terms = [(k, c) for k, c in xs.coeffs.items() if k != (0, 0)]
-    y = {(0, 0): ONE}
-    for d in range(1, order + 1):
-        for m in range(d, -1, -1):
-            n = d - m
-            s = GaussianRational()
-            for (p, q), xc in terms:
-                if p > m:
-                    continue  # reorder_coeff(m+j-p, q, j) needs j <= m+j-p
-                for j in range(n - q + 1):
-                    yc = y.get((m + j - p, n - q - j))
-                    if yc is None:
-                        continue
-                    g = reorder_coeff(m + j - p, q, j)
-                    if not g:
-                        continue
-                    if j % 2:
-                        g = -g
-                    s = s + (xc * yc) * g
-            if s:
-                y[(m, n)] = -s
-    out = AlgebraElement(order, LEFT, y)
-    return with_ordering(scale(c0.inverse(), out), x.ordering)
+    width = order + 1
+    # x' = X / den: dividing the numerators by the constant term's numerator C
+    # (times conj(C) over |C|^2) and reducing gives the least such den.
+    _, table = _to_ints(src)
+    cr, ci = table.pop((0, 0))
+    den = cr * cr + ci * ci
+    table = {k: (re * cr + im * ci, im * cr - re * ci) for k, (re, im) in table.items()}
+    g = math.gcd(den, *(part for c in table.values() for part in c))
+    den //= g
+    x_blocks = _by_degree({k: (re // g, im // g) for k, (re, im) in table.items()}, order)
+    y_blocks = [[(0, 0, 1, 0)]]
+    # w_blocks[q][e] is b^q times the degree-e part of Y, on the LEFT basis;
+    # it is needed up to e = w_top[q], where the x-term a^p b^q of least p runs out.
+    w_top = {}
+    for p, q in table:
+        w_top[q] = max(w_top.get(q, 0), order - p - q)
+    w_blocks = {q: [] for q in w_top}
+    for d in range(1, width):
+        for q, blocks in w_blocks.items():
+            if d - 1 <= w_top[q]:
+                blocks.append(_times_b_power(q, y_blocks[d - 1], width))
+        # Horner's rule in den, from the highest deg down
+        acc: dict = {}
+        for deg in range(d, 0, -1):
+            for v in acc.values():
+                v[0] *= den
+                v[1] *= den
+            for p, q, xr, xi in x_blocks[deg]:
+                shift = p * width
+                for k, wr, wi in w_blocks[q][d - deg]:
+                    k += shift
+                    re, im = xr * wr - xi * wi, xr * wi + xi * wr
+                    old = acc.get(k)
+                    if old is None:
+                        acc[k] = [re, im]
+                    else:
+                        old[0] += re
+                        old[1] += im
+        y_blocks.append([(*divmod(k, width), -re, -im) for k, (re, im) in acc.items() if re or im])
+    e, (ur, ui) = _scalar_ints(c0.inverse())
+    out = {(m, n): (re * ur - im * ui, re * ui + im * ur)
+           for block in y_blocks for m, n, re, im in block}
+    return with_ordering(_from_ints(order, LEFT, e, out, step=den), x.ordering)
 
 
 def divide_linear(x: AlgebraElement, lam) -> tuple[AlgebraElement, BSeries]:
@@ -77,7 +103,7 @@ def divide_linear(x: AlgebraElement, lam) -> tuple[AlgebraElement, BSeries]:
     """
     lam = GaussianRational.coerce(lam)
     order = x.order
-    sheared = with_ordering(shear(lam, x), RIGHT)
+    sheared = shear(lam, with_ordering(x, RIGHT))
     r_table = {}
     q_table = {}
     for (p, q), c in sheared.coeffs.items():

@@ -16,6 +16,18 @@ reorder_coeff(p, q, j):
 
     a^p b^q = sum_j reorder_coeff(p,q,j) * b^(q+j) a^(p-j)
     b^q a^p = sum_j (-1)^j reorder_coeff(p,q,j) * a^(p-j) b^(q+j)
+
+Coefficients are stored as GaussianRationals, but the kernels (the
+ordering conversions, mul, shear and division.invert) never add or
+multiply Fractions in their loops.  This is the layout of FLINT's fmpq_poly:
+at entry, _to_ints writes an element as one positive common denominator D,
+the lcm of all part denominators, and a table of Gaussian-integer
+numerators, {(p, q): (re, im)} with coefficient (re + im*i) / D.  The loops
+run on Python ints; at exit, _from_ints divides each numerator by its
+denominator once, giving reduced GaussianRational parts.  A product of
+tables over D and D' lies over D*D'; shear's coefficients lie over D times
+a power of the shift's denominator; invert keeps its own per-degree
+denominators (see division.invert).
 """
 
 from __future__ import annotations
@@ -260,39 +272,98 @@ def negated(x: AlgebraElement) -> AlgebraElement:
     return AlgebraElement(x.order, x.ordering, {k: -v for k, v in x.coeffs.items()})
 
 
+# -- the integer layout of the kernels (see the module docstring) --------------
+
+def _to_ints(x: AlgebraElement) -> tuple[int, dict]:
+    """(D, {key: (re, im)}) with x.coeffs[key] == (re + im*i) / D, D >= 1."""
+    den = 1
+    for c in x.coeffs.values():
+        den = math.lcm(den, c.re.denominator, c.im.denominator)
+    return den, {k: (c.re.numerator * (den // c.re.denominator),
+                     c.im.numerator * (den // c.im.denominator))
+                 for k, c in x.coeffs.items()}
+
+
+def _from_ints(order: int, ordering: Ordering, den: int, table: dict,
+               step: int = 1) -> AlgebraElement:
+    """The element with coefficient (re + im*i) / (den * step^(p+q)) at key (p, q).
+
+    Zero numerators are dropped; every part comes out reduced.
+    """
+    dens = [den * step ** d for d in range(order + 1)]
+    coeffs = {}
+    for (p, q), (re, im) in table.items():
+        if re or im:
+            d = dens[p + q]
+            coeffs[(p, q)] = GaussianRational(Fraction(re, d), Fraction(im, d))
+    return AlgebraElement(order, ordering, coeffs)
+
+
+@cache
+def _row(p: int, q: int, sign: int) -> tuple:
+    """(sign^j * reorder_coeff(p, q, j) for j = 0..p), trailing zeros dropped.
+
+    sign = 1 rewrites a^p b^q on the RIGHT basis, sign = -1 rewrites b^q a^p
+    on the LEFT basis; the j-th entry lands on key (p - j, q + j).
+    """
+    if q == 0:
+        return (1,)
+    return tuple(sign ** j * reorder_coeff(p, q, j) for j in range(p + 1))
+
+
+def _scalar_ints(c: GaussianRational) -> tuple[int, tuple[int, int]]:
+    """(e, (re, im)) with c == (re + im*i) / e, e >= 1."""
+    e = math.lcm(c.re.denominator, c.im.denominator)
+    return e, (c.re.numerator * (e // c.re.denominator), c.im.numerator * (e // c.im.denominator))
+
+
+def _binomial_rows(s: GaussianRational, top: int) -> tuple[int, list]:
+    """(e, rows) with (a + s*b)^p = sum_j rows[p][j] / e^top * b^j a^(p-j), p <= top.
+
+    rows[p][j] = C(p, j) R_j e^(top-j), where the rising product
+    s(s+1)...(s+j-1) is R_j / e^j with R_j a Gaussian integer, e = den(s).
+    """
+    e, (sr, si) = _scalar_ints(s)
+    rising = [(1, 0)]
+    for t in range(top):
+        re, im = rising[-1]
+        fr = sr + t * e
+        rising.append((re * fr - im * si, re * si + im * fr))
+    scaled = [(re * e ** (top - j), im * e ** (top - j)) for j, (re, im) in enumerate(rising)]
+    return e, [[(math.comb(p, j) * re, math.comb(p, j) * im)
+                for j, (re, im) in enumerate(scaled[:p + 1])] for p in range(top + 1)]
+
+
 # -- ordering conversions -----------------------------------------------------
+
+def _reorder(x: AlgebraElement, ordering: Ordering, sign: int) -> AlgebraElement:
+    """x rewritten on the basis of `ordering`; sign as in _row."""
+    den, table = _to_ints(x)
+    out: dict = {}
+    for (p, q), (re, im) in table.items():
+        for j, g in enumerate(_row(p, q, sign)):
+            key = (p - j, q + j)
+            acc = out.get(key)
+            if acc is None:
+                out[key] = [g * re, g * im]
+            else:
+                acc[0] += g * re
+                acc[1] += g * im
+    return _from_ints(x.order, ordering, den, out)
+
 
 def to_right(x: AlgebraElement) -> AlgebraElement:
     """Rewrite a LEFT element on the basis b^q a^p (value-equal, same order)."""
     if x.ordering is not LEFT:
         raise OrderingMismatchError("to_right expects a LEFT-ordered element")
-    out: dict = {}
-    for (p, q), c in x.coeffs.items():
-        if q == 0:
-            out[(p, 0)] = out.get((p, 0), GaussianRational()) + c
-            continue
-        for j in range(p + 1):
-            key = (p - j, q + j)
-            out[key] = out.get(key, GaussianRational()) + c * reorder_coeff(p, q, j)
-    return AlgebraElement(x.order, RIGHT, out)
+    return _reorder(x, RIGHT, 1)
 
 
 def to_left(x: AlgebraElement) -> AlgebraElement:
     """Rewrite a RIGHT element on the basis a^p b^q; inverse of to_right."""
     if x.ordering is not RIGHT:
         raise OrderingMismatchError("to_left expects a RIGHT-ordered element")
-    out: dict = {}
-    for (p, q), c in x.coeffs.items():
-        if q == 0:
-            out[(p, 0)] = out.get((p, 0), GaussianRational()) + c
-            continue
-        for j in range(p + 1):
-            g = reorder_coeff(p, q, j)
-            if j % 2:
-                g = -g
-            key = (p - j, q + j)
-            out[key] = out.get(key, GaussianRational()) + c * g
-    return AlgebraElement(x.order, LEFT, out)
+    return _reorder(x, LEFT, -1)
 
 
 def with_ordering(x: AlgebraElement, ordering: Ordering) -> AlgebraElement:
@@ -303,53 +374,89 @@ def with_ordering(x: AlgebraElement, ordering: Ordering) -> AlgebraElement:
 
 # -- multiplication --------------------------------------------------------------
 
+def _times_b_power(q: int, terms: list, width: int) -> list:
+    """b^q times the LEFT terms [(p, q', re, im)], on the LEFT basis.
+
+    Returns [(index, re, im)] with index m*width + n for the key (m, n).
+    """
+    out: dict = {}
+    for p, q2, re, im in terms:
+        index = p * width + q + q2
+        for g in _row(p, q, -1):
+            acc = out.get(index)
+            if acc is None:
+                out[index] = [g * re, g * im]
+            else:
+                acc[0] += g * re
+                acc[1] += g * im
+            index += 1 - width
+    return [(k, re, im) for k, (re, im) in out.items() if re or im]
+
+
+def _by_degree(table: dict, order: int) -> list:
+    """The terms [(p, q, re, im)] of an integer table, grouped by total degree."""
+    out = [[] for _ in range(order + 1)]
+    for (p, q), (re, im) in table.items():
+        out[p + q].append((p, q, re, im))
+    return out
+
+
 def mul(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
     """Product in the truncated algebra; both factors must be LEFT-ordered.
 
-    For x-term a^p b^q and y-term a^p' b^q' the inner factor b^q a^p' is
-    rewritten by the inverse ordering formula, so the (m, n) output
-    coefficient is the sum of (-1)^j reorder_coeff(p',q,j) x_{p,q} y_{p',q'}
-    over p+p'-j = m, q+q'+j = n.  The relation being homogeneous, the
-    product of degree-d and degree-d' monomials is homogeneous of degree
-    d+d': grading is exact, and truncation only drops whole degrees > N.
+    With x = sum x_{p,q} a^p b^q, the product is sum x_{p,q} a^p (b^q y):
+    b^q y is rewritten on the LEFT basis once per b-power q of x, by the
+    signed rows (-1)^j reorder_coeff(p', q, j), and multiplying by a^p only
+    shifts keys.  The relation being homogeneous, the product of degree-d
+    and degree-d' monomials is homogeneous of degree d+d': grading is exact,
+    truncation only drops whole degrees > N, and b^q y is built and used one
+    degree block at a time.  The loops run on Gaussian-integer numerators
+    under the denominator Dx*Dy (see _to_ints).
     """
     _check_same_ordering(x, y)
     if x.ordering is not LEFT:
         raise OrderingMismatchError("mul expects LEFT-ordered operands")
     _check_same_order(x, y)
     order = x.order
-    out: dict = {}
-    for (p, q), c in x.coeffs.items():
-        dx = p + q
-        for (p2, q2), d in y.coeffs.items():
-            if dx + p2 + q2 > order:
-                continue
-            cd = c * d
-            if q == 0:
-                key = (p + p2, q2)
-                out[key] = out.get(key, GaussianRational()) + cd
-                continue
-            for j in range(p2 + 1):
-                g = reorder_coeff(p2, q, j)
-                if j % 2:
-                    g = -g
-                key = (p + p2 - j, q + q2 + j)
-                out[key] = out.get(key, GaussianRational()) + cd * g
-    return AlgebraElement(order, LEFT, out)
+    width = order + 1
+    dx, xt = _to_ints(x)
+    dy, yt = _to_ints(y)
+    y_blocks = _by_degree(yt, order)
+    x_by_b_power: dict = {}
+    for (p, q), (re, im) in xt.items():
+        x_by_b_power.setdefault(q, []).append((p, re, im))
+    acc_re = [0] * (width * width)
+    acc_im = [0] * (width * width)
+    for q, x_terms in x_by_b_power.items():
+        top = order - q - min(p for p, _, _ in x_terms)
+        w_blocks = [_times_b_power(q, y_blocks[e], width) for e in range(top + 1)]
+        for p, xr, xi in x_terms:
+            shift = p * width
+            for block in w_blocks[:order - q - p + 1]:
+                for k, wr, wi in block:
+                    k += shift
+                    acc_re[k] += xr * wr - xi * wi
+                    acc_im[k] += xr * wi + xi * wr
+    table = {divmod(k, width): (re, im)
+             for k, (re, im) in enumerate(zip(acc_re, acc_im)) if re or im}
+    return _from_ints(order, LEFT, dx * dy, table)
 
 
 def power(x: AlgebraElement, n: int) -> AlgebraElement:
+    """x^n by binary exponentiation; zero at once when valuation * n > order."""
     if n < 0:
         raise ValueError("negative powers are not defined here; see division.invert")
-    out = AlgebraElement.one(x.order, x.ordering)
-    if x.ordering is LEFT:
-        for _ in range(n):
-            out = mul(out, x)
-        return out
-    left = with_ordering(x, LEFT)
-    for _ in range(n):
-        out = mul(out, left)
-    return with_ordering(out, RIGHT)
+    if n and (x.is_zero or x.valuation * n > x.order):
+        return AlgebraElement.zero(x.order, x.ordering)
+    out = AlgebraElement.one(x.order, LEFT)
+    base = with_ordering(x, LEFT)
+    while n:
+        if n & 1:
+            out = mul(out, base)
+        n >>= 1
+        if n:
+            base = mul(base, base)
+    return with_ordering(out, x.ordering)
 
 
 # -- the anti-automorphism and the shear automorphisms ------------------------
@@ -371,37 +478,16 @@ def anti_automorphism(x: AlgebraElement, ordering: Ordering | None = None) -> Al
     return result
 
 
-def rising_product(x, j: int) -> Coefficient:
-    """(x+j-1)(x+j-2)...x as an explicit product; 1 for j = 0.
-
-    Evaluated literally so that non-integer and negative x work (for
-    x = -1 the factor x+1 kills every j >= 2 term).
-    """
-    x = GaussianRational.coerce(x)
-    out = ONE
-    for t in range(j):
-        out = out * (x + t)
-    return out
-
-
 def binomial_pow(x, p: int, order: int) -> AlgebraElement:
     """(a + x*b)^p expanded in RIGHT ordering.
 
-    Closed form: sum_j rising_product(x, j) * C(p, j) * b^j a^(p-j).
+    Closed form: sum_j x(x+1)...(x+j-1) * C(p, j) * b^j a^(p-j).
     Agrees with the p-fold product of (a + x*b).
     """
     if p > order:
         raise OrderMismatchError(f"degree {p} exceeds truncation order {order}")
-    x = GaussianRational.coerce(x)
-    out: dict = {}
-    rising = ONE
-    for j in range(p + 1):
-        if j:
-            rising = rising * (x + (j - 1))
-        c = rising * math.comb(p, j)
-        if c:
-            out[(p - j, j)] = c
-    return AlgebraElement(order, RIGHT, out)
+    e, rows = _binomial_rows(GaussianRational.coerce(x), p)
+    return _from_ints(order, RIGHT, e ** p, {(p - j, j): c for j, c in enumerate(rows[p])})
 
 
 def shear(x, X: AlgebraElement) -> AlgebraElement:
@@ -410,20 +496,26 @@ def shear(x, X: AlgebraElement) -> AlgebraElement:
     Computed on the RIGHT form termwise: b^q a^p -> b^q (a + x*b)^p, the
     b^q prefix simply shifting the RIGHT keys.  Multiplicative, fixes the
     b-subalgebra, and shear(x, shear(y, X)) = shear(x+y, X).  The result
-    comes back in X's ordering.
+    comes back in X's ordering.  The loop runs over the denominator
+    D * e^P, with D that of X, e that of x and P the largest a-power of X
+    (see _binomial_rows).
     """
-    x = GaussianRational.coerce(x)
     src = with_ordering(X, RIGHT)
-    order = X.order
+    den, table = _to_ints(src)
+    top = max((p for p, _ in table), default=0)
+    e, rows = _binomial_rows(GaussianRational.coerce(x), top)
     out: dict = {}
-    for (p, q), c in src.coeffs.items():
-        if p == 0:
-            out[(0, q)] = out.get((0, q), GaussianRational()) + c
-            continue
-        for (pp, jj), d in binomial_pow(x, p, order - q).coeffs.items():
-            key = (pp, jj + q)
-            out[key] = out.get(key, GaussianRational()) + c * d
-    result = AlgebraElement(order, RIGHT, out)
+    for (p, q), (cr, ci) in table.items():
+        for j, (sr, si) in enumerate(rows[p]):
+            re, im = cr * sr - ci * si, cr * si + ci * sr
+            key = (p - j, q + j)
+            acc = out.get(key)
+            if acc is None:
+                out[key] = [re, im]
+            else:
+                acc[0] += re
+                acc[1] += im
+    result = _from_ints(X.order, RIGHT, den * e ** top, out)
     return with_ordering(result, X.ordering)
 
 

@@ -79,12 +79,6 @@ def bseries_from_json(doc) -> BSeries:
         raise SchemaError(str(exc)) from exc
 
 
-def factored_product_to_json(p: FactoredProduct) -> dict:
-    return {"factors": [
-        {"lambda": coeff_to_json(lam), "S": element_to_json(s.to_element())}
-        for lam, s in p.factors]}
-
-
 def factored_product_from_json(doc, order: int | None = None) -> FactoredProduct:
     factors = []
     for entry in _need(doc, "factors", list):

@@ -351,9 +351,3 @@ def gaussian_roots(f: Poly) -> list[GaussianRational]:
                                     roots.append(z)
     return roots
 
-
-def minimal_polynomial_of_value(a: GaussianRational) -> Poly:
-    """x - a for real a, else the rational quadratic with roots a, conj(a)."""
-    if a.is_real:
-        return Poly([-a, 1])
-    return Poly([GaussianRational(a.norm()), GaussianRational(-2 * a.re), ONE])

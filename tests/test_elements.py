@@ -129,6 +129,24 @@ def test_mul_respects_truncation_grading():
     assert mul(power(a, 3), power(a, 2)).is_zero  # degree 5 > 4 quotients away
 
 
+def test_power_past_the_order_is_zero_at_once():
+    assert power(gen_a(3), 10 ** 12) == AlgebraElement.zero(3)
+    assert power(gen_b(5).to_right(), 10 ** 12) == AlgebraElement.zero(5, RIGHT)
+    assert power(AlgebraElement.zero(3), 0) == AlgebraElement.one(3)
+
+
+def test_power_equals_repeated_mul():
+    r = rng()
+    for ordering in (LEFT, RIGHT):
+        for _ in range(6):
+            x = random_element(r, 6, terms=4, ordering=ordering)
+            left = x.with_ordering(LEFT)
+            expect = AlgebraElement.one(6)
+            for n in range(7):
+                assert power(x, n) == expect.with_ordering(ordering)
+                expect = mul(expect, left)
+
+
 # -- the anti-automorphism -----------------------------------------------------------
 
 def test_anti_automorphism_examples():

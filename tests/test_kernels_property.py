@@ -1,0 +1,132 @@
+"""Property tests of the integer kernels: mul, invert, the ordering
+conversions, shear and divide_linear.
+
+Inputs are dense and sparse elements at orders 0-10 in both orderings,
+with coefficients of three heights: the small values of the invariant
+suites, ~20-bit numerators over distinct 10-bit primes (so the common
+denominator of an element is large), and integers (common denominator 1).
+The zero element is drawn too.  The oracle `act` referees mul.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import given  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from abalg.coefficients import GaussianRational  # noqa: E402
+from abalg.division import divide_linear, invert  # noqa: E402
+from abalg.elements import (LEFT, RIGHT, AlgebraElement, gen_a, gen_b, mul,  # noqa: E402
+                            scale, shear, to_left, to_right, with_ordering)
+from abalg.oracle import PolySeries, act  # noqa: E402
+
+MAX_ORDER = 10
+
+SUITE_VALUES = [
+    GaussianRational(1), GaussianRational(-1), GaussianRational(2),
+    GaussianRational(Fraction(1, 2)), GaussianRational(Fraction(-3, 2)),
+    GaussianRational(0, 1), GaussianRational(0, -1), GaussianRational(1, 1),
+    GaussianRational(Fraction(2, 3)), GaussianRational(-2, Fraction(1, 2)),
+]
+
+# The primes between 2^9 and 2^10: denominators drawn from them are pairwise coprime.
+PRIMES_10_BIT = [n for n in range(2 ** 9 + 1, 2 ** 10, 2) if all(n % d for d in range(3, 32, 2))]
+
+HEIGHTS = ("small", "large", "integer")
+
+
+def _part(height):
+    if height == "large":
+        return st.builds(Fraction, st.integers(-2 ** 20, 2 ** 20), st.sampled_from(PRIMES_10_BIT))
+    return st.integers(-9, 9)
+
+
+def coefficients(height):
+    if height == "small":
+        return st.sampled_from(SUITE_VALUES)
+    return st.builds(GaussianRational, _part(height), _part(height))
+
+
+def scalars():
+    return st.sampled_from(HEIGHTS).flatmap(coefficients)
+
+
+@st.composite
+def elements(draw, order, ordering=None, unit=False):
+    """A dense, sparse or zero element of the given order (a unit if asked)."""
+    ordering = draw(st.sampled_from([LEFT, RIGHT])) if ordering is None else ordering
+    height = draw(st.sampled_from(HEIGHTS))
+    keys = [(p, d - p) for d in range(order + 1) for p in range(d + 1)]
+    shape = draw(st.sampled_from(("dense", "sparse", "zero")))
+    if shape == "dense":
+        chosen = keys
+    elif shape == "sparse":
+        chosen = draw(st.lists(st.sampled_from(keys), max_size=5, unique=True))
+    else:
+        chosen = []
+    table = {k: draw(coefficients(height)) for k in chosen}
+    if unit:
+        table[(0, 0)] = draw(coefficients(height).filter(bool))
+    return AlgebraElement(order, ordering, table)
+
+
+orders = st.integers(0, MAX_ORDER)
+
+
+def pairs(ordering=None):
+    return orders.flatmap(lambda n: st.tuples(elements(n, ordering), elements(n, ordering)))
+
+
+@given(pairs())
+def test_mul_agrees_with_the_oracle(xy):
+    x, y = (with_ordering(v, LEFT) for v in xy)
+    n = x.order
+    product = mul(x, y)
+    for r in range(n + 1):
+        f = PolySeries.monomial(r, n + r)
+        assert act(product, f) == act(x, act(y, f))
+
+
+@given(orders.flatmap(lambda n: elements(n, unit=True)))
+def test_invert_is_a_two_sided_inverse(x):
+    y = invert(x)
+    assert y.ordering is x.ordering
+    xl, yl = with_ordering(x, LEFT), with_ordering(y, LEFT)
+    one = AlgebraElement.one(x.order)
+    assert mul(xl, yl) == one
+    assert mul(yl, xl) == one
+
+
+@given(orders.flatmap(elements))
+def test_ordering_conversions_are_inverse(x):
+    if x.ordering is LEFT:
+        assert to_left(to_right(x)) == x
+    else:
+        assert to_right(to_left(x)) == x
+
+
+@given(scalars(), orders.flatmap(elements))
+def test_shear_by_minus_s_undoes_shear_by_s(s, x):
+    sheared = shear(s, x)
+    assert sheared.ordering is x.ordering
+    assert shear(-s, sheared) == x
+
+
+@given(scalars(), pairs(LEFT))
+def test_shear_is_multiplicative(s, xy):
+    x, y = xy
+    assert shear(s, mul(x, y)) == mul(shear(s, x), shear(s, y))
+
+
+@given(scalars(), orders.flatmap(elements))
+def test_divide_linear_identity(lam, x):
+    q, r = divide_linear(x, lam)
+    n = x.order
+    assert q.ordering is x.ordering
+    # a - lam*b has degree 1, so it is zero in the order-0 quotient
+    divisor = gen_a(n) - scale(lam, gen_b(n)) if n else AlgebraElement.zero(0)
+    lhs = mul(with_ordering(q, LEFT).lifted(n), divisor) + r.to_element()
+    assert lhs == with_ordering(x, LEFT)

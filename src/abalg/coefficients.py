@@ -8,9 +8,10 @@ tolerance appears anywhere.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 
-from .errors import SchemaError
+from .errors import AbalgError, SchemaError
 
 RationalLike = (int, Fraction)
 
@@ -155,9 +156,19 @@ I = GaussianRational(0, 1)
 Coefficient = GaussianRational
 
 
+def int_to_str(n: int) -> str:
+    """str(n); a domain error beyond the interpreter's digit limit, which stays
+    in force because decimal conversion is quadratic in the digit count."""
+    try:
+        return str(n)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise AbalgError(f"coefficient over the {limit}-digit limit for printing") from None
+
+
 def fraction_to_str(x: Fraction) -> str:
     """Canonical "num/den" form, reduced, den positive; e.g. "-3/2", "5/1"."""
-    return f"{x.numerator}/{x.denominator}"
+    return f"{int_to_str(x.numerator)}/{int_to_str(x.denominator)}"
 
 
 def fraction_from_str(text: str) -> Fraction:

@@ -17,10 +17,10 @@ from dataclasses import dataclass
 
 from .coefficients import GaussianRational, ONE
 from .elements import (LEFT, RIGHT, AlgebraElement, _by_degree, _from_ints, _scalar_ints,
-                       _times_b_power, _to_ints, mul, scale, shear, with_ordering)
+                       _times_b_power, _to_ints, gen_a, gen_b, mul, scale, shear, with_ordering)
 from .errors import (NotHomogeneousError, NotMonicError, OrderMismatchError,
                      ZeroConstantTermError, ZeroElementError)
-from .polynomials import Poly, gaussian_roots, interpolate
+from .polynomials import Poly, gaussian_roots
 from .series import APolynomial, BSeries
 
 
@@ -179,9 +179,7 @@ class FactoredProduct:
         a = AlgebraElement.monomial(1, 0, order)
         b = AlgebraElement.monomial(0, 1, order)
         for lam, s in self.factors:
-            out = mul(out, a - scale(lam, b))
-            out = mul(out, s.lifted(order).to_element() if s.order < order
-                      else s.truncated(order).to_element())
+            out = mul(mul(out, a - scale(lam, b)), s.to_element(order))
         return out
 
 
@@ -194,11 +192,13 @@ class DivisionResult:
 
 
 def divide(x: AlgebraElement, product: FactoredProduct) -> DivisionResult:
-    """Division with remainder by a factored product (induction on the factors).
+    """Division with remainder by a factored product, peeling factors from the right.
 
-    Divide by the trailing k-1 factors, then peel the leading (a - lam_1 b)
-    from Q_0 S_1^{-1}; the remainder recombines as
-    R_0 + R_1 S_1 (a - lam_2 b) S_2 ... (a - lam_k b) S_k.
+    With F_i = (a - lam_i b) S_i and x_k = x, divide x_i S_i^{-1} =
+    x_(i-1) (a - lam_i b) + r_i for i = k..1; then Q = x_0 and
+    R = sum_i r_i S_i P_(i+1) with the running tail P_(i+1) = F_(i+1)...F_k.
+    x_i is carried at order N-(k-i), as far as it is determined; r_i beyond
+    that order meets P_(i+1), of valuation k-i, only above degree N.
     """
     k = len(product)
     if x.order < k:
@@ -207,52 +207,46 @@ def divide(x: AlgebraElement, product: FactoredProduct) -> DivisionResult:
         raise OrderMismatchError(
             f"divisor known only to order {product.order} < dividend order {x.order}")
     order = x.order
-    if product.order != order:
-        product = FactoredProduct(product.factors, order)
-    quotient, rem_elem = _divide_padded(with_ordering(x, LEFT), product, order)
-    remainder = APolynomial.from_element(rem_elem)
+    quotient = with_ordering(x, LEFT)
+    tail = AlgebraElement.one(order)
+    rem = AlgebraElement.zero(order)
+    for lam, s in reversed(product.factors):
+        s_inv = s.truncated(quotient.order).inverse().to_element()
+        quotient, r = divide_linear(mul(quotient, s_inv), lam)
+        s_tail = mul(s.to_element(order), tail)
+        rem = rem + mul(r.to_element(order), s_tail)
+        tail = mul(gen_a(order) - scale(lam, gen_b(order)), s_tail)
+    remainder = APolynomial.from_element(rem)
     if remainder.a_degree is not None and remainder.a_degree > k - 1:
         raise AssertionError("remainder a-degree exceeded k-1; internal bug")
-    return DivisionResult(with_ordering(quotient.truncated(order - k), x.ordering), remainder)
-
-
-def _divide_padded(x, product, order):
-    """Work at a fixed padded order; callers truncate.  Returns (Q, R) elements."""
-    lam1, s1 = product.factors[0]
-    s1_elem = s1.to_element()
-    s1_inv = s1.inverse().to_element()
-    if len(product) == 1:
-        q0, r0 = divide_linear(mul(x, s1_inv), lam1)
-        return q0.lifted(order), mul(r0.to_element(), s1_elem)
-    tail = FactoredProduct(product.factors[1:], order)
-    q0, r0 = _divide_padded(x, tail, order)
-    q1, r1 = divide_linear(mul(q0, s1_inv), lam1)
-    r = r0 + mul(mul(r1.to_element(), s1_elem), tail.expanded(order))
-    return q1.lifted(order), r
+    return DivisionResult(with_ordering(quotient, x.ordering), remainder)
 
 
 def remainder_polynomial(x: AlgebraElement) -> Poly:
     """The polynomial rho with rho(lam) b^m = remainder of x by (a - lam*b).
 
     Defined for homogeneous monic x of degree m (monic: the a^m coefficient
-    is 1).  The remainder of a homogeneous degree-m element is a multiple
-    of b^m and depends polynomially (degree <= m) on lam, so rho is pinned
-    by exact interpolation at lam = 0..m.  lam is a root of rho iff
-    (a - lam*b) divides x on the right.
+    is 1).  a^p = Q (a - lam*b) + lam(lam+1)...(lam+p-1) b^p (see
+    power_division_closed_form), and multiplying on the left by b^q keeps
+    that congruence, so x = sum_p c_p b^(m-p) a^p on the RIGHT basis has
+
+        rho(lam) = sum_p c_p lam(lam+1)...(lam+p-1).
+
+    lam is a root of rho iff (a - lam*b) divides x on the right.
     """
     if x.is_zero:
         raise ZeroElementError("remainder polynomial of the zero element")
     if not x.is_homogeneous:
         raise NotHomogeneousError("remainder_polynomial expects a homogeneous element")
-    left = with_ordering(x, LEFT)
-    m = left.degree
-    if left.coefficient(m, 0) != ONE:
+    right = with_ordering(x, RIGHT)
+    m = right.degree
+    if right.coefficient(m, 0) != ONE:
         raise NotMonicError("the a^m coefficient must be 1")
-    points = []
-    for lam in range(m + 1):
-        _, rem = divide_linear(left, lam)
-        points.append((GaussianRational(lam), rem.coefficient(m)))
-    return interpolate(points)
+    rho, rising = Poly(), Poly([1])
+    for p in range(m + 1):
+        rho = rho + rising * right.coefficient(p, m - p)
+        rising = rising * Poly([p, 1])
+    return rho
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
-from .coefficients import GaussianRational, ZERO
+from .coefficients import GaussianRational
 
 
 def _check_alpha(alpha: Fraction) -> Fraction:

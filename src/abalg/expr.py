@@ -19,10 +19,11 @@ re-parses to the same element.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 
-from .coefficients import GaussianRational, ONE
-from .elements import LEFT, RIGHT, AlgebraElement, Ordering, gen_a, gen_b, mul, power, scale
+from .coefficients import GaussianRational, int_to_str
+from .elements import LEFT, AlgebraElement, Ordering, gen_a, gen_b, mul, power
 from .errors import ExprError
 
 
@@ -65,7 +66,7 @@ def _tokenize(text: str) -> list[_Token]:
             start = pos
             while pos < n and text[pos].isdigit():
                 pos += 1
-            num = int(text[start:pos])
+            num = _int_literal(text, start, pos)
             den = 1
             if pos < n and text[pos] == "/":
                 slash = pos
@@ -75,7 +76,7 @@ def _tokenize(text: str) -> list[_Token]:
                     pos += 1
                 if dstart == pos:
                     raise ExprError(slash + 1, ("digit",), _describe(text, pos))
-                den = int(text[dstart:pos])
+                den = _int_literal(text, dstart, pos)
                 if den == 0:
                     raise ExprError(dstart, ("nonzero denominator",), "0")
             out.append(_Token("number", Fraction(num, den), start))
@@ -83,6 +84,14 @@ def _tokenize(text: str) -> list[_Token]:
         raise ExprError(pos, ("'a'", "'b'", "'i'", "number", "'('", "operator"), repr(ch))
     out.append(_Token("end", None, n))
     return out
+
+
+def _int_literal(text: str, start: int, end: int) -> int:
+    try:
+        return int(text[start:end])
+    except ValueError:  # longer than the interpreter's int-from-str digit limit
+        raise ExprError(start, (f"a number of at most {sys.get_int_max_str_digits()} digits",),
+                        f"{end - start} digits") from None
 
 
 def _describe(text: str, pos: int) -> str:
@@ -218,7 +227,8 @@ def parse_scalar(text: str) -> GaussianRational:
 
 
 def _fraction_str(x: Fraction) -> str:
-    return str(x)
+    num = int_to_str(x.numerator)
+    return num if x.denominator == 1 else f"{num}/{int_to_str(x.denominator)}"
 
 
 def _monomial_str(p: int, q: int, ordering: Ordering) -> str:

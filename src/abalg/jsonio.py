@@ -8,11 +8,9 @@ output is byte-stable.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .coefficients import GaussianRational, fraction_from_str, fraction_to_str
 from .division import FactoredProduct, HomogeneousFactorization
-from .elements import LEFT, RIGHT, AlgebraElement, Ordering
+from .elements import LEFT, RIGHT, AlgebraElement
 from .errors import SchemaError
 from .expansions import XiElement
 from .linalg import QMatrix

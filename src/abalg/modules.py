@@ -16,8 +16,8 @@ Three carriers:
 
   * SeriesPoleModule: the same shape as E(theta) but with a structure
     matrix X(b) that is a b-series; produced by the differential-system
-    converter, which solves  a e = M(a) b e  by a fixed-point iteration
-    gaining one b-adic order per step.
+    converter, which solves  a e = M(a) b e  in one pass, one b-adic
+    coefficient of X at a time (coefficient t needs only those below t).
 
 Module truncation is b-adic (order N in b), independent of the algebra's
 total-degree truncation; acting with an element of total-degree order N on
@@ -27,10 +27,9 @@ entries known mod b^(N+1) is exact mod b^(N+1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .coefficients import GaussianRational, ONE, ZERO
-from .division import DivisionResult, FactoredProduct, divide
+from .coefficients import GaussianRational
+from .division import FactoredProduct, divide
 from .elements import LEFT, RIGHT, AlgebraElement, mul, with_ordering
 from .errors import AbalgError, OrderingMismatchError, OrderMismatchError
 from .linalg import QMatrix, characteristic_polynomial, minimal_polynomial
@@ -348,29 +347,28 @@ def from_differential_system(system: DifferentialSystem, order: int
                              ) -> tuple[SeriesPoleModule, tuple]:
     """Solve a e = M(a) b e for the unique structure matrix X(b) mod b^(order+1).
 
-    Fixed point iteration from X = M(0): re-evaluate M(a) b e with the
-    current action and divide by b.  Each pass is provably one b-adic
-    order closer (a raises b-valuation by at least one), so exactly
-    `order` iterations pin X through b^order.  Returns the module and the
-    coefficient matrices of X.
+    Row j of W_d holds a^d (b e_j): W_0 = b I, W_d = W_(d-1) X b + b^2 W_(d-1)'
+    by the action a (V e) = (V X b + b^2 V') e, and X b = sum_d M_d W_d.  On
+    b^n, W_d[n] = sum_(s+u=n-1) W_(d-1)[s] X_u + (n-1) W_(d-1)[n-1], and
+    W_(d-1)[s] = 0 for s < d (a raises b-valuation), so W_d[t+1] needs only
+    X_0..X_(t-1): X_t = [t = 0] M_0 + sum_(d>=1) M_d W_d[t+1] comes one
+    coefficient at a time, as in BSeries.inverse.  Returns the module and
+    the coefficient matrices of X.
     """
     k = system.rank
-    work = order + 1  # dividing by b costs the carrier's top coefficient
-    x = [system.residue] + [QMatrix.zeros(k) for _ in range(work)]
-    module = SeriesPoleModule(tuple(x), work)
-    for _ in range(order):
-        rows = _evaluate_system_on_be(system, module)
-        tables = [[[ZERO] * k for _ in range(k)] for _ in range(work + 1)]
-        for i in range(k):
-            for l in range(k):
-                w = rows[i][l]
-                if w.coefficient(0):
-                    raise AssertionError("M(a)be lost its b factor; internal bug")
-                shifted = w.divided_by_b()
-                for t in range(work + 1):
-                    tables[t][i][l] = shifted.coefficient(t)
-        module = SeriesPoleModule(tuple(QMatrix(t) for t in tables), work)
-    module = SeriesPoleModule(module.x_coeffs[:order + 1], order)
+    zero = QMatrix.zeros(k)
+    w = [[zero] * (order + 2) for _ in system.coeffs]  # w[d][n] = W_d[n]
+    w[0][1] = QMatrix.identity(k)
+    x = []
+    for t in range(order + 1):
+        for d in range(1, len(w)):
+            acc = w[d - 1][t].scaled(t)
+            for s in range(d, t + 1):
+                acc = acc + w[d - 1][s] @ x[t - s]
+            w[d][t + 1] = acc
+        x.append(sum((m @ w[d][t + 1] for d, m in enumerate(system.coeffs) if d),
+                     system.residue if t == 0 else zero))
+    module = SeriesPoleModule(tuple(x), order)
     if module.x_at_zero() != system.residue:
         raise AssertionError("X(0) != M(0); internal bug")
     return module, module.x_coeffs

@@ -156,16 +156,6 @@ class BSeries:
         """Multiplication by b^k (same truncation order)."""
         return BSeries(self.order, [GaussianRational()] * k + list(self.coeffs))
 
-    def divided_by_b(self) -> BSeries:
-        """Exact division by b; requires zero constant term.
-
-        The top coefficient of the result is unknown at this truncation
-        and is set to zero (the canonical representative).
-        """
-        if self.coeffs[0]:
-            raise ValueError("constant term nonzero; not divisible by b")
-        return BSeries(self.order, list(self.coeffs[1:]))
-
     def derivative(self) -> BSeries:
         """d/db, truncated at order-1."""
         n = max(self.order - 1, 0)

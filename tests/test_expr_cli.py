@@ -1,9 +1,11 @@
 import json
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
+from abalg import checks
 from abalg.checks import random_element
 from abalg.cli import main
 from abalg.coefficients import GaussianRational
@@ -232,3 +234,38 @@ def test_cli_xi_act(capsys, tmp_path):
     assert code == 0
     assert doc["terms"] == [{"alpha": "1/2", "m": 1, "j": 0,
                              "c": [{"re": "2/3", "im": "0/1"}]}]
+
+
+DIGIT_LIMIT = sys.get_int_max_str_digits()
+needs_digit_limit = pytest.mark.skipif(DIGIT_LIMIT == 0, reason="int/str digit limit is off")
+
+
+@needs_digit_limit
+@pytest.mark.parametrize("pretty", [(), ("--pretty",)])
+def test_cli_coefficient_beyond_the_digit_limit_is_a_domain_error(capsys, pretty):
+    # 2^(4 * limit) has more than limit decimal digits
+    code, out, err = run_cli(capsys, "normalize", "--order", "1", *pretty, f"2^{4 * DIGIT_LIMIT}")
+    assert code == 3 and out == ""
+    assert f"{DIGIT_LIMIT}-digit limit" in err and "internal error" not in err
+
+
+@needs_digit_limit
+def test_cli_literal_beyond_the_digit_limit_is_a_parse_error(capsys):
+    digits = "7" * (DIGIT_LIMIT + 1)
+    code, out, err = run_cli(capsys, "normalize", "--order", "1", digits + "*a")
+    assert code == 2 and out == ""
+    assert f"at most {DIGIT_LIMIT} digits" in err and "internal error" not in err
+    code, _, err = run_cli(capsys, "normalize", "--order", "1", "1/" + digits)
+    assert code == 2 and "offset 2" in err and "internal error" not in err
+
+
+def test_selftest_reports_a_crashing_suite_and_runs_the_rest(monkeypatch):
+    def crash(rng):
+        raise ZeroDivisionError("boom")
+
+    ran = []
+    monkeypatch.setattr(checks, "CHECKS", {"crash": crash, "fine": ran.append})
+    lines = []
+    assert checks.run_all(seed=7, out=lines.append) is False
+    assert lines[0].split() == ["crash", "FAIL", "ZeroDivisionError:", "boom", "(seed", "7)"]
+    assert lines[1].split() == ["fine", "PASS"] and len(ran) == 1

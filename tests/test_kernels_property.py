@@ -1,11 +1,15 @@
 """Property tests of the integer kernels: mul, invert, the ordering
-conversions, shear and divide_linear.
+conversions, shear and divide_linear; and of the one-pass module stack:
+remainder_polynomial, factored divide and from_differential_system.
 
 Inputs are dense and sparse elements at orders 0-10 in both orderings,
 with coefficients of three heights: the small values of the invariant
 suites, ~20-bit numerators over distinct 10-bit primes (so the common
 denominator of an element is large), and integers (common denominator 1).
-The zero element is drawn too.  The oracle `act` referees mul.
+The zero element is drawn too.  The oracle `act` referees mul,
+divide_linear referees remainder_polynomial, the product identity referees
+divide, and satisfies_system (the module action substituted back into the
+system) referees from_differential_system.
 """
 
 from fractions import Fraction
@@ -18,10 +22,15 @@ from hypothesis import given  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from abalg.coefficients import GaussianRational  # noqa: E402
-from abalg.division import divide_linear, invert  # noqa: E402
+from abalg.division import (FactoredProduct, divide, divide_linear, invert,  # noqa: E402
+                            remainder_polynomial)
 from abalg.elements import (LEFT, RIGHT, AlgebraElement, gen_a, gen_b, mul,  # noqa: E402
                             scale, shear, to_left, to_right, with_ordering)
+from abalg.linalg import QMatrix  # noqa: E402
+from abalg.modules import (DifferentialSystem, from_differential_system,  # noqa: E402
+                           satisfies_system)
 from abalg.oracle import PolySeries, act  # noqa: E402
+from abalg.series import BSeries  # noqa: E402
 
 MAX_ORDER = 10
 
@@ -130,3 +139,71 @@ def test_divide_linear_identity(lam, x):
     divisor = gen_a(n) - scale(lam, gen_b(n)) if n else AlgebraElement.zero(0)
     lhs = mul(with_ordering(q, LEFT).lifted(n), divisor) + r.to_element()
     assert lhs == with_ordering(x, LEFT)
+
+
+@st.composite
+def monic_homogeneous(draw):
+    """A homogeneous element of degree m <= 8 with a^m coefficient 1, at order >= m."""
+    m = draw(st.integers(0, 8))
+    order = m + draw(st.integers(0, 2))
+    coeff = scalars()
+    table = {(p, m - p): draw(coeff) for p in range(m)}
+    table[(m, 0)] = GaussianRational(1)
+    return AlgebraElement(order, draw(st.sampled_from([LEFT, RIGHT])), table)
+
+
+@given(monic_homogeneous(), scalars())
+def test_remainder_polynomial_gives_the_remainder_at_any_lambda(x, lam):
+    m = x.degree
+    _, rem = divide_linear(x, lam)
+    assert rem == BSeries.monomial(m, x.order, remainder_polynomial(x)(lam))
+
+
+@st.composite
+def factored_products(draw, k, order):
+    def unit():
+        c0 = draw(coefficients("small").filter(bool))
+        return BSeries(order, [c0] + [draw(scalars()) for _ in range(order)])
+
+    return FactoredProduct(tuple((draw(scalars()), unit()) for _ in range(k)), order)
+
+
+@st.composite
+def division_cases(draw):
+    """(x, z, P): x RIGHT-ordered at order n, P of k factors known to order >= n."""
+    k = draw(st.integers(1, 3))
+    n = draw(st.integers(k, 8))
+    product = draw(factored_products(k, n + draw(st.integers(0, 3))))
+    return draw(elements(n, RIGHT)), draw(elements(n, LEFT)), product
+
+
+@given(division_cases())
+def test_divide_identity_and_remainder_invariance(case):
+    x, z, product = case
+    n, k = x.order, len(product)
+    p = product.expanded(n)
+    res = divide(x, product)
+    assert res.quotient.ordering is RIGHT and res.quotient.order == n - k
+    assert res.remainder.a_degree is None or res.remainder.a_degree <= k - 1
+    q = with_ordering(res.quotient, LEFT).lifted(n)
+    assert mul(q, p) + res.remainder.to_element(LEFT) == with_ordering(x, LEFT)
+    shifted = divide(with_ordering(with_ordering(x, LEFT) + mul(z, p), RIGHT), product)
+    assert shifted.remainder == res.remainder
+    assert shifted.quotient == with_ordering(q.truncated(n - k) + z.truncated(n - k), RIGHT)
+
+
+@st.composite
+def systems(draw):
+    k = draw(st.integers(1, 3))
+    entry = st.sampled_from(SUITE_VALUES + [GaussianRational(0)])
+    mats = [QMatrix([[draw(entry) for _ in range(k)] for _ in range(k)])
+            for _ in range(draw(st.integers(1, 4)))]
+    return DifferentialSystem(tuple(mats))
+
+
+@given(systems(), st.integers(0, 16))
+def test_ode2ab_satisfies_the_system(system, order):
+    module, coeffs = from_differential_system(system, order)
+    assert len(coeffs) == order + 1 and module.order == order
+    assert module.x_at_zero() == system.residue
+    assert satisfies_system(module, system)

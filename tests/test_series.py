@@ -30,12 +30,9 @@ def test_bseries_inverse():
         BSeries(3, {1: 1}).inverse()
 
 
-def test_bseries_derivative_and_b_division():
+def test_bseries_derivative():
     s = BSeries(4, {1: 3, 3: 2})
     assert s.derivative() == BSeries(3, {0: 3, 2: 6})
-    assert s.divided_by_b() == BSeries(4, {0: 3, 2: 2})
-    with pytest.raises(ValueError):
-        BSeries(2, {0: 1}).divided_by_b()
 
 
 def test_bseries_element_round_trip():

@@ -8,8 +8,10 @@ prescribed volumes.
 
 from __future__ import annotations
 
+import json
 import math
 import random
+import time
 from fractions import Fraction
 
 from .coefficients import GaussianRational, ONE
@@ -474,18 +476,31 @@ def check_determinism(rng, count=40, order=8):
         assert s1 == s2 and format_element(x) == format_element(y)
 
 
-def run_all(seed: int = 20260810, names=None, out=print) -> bool:
-    """Run the suites, one PASS/FAIL row each; a suite that raises fails alone."""
+def run_all(seed: int = 20260810, names=None, out=print, as_json: bool = False) -> bool:
+    """Run the suites, one PASS/FAIL row each; a suite that raises fails alone.
+
+    With as_json, each row is instead one JSON object {"suite", "ok",
+    "seconds", "seed", "error"}, error being "<Type>: <message>" or null.
+    """
     selected = CHECKS if names is None else {n: CHECKS[n] for n in names}
     width = max(len(n) for n in selected) + 2
     ok = True
     for name, fn in selected.items():
         rng = random.Random(seed)
+        start = time.perf_counter()
         try:
             fn(rng)
         except Exception as exc:
-            ok = False
-            out(f"{name:<{width}} FAIL  {type(exc).__name__}: {exc} (seed {seed})")
+            error = f"{type(exc).__name__}: {exc}"
+        else:
+            error = None
+        seconds = time.perf_counter() - start
+        ok = ok and error is None
+        if as_json:
+            out(json.dumps({"suite": name, "ok": error is None, "seconds": round(seconds, 6),
+                            "seed": seed, "error": error}))
+        elif error:
+            out(f"{name:<{width}} FAIL  {error} (seed {seed})")
         else:
             out(f"{name:<{width}} PASS")
     return ok

@@ -13,7 +13,6 @@ import argparse
 import json
 import sys
 
-from .checks import run_all
 from .division import divide, divide_linear, factor_homogeneous, invert
 from .elements import LEFT, RIGHT, AlgebraElement, anti_automorphism, mul, shear
 from .errors import AbalgError, ExprError, SchemaError
@@ -130,6 +129,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     s = subs.add_parser("selftest", help="run every invariant suite")
     s.add_argument("--seed", type=int, default=20260810)
+    s.add_argument("--json", action="store_true",
+                   help="one JSON object per suite instead of the text rows")
 
     return parser
 
@@ -222,7 +223,8 @@ def _run(args) -> int:
         out = xi_act_a(xi) if args.op == "a" else xi_act_b(xi)
         _emit(xi_to_json(out))
     elif cmd == "selftest":
-        if not run_all(seed=args.seed):
+        from .checks import run_all  # here, so that no other subcommand loads the suites
+        if not run_all(seed=args.seed, as_json=args.json):
             return 4
     else:  # pragma: no cover - argparse enforces the choices
         raise AssertionError(f"unknown command {cmd}")

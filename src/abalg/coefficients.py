@@ -8,6 +8,7 @@ tolerance appears anywhere.
 
 from __future__ import annotations
 
+import math
 import sys
 from fractions import Fraction
 
@@ -154,6 +155,18 @@ I = GaussianRational(0, 1)
 
 #: Alias matching the domain vocabulary.
 Coefficient = GaussianRational
+
+
+def common_denominator(coeffs: dict) -> tuple[int, dict]:
+    """(D, {key: (re, im)}) with coeffs[key] == (re + im*i) / D, where D >= 1 is
+    the lcm of all part denominators: FLINT's fmpq_poly layout, an integer
+    table over one positive denominator."""
+    den = 1
+    for c in coeffs.values():
+        den = math.lcm(den, c.re.denominator, c.im.denominator)
+    return den, {k: (c.re.numerator * (den // c.re.denominator),
+                     c.im.numerator * (den // c.im.denominator))
+                 for k, c in coeffs.items()}
 
 
 def int_to_str(n: int) -> str:

@@ -15,9 +15,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .coefficients import GaussianRational, ONE
+from .coefficients import GaussianRational, ONE, common_denominator
 from .elements import (LEFT, RIGHT, AlgebraElement, _by_degree, _from_ints, _scalar_ints,
-                       _times_b_power, _to_ints, gen_a, gen_b, mul, scale, shear, with_ordering)
+                       _times_b_power, gen_a, gen_b, mul, scale, shear, with_ordering)
 from .errors import (NotHomogeneousError, NotMonicError, OrderMismatchError,
                      ZeroConstantTermError, ZeroElementError)
 from .polynomials import Poly, gaussian_roots
@@ -36,8 +36,8 @@ def invert(x: AlgebraElement) -> AlgebraElement:
     automatically two-sided.)
 
     The loop runs on integers: with x' = X / D in the layout of
-    elements._to_ints, it keeps Y_{m,n} = y_{m,n} D^(m+n), which is a
-    Gaussian integer, since
+    coefficients.common_denominator, it keeps Y_{m,n} = y_{m,n} D^(m+n),
+    which is a Gaussian integer, since
 
         Y_d = - sum over deg = 1..d of D^(deg-1) (X_deg * Y_(d-deg))_d
 
@@ -52,7 +52,7 @@ def invert(x: AlgebraElement) -> AlgebraElement:
     width = order + 1
     # x' = X / den: dividing the numerators by the constant term's numerator C
     # (times conj(C) over |C|^2) and reducing gives the least such den.
-    _, table = _to_ints(src)
+    _, table = common_denominator(src.coeffs)
     cr, ci = table.pop((0, 0))
     den = cr * cr + ci * ci
     table = {k: (re * cr + im * ci, im * cr - re * ci) for k, (re, im) in table.items()}

@@ -20,14 +20,14 @@ reorder_coeff(p, q, j):
 Coefficients are stored as GaussianRationals, but the kernels (the
 ordering conversions, mul, shear and division.invert) never add or
 multiply Fractions in their loops.  This is the layout of FLINT's fmpq_poly:
-at entry, _to_ints writes an element as one positive common denominator D,
-the lcm of all part denominators, and a table of Gaussian-integer
-numerators, {(p, q): (re, im)} with coefficient (re + im*i) / D.  The loops
-run on Python ints; at exit, _from_ints divides each numerator by its
-denominator once, giving reduced GaussianRational parts.  A product of
-tables over D and D' lies over D*D'; shear's coefficients lie over D times
-a power of the shift's denominator; invert keeps its own per-degree
-denominators (see division.invert).
+at entry, coefficients.common_denominator writes an element as one positive
+common denominator D, the lcm of all part denominators, and a table of
+Gaussian-integer numerators, {(p, q): (re, im)} with coefficient
+(re + im*i) / D.  The loops run on Python ints; at exit, _from_ints divides
+each numerator by its denominator once, giving reduced GaussianRational
+parts.  A product of tables over D and D' lies over D*D'; shear's
+coefficients lie over D times a power of the shift's denominator; invert
+keeps its own per-degree denominators (see division.invert).
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ import math
 from fractions import Fraction
 from functools import cache
 
-from .coefficients import ONE, Coefficient, GaussianRational, RationalLike
+from .coefficients import ONE, Coefficient, GaussianRational, RationalLike, common_denominator
 from .errors import OrderingMismatchError, OrderMismatchError
 
 
@@ -274,16 +274,6 @@ def negated(x: AlgebraElement) -> AlgebraElement:
 
 # -- the integer layout of the kernels (see the module docstring) --------------
 
-def _to_ints(x: AlgebraElement) -> tuple[int, dict]:
-    """(D, {key: (re, im)}) with x.coeffs[key] == (re + im*i) / D, D >= 1."""
-    den = 1
-    for c in x.coeffs.values():
-        den = math.lcm(den, c.re.denominator, c.im.denominator)
-    return den, {k: (c.re.numerator * (den // c.re.denominator),
-                     c.im.numerator * (den // c.im.denominator))
-                 for k, c in x.coeffs.items()}
-
-
 def _from_ints(order: int, ordering: Ordering, den: int, table: dict,
                step: int = 1) -> AlgebraElement:
     """The element with coefficient (re + im*i) / (den * step^(p+q)) at key (p, q).
@@ -313,8 +303,8 @@ def _row(p: int, q: int, sign: int) -> tuple:
 
 def _scalar_ints(c: GaussianRational) -> tuple[int, tuple[int, int]]:
     """(e, (re, im)) with c == (re + im*i) / e, e >= 1."""
-    e = math.lcm(c.re.denominator, c.im.denominator)
-    return e, (c.re.numerator * (e // c.re.denominator), c.im.numerator * (e // c.im.denominator))
+    e, ints = common_denominator({0: c})
+    return e, ints[0]
 
 
 def _binomial_rows(s: GaussianRational, top: int) -> tuple[int, list]:
@@ -338,7 +328,7 @@ def _binomial_rows(s: GaussianRational, top: int) -> tuple[int, list]:
 
 def _reorder(x: AlgebraElement, ordering: Ordering, sign: int) -> AlgebraElement:
     """x rewritten on the basis of `ordering`; sign as in _row."""
-    den, table = _to_ints(x)
+    den, table = common_denominator(x.coeffs)
     out: dict = {}
     for (p, q), (re, im) in table.items():
         for j, g in enumerate(_row(p, q, sign)):
@@ -411,7 +401,7 @@ def mul(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
     and degree-d' monomials is homogeneous of degree d+d': grading is exact,
     truncation only drops whole degrees > N, and b^q y is built and used one
     degree block at a time.  The loops run on Gaussian-integer numerators
-    under the denominator Dx*Dy (see _to_ints).
+    under the denominator Dx*Dy (see coefficients.common_denominator).
     """
     _check_same_ordering(x, y)
     if x.ordering is not LEFT:
@@ -419,8 +409,8 @@ def mul(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
     _check_same_order(x, y)
     order = x.order
     width = order + 1
-    dx, xt = _to_ints(x)
-    dy, yt = _to_ints(y)
+    dx, xt = common_denominator(x.coeffs)
+    dy, yt = common_denominator(y.coeffs)
     y_blocks = _by_degree(yt, order)
     x_by_b_power: dict = {}
     for (p, q), (re, im) in xt.items():
@@ -501,7 +491,7 @@ def shear(x, X: AlgebraElement) -> AlgebraElement:
     (see _binomial_rows).
     """
     src = with_ordering(X, RIGHT)
-    den, table = _to_ints(src)
+    den, table = common_denominator(src.coeffs)
     top = max((p for p, _ in table), default=0)
     e, rows = _binomial_rows(GaussianRational.coerce(x), top)
     out: dict = {}

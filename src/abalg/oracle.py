@@ -14,14 +14,20 @@ The action of a whole element is implemented twice on purpose - once
 through the closed kernel u_m = sum r!/(q+r)! x_{p,q} t_r, once by
 composing the elementary act_a/act_b - and the two are cross-checked
 against each other in the tests.
+
+The kernel `act` runs on Gaussian integers in the layout of the algebra
+kernels (coefficients.common_denominator: an integer table over one
+positive denominator), with an integral scale F_m per output degree m
+(see `act`).  `act_composed`, `act_a` and `act_b` stay on Fractions, one
+coefficient at a time, and share no arithmetic with `act`, so they remain
+an independent referee of it.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
-from .coefficients import GaussianRational, ONE
+from .coefficients import GaussianRational, ONE, common_denominator
 from .elements import LEFT, AlgebraElement, mul
 from .errors import (NotHomogeneousError, OrderingMismatchError, WitnessNotFoundError,
                      ZeroElementError)
@@ -101,19 +107,59 @@ def act(X: AlgebraElement, f: PolySeries) -> PolySeries:
     """Action of a LEFT-ordered element, by the closed kernel.
 
     Output coefficient of z^m is  sum over p+q+r = m of r!/(q+r)! x_{p,q} t_r.
+
+    The sum runs on integers.  With X = (table) / Dx and f = (table) / Dt in
+    the layout of coefficients.common_denominator, let r0 be the smallest
+    exponent of f that reaches z^m.  Every term reaching z^m has r >= r0
+    and q + r <= m, so with F_m = m!/r0! = (r0+1)...m each weight
+
+        F_m r!/(q+r)!  =  [(r0+1)...r] * [(q+r+1)...m]
+
+    is an integer of at most deg(X) factors, each at most m.  Only the
+    degrees m that some term reaches are visited, so neither a large degree
+    bound nor the gaps of a sparse f cost time or memory.  Each output
+    coefficient is divided once, by Dx Dt F_m.
     """
     if X.ordering is not LEFT:
         raise OrderingMismatchError("act expects a LEFT-ordered element")
     bound = f.degree_bound
-    out: dict = {}
-    for (p, q), x in X.coeffs.items():
-        dx = p + q
-        for r, t in f.coeffs.items():
-            m = dx + r
-            if m > bound:
+    dx, xt = common_denominator(X.coeffs)
+    dt, tt = common_denominator(f.coeffs)
+    blocks: dict = {}
+    for (p, q), c in xt.items():
+        blocks.setdefault(p + q, []).append((q, c))
+    degrees = sorted(blocks)
+    lowest: dict = {}  # m -> r0(m)
+    for r in sorted(tt):
+        for d in degrees:
+            if r + d > bound:
+                break
+            lowest.setdefault(r + d, r)
+    out = {}
+    for m, r0 in lowest.items():
+        falling = [1]  # falling[k] = m(m-1)...(m-k+1), up to F_m = falling[m - r0]
+        for k in range(m - r0):
+            falling.append(falling[-1] * (m - k))
+        scale = falling[-1]
+        re = im = 0
+        for d in degrees:
+            r = m - d
+            if r < r0:
+                break
+            if r not in tt:
                 continue
-            kernel = Fraction(1, math.perm(q + r, q))
-            out[m] = out.get(m, GaussianRational()) + (x * t) * kernel
+            sr = si = 0
+            for q, (xr, xi) in blocks[d]:
+                w = falling[d - q]  # (q+r+1)...m
+                sr += w * xr
+                si += w * xi
+            tr, ti = tt[r]
+            w = scale // falling[d]  # (r0+1)...r
+            re += w * (sr * tr - si * ti)
+            im += w * (sr * ti + si * tr)
+        if re or im:
+            den = dx * dt * scale
+            out[m] = GaussianRational(Fraction(re, den), Fraction(im, den))
     return PolySeries(bound, out)
 
 

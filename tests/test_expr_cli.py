@@ -1,10 +1,13 @@
 import json
+import os
 import random
+import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
 
+import abalg
 from abalg import checks
 from abalg.checks import random_element
 from abalg.cli import main
@@ -269,3 +272,28 @@ def test_selftest_reports_a_crashing_suite_and_runs_the_rest(monkeypatch):
     assert checks.run_all(seed=7, out=lines.append) is False
     assert lines[0].split() == ["crash", "FAIL", "ZeroDivisionError:", "boom", "(seed", "7)"]
     assert lines[1].split() == ["fine", "PASS"] and len(ran) == 1
+
+
+def test_selftest_json_reports_each_suite_with_its_time(monkeypatch, capsys):
+    def crash(rng):
+        raise ZeroDivisionError("boom")
+
+    monkeypatch.setattr(checks, "CHECKS", {"crash": crash, "fine": lambda rng: None})
+    code, out, _ = run_cli(capsys, "selftest", "--seed", "7", "--json")
+    assert code == 4
+    rows = [json.loads(line) for line in out.splitlines()]
+    assert [set(row) for row in rows] == [{"suite", "ok", "seconds", "seed", "error"}] * 2
+    assert [(r["suite"], r["ok"], r["seed"], r["error"]) for r in rows] == [
+        ("crash", False, 7, "ZeroDivisionError: boom"), ("fine", True, 7, None)]
+    assert all(isinstance(r["seconds"], float) and r["seconds"] >= 0 for r in rows)
+    monkeypatch.setattr(checks, "CHECKS", {"fine": lambda rng: None})
+    assert run_cli(capsys, "selftest", "--json")[0] == 0
+
+
+def test_cli_import_does_not_load_the_invariant_suites():
+    src = os.path.dirname(os.path.dirname(abalg.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = "import sys, abalg.cli; assert 'abalg.checks' not in sys.modules, 'loaded'"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": path})
+    assert result.returncode == 0, result.stderr

@@ -6,12 +6,15 @@ Inputs are dense and sparse elements at orders 0-10 in both orderings,
 with coefficients of three heights: the small values of the invariant
 suites, ~20-bit numerators over distinct 10-bit primes (so the common
 denominator of an element is large), and integers (common denominator 1).
-The zero element is drawn too.  The oracle `act` referees mul,
-divide_linear referees remainder_polynomial, the product identity referees
-divide, and satisfies_system (the module action substituted back into the
-system) referees from_differential_system.
+The zero element is drawn too.  The oracle `act` referees mul, and
+`act_composed` (composed act_a/act_b on Fractions) referees `act` itself on
+dense, sparse and zero series with degree bounds on both sides of
+deg X + max r; divide_linear referees remainder_polynomial, the product
+identity referees divide, and satisfies_system (the module action
+substituted back into the system) referees from_differential_system.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -29,7 +32,7 @@ from abalg.elements import (LEFT, RIGHT, AlgebraElement, gen_a, gen_b, mul,  # n
 from abalg.linalg import QMatrix  # noqa: E402
 from abalg.modules import (DifferentialSystem, from_differential_system,  # noqa: E402
                            satisfies_system)
-from abalg.oracle import PolySeries, act  # noqa: E402
+from abalg.oracle import PolySeries, act, act_composed  # noqa: E402
 from abalg.series import BSeries  # noqa: E402
 
 MAX_ORDER = 10
@@ -97,6 +100,49 @@ def test_mul_agrees_with_the_oracle(xy):
     for r in range(n + 1):
         f = PolySeries.monomial(r, n + r)
         assert act(product, f) == act(x, act(y, f))
+
+
+@st.composite
+def series_for(draw, x):
+    """A dense, sparse (with gaps) or zero series whose degree bound lies
+    below or above deg x + max r, so that the output is truncated or not."""
+    height = draw(st.sampled_from(HEIGHTS))
+    shape = draw(st.sampled_from(("dense", "sparse", "zero")))
+    if shape == "dense":
+        exponents = range(draw(st.integers(0, 3 * MAX_ORDER)) + 1)
+    elif shape == "sparse":
+        exponents = draw(st.lists(st.integers(0, 60), max_size=6, unique=True))
+    else:
+        exponents = []
+    table = {r: draw(coefficients(height)) for r in exponents}
+    reach = (x.degree or 0) + max(table, default=0)
+    return PolySeries(draw(st.integers(0, reach + 2)), table)
+
+
+@given(orders.flatmap(lambda n: elements(n, LEFT)).flatmap(
+    lambda x: st.tuples(st.just(x), series_for(x))))
+def test_act_agrees_with_the_composed_action(xf):
+    x, f = xf
+    assert act(x, f) == act_composed(x, f)
+
+
+def _dense_left(order):
+    keys = [(p, d - p) for d in range(order + 1) for p in range(d + 1)]
+    return AlgebraElement(order, LEFT, {k: SUITE_VALUES[i % len(SUITE_VALUES)]
+                                        for i, k in enumerate(keys)})
+
+
+def test_act_with_a_huge_degree_bound_visits_only_the_reached_degrees():
+    x = _dense_left(6)
+    f = PolySeries(10 ** 9, {0: GaussianRational(1), 5000: GaussianRational(Fraction(2, 3), 1)})
+    assert act(x, f) == act_composed(x, f)
+
+
+def test_act_on_a_widely_scattered_series():
+    x = _dense_left(4)
+    exponents = random.Random(0).sample(range(10 ** 5), 300)
+    f = PolySeries(10 ** 5, {r: SUITE_VALUES[r % len(SUITE_VALUES)] for r in exponents})
+    assert act(x, f) == act_composed(x, f)
 
 
 @given(orders.flatmap(lambda n: elements(n, unit=True)))

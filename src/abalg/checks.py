@@ -387,13 +387,14 @@ def check_bernstein(rng, count=20, order=6):
         p = bernstein(module)
         assert p.is_monic and 1 <= p.degree <= k
         assert evaluate_poly_at_matrix(p, -theta).is_zero, "bernstein does not annihilate"
-        # independent route: first linear dependency among powers of -theta
+        # independent route: first linear dependency among the powers of -theta,
+        # found on GaussianRationals
         powers = matrix_power_sequence(-theta, k)
         flat = [tuple(c for row in m.rows for c in row) for m in powers]
         d = 1
         while solve_dependency(flat[:d + 1]) is None:
             d += 1
-        assert d == p.degree, "Krylov lcm degree disagrees with first power dependency"
+        assert d == p.degree, "bernstein degree disagrees with the first power dependency"
 
 
 @check("abmod/fresco")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .division import divide, divide_linear, factor_homogeneous, invert
@@ -237,8 +238,17 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    code = 0
     try:
-        return _run(args)
+        code = _run(args)
+        sys.stdout.flush()  # so that a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout early (`abalg ... | head -1`): not an error,
+        # and the exit code is the run's own if it got that far.  Point the
+        # descriptor at devnull so that the flush at exit stays quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return code
     except (ExprError, SchemaError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

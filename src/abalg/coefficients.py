@@ -169,6 +169,14 @@ def common_denominator(coeffs: dict) -> tuple[int, dict]:
                  for k, c in coeffs.items()}
 
 
+def over(re: int, im: int, den: int) -> GaussianRational:
+    """(re + im*i) / den for integers, den != 0: the way back out of the
+    common-denominator layout, one Fraction division per part."""
+    if not re and not im:
+        return ZERO
+    return GaussianRational(Fraction(re, den), Fraction(im, den))
+
+
 def int_to_str(n: int) -> str:
     """str(n); a domain error beyond the interpreter's digit limit, which stays
     in force because decimal conversion is quadratic in the digit count."""

@@ -1,15 +1,26 @@
 """Exact dense matrices over the Gaussian rationals.
 
-Just enough linear algebra for the module layer: ring operations,
-reduced row echelon form, minimal polynomials by Krylov subspaces with an
-LCM over the basis vectors, and the characteristic polynomial by
-Faddeev-LeVerrier.  Everything exact, no pivot-size heuristics needed.
+Just enough linear algebra for the module layer: ring operations, the
+minimal polynomial as the first linear dependency among the powers of a
+matrix, and the characteristic polynomial by Faddeev-LeVerrier.  Everything
+exact, no pivot-size heuristics needed.
+
+Entries are stored as GaussianRationals, but `@`, `apply`, the minimal and
+the characteristic polynomial never add or multiply Fractions in their loops:
+as in the element kernels, coefficients.common_denominator writes a matrix
+as one positive denominator D and a table of Gaussian-integer numerators
+(re, im), the loops run on Python ints, and coefficients.over divides once
+per part at exit.  matrix_power_sequence, solve_dependency and
+evaluate_poly_at_matrix stay on GaussianRational arithmetic, as the
+independent referees of those kernels.
 """
 
 from __future__ import annotations
 
-from .coefficients import GaussianRational, ONE, ZERO
-from .polynomials import Poly, poly_lcm
+import math
+
+from .coefficients import GaussianRational, ONE, ZERO, common_denominator, over
+from .polynomials import Poly
 
 
 class QMatrix:
@@ -89,19 +100,19 @@ class QMatrix:
     def __matmul__(self, other):
         if not isinstance(other, QMatrix):
             return NotImplemented
-        n, m = self.shape
-        m2, p = other.shape
-        if m != m2:
+        if self.shape[1] != other.shape[0]:
             raise ValueError("shape mismatch")
-        cols = [other.column(j) for j in range(p)]
-        return QMatrix([[_dot(row, col) for col in cols] for row in self.rows])
+        d1, x = _split(self)
+        d2, y = _split(other)
+        return _join(d1 * d2, _int_matmul(x, y))
 
     def apply(self, vec) -> tuple:
         """Matrix times column vector (a sequence of coefficients)."""
-        vec = tuple(GaussianRational.coerce(c) for c in vec)
+        vec = tuple(vec)
         if len(vec) != self.shape[1]:
             raise ValueError("length mismatch")
-        return tuple(_dot(row, vec) for row in self.rows)
+        column = QMatrix([[c] for c in vec])
+        return (self @ column).column(0)
 
     def trace(self) -> GaussianRational:
         if not self.is_square:
@@ -120,27 +131,63 @@ class QMatrix:
         return f"<QMatrix {self.shape[0]}x{self.shape[1]} [{body}]>"
 
 
-def _dot(u, v):
-    out = ZERO
-    for a, b in zip(u, v):
-        if a and b:
-            out = out + a * b
+# -- the integer layout (see the module docstring) ------------------------------
+
+def _split(a: QMatrix) -> tuple[int, list]:
+    """(D, rows) with a[i][j] == (re + im*i) / D for rows[i][j] == (re, im)."""
+    m = a.shape[1]
+    den, table = common_denominator({(i, j): c for i, r in enumerate(a.rows)
+                                     for j, c in enumerate(r)})
+    flat = list(table.values())
+    return den, [flat[i:i + m] for i in range(0, len(flat), m)]
+
+
+def _join(den: int, rows) -> QMatrix:
+    """The matrix with entries (re + im*i) / den: one division per part."""
+    return QMatrix([[over(re, im, den) for re, im in r] for r in rows])
+
+
+def _int_matmul(x, y) -> list:
+    """The product of Gaussian-integer matrices given as rows of (re, im)."""
+    cols = list(zip(*y))
+    out = []
+    for row in x:
+        terms = [(l, z) for l, z in enumerate(row) if z[0] or z[1]]
+        new = []
+        for col in cols:
+            re = im = 0
+            for l, (ar, ai) in terms:
+                br, bi = col[l]
+                re += ar * br - ai * bi
+                im += ar * bi + ai * br
+            new.append((re, im))
+        out.append(new)
     return out
 
 
+def _int_identity(k: int) -> list:
+    return [[(1, 0) if i == j else (0, 0) for j in range(k)] for i in range(k)]
+
+
+# -- the GaussianRational routes that referee the integer kernels ------------------
+
+
 def matrix_power_sequence(a: QMatrix, n: int) -> list[QMatrix]:
-    """[I, a, a^2, ..., a^n]."""
-    out = [QMatrix.identity(a.shape[0])]
+    """[I, a, a^2, ..., a^n], multiplied out on GaussianRationals (not by `@`)."""
+    k = a.shape[0]
+    out = [QMatrix.identity(k)]
     for _ in range(n):
-        out.append(out[-1] @ a)
+        prev = out[-1].rows
+        out.append(QMatrix([[sum((prev[i][l] * a.rows[l][j] for l in range(k)), ZERO)
+                             for j in range(k)] for i in range(k)]))
     return out
 
 
 def solve_dependency(vectors) -> list | None:
     """Coefficients c with sum c_i vectors[i] = 0 and the LAST one = 1, or None.
 
-    Used for Krylov: vectors[:-1] are known independent; returns the
-    representation of the last vector over them if dependent.
+    vectors[:-1] are known independent; returns the representation of the
+    last vector over them if dependent.
     """
     if not vectors:
         return None
@@ -176,54 +223,97 @@ def solve_dependency(vectors) -> list | None:
     return [-c for c in x] + [ONE]
 
 
-def vector_annihilator(a: QMatrix, v) -> Poly:
-    """The monic polynomial of least degree with p(a) v = 0 (Krylov chain)."""
-    chain = [tuple(GaussianRational.coerce(c) for c in v)]
-    while True:
-        nxt = a.apply(chain[-1])
-        dep = solve_dependency(chain + [nxt])
-        if dep is not None:
-            return Poly(dep)
-        chain.append(nxt)
+def evaluate_poly_at_matrix(p: Poly, a: QMatrix) -> QMatrix:
+    out = QMatrix.zeros(a.shape[0])
+    for c, power in zip(p.coeffs, matrix_power_sequence(a, max(p.degree, 0))):
+        if c:
+            out = out + power.scaled(c)
+    return out
+
+
+# -- polynomials of a matrix -----------------------------------------------------
+
+
+def _reduce(vec: list, comb: list, basis: list) -> None:
+    """Eliminate the pivots of `basis` from vec in place, fraction-free, and
+    carry the same row operations on comb, its combination of the powers."""
+    for piv, row, rcomb in basis:
+        cr, ci = vec[piv]
+        if not cr and not ci:
+            continue
+        pv = row[piv][0]  # a positive integer (see minimal_polynomial)
+        for t, (sr, si) in enumerate(row):
+            vr, vi = vec[t]
+            vec[t] = (pv * vr - cr * sr + ci * si, pv * vi - cr * si - ci * sr)
+        for t in range(len(comb)):
+            vr, vi = comb[t]
+            sr, si = rcomb[t] if t < len(rcomb) else (0, 0)
+            comb[t] = (pv * vr - cr * sr + ci * si, pv * vi - cr * si - ci * sr)
+
+
+def _divide_content(vec: list, comb: list) -> None:
+    g = math.gcd(*(v for pair in vec + comb for v in pair))
+    if g > 1:
+        vec[:] = [(re // g, im // g) for re, im in vec]
+        comb[:] = [(re // g, im // g) for re, im in comb]
 
 
 def minimal_polynomial(a: QMatrix) -> Poly:
-    """Monic minimal polynomial: lcm of the basis vectors' annihilators."""
+    """Monic minimal polynomial: the first linear dependency among the powers.
+
+    With a = A/D and A integral, the flattened powers I, A, A^2, ... are
+    reduced one at a time against the earlier ones by fraction-free
+    elimination over the Gaussian integers, each row carrying its
+    combination of the powers and scaled so that its pivot is the positive
+    integer |pivot|^2, with the rational content divided out.  The first
+    power that reduces to zero gives sum_j c_j A^j = 0 with c_d > 0, so the
+    minimal polynomial of a has coefficients c_j / (c_d D^(d-j)).
+    """
     if not a.is_square:
         raise ValueError("minimal polynomial of a non-square matrix")
     k = a.shape[0]
-    out = Poly([1])
-    for i in range(k):
-        e = [ONE if j == i else ZERO for j in range(k)]
-        out = poly_lcm(out, vector_annihilator(a, e))
-        if out.degree == k:
-            break
-    return out
-
-
-def evaluate_poly_at_matrix(p: Poly, a: QMatrix) -> QMatrix:
-    k = a.shape[0]
-    out = QMatrix.zeros(k)
-    power = QMatrix.identity(k)
-    for i, c in enumerate(p.coeffs):
-        if c:
-            out = out + power.scaled(c)
-        if i < p.degree:
-            power = power @ a
-    return out
+    den, abar = _split(a)
+    basis = []
+    power = _int_identity(k)
+    for d in range(k + 1):
+        vec = [z for r in power for z in r]
+        comb = [(0, 0)] * d + [(1, 0)]
+        _reduce(vec, comb, basis)
+        _divide_content(vec, comb)
+        piv = next((t for t, (re, im) in enumerate(vec) if re or im), None)
+        if piv is None:
+            top = comb[d][0]
+            return Poly([over(re, im, top * den ** (d - j)) for j, (re, im) in enumerate(comb)])
+        pr, pi = vec[piv]
+        vec = [(re * pr + im * pi, im * pr - re * pi) for re, im in vec]
+        comb = [(re * pr + im * pi, im * pr - re * pi) for re, im in comb]
+        _divide_content(vec, comb)
+        basis.append((piv, vec, comb))
+        power = _int_matmul(power, abar)
+    raise AssertionError("no dependency among k+1 powers; internal bug")
 
 
 def characteristic_polynomial(a: QMatrix) -> Poly:
-    """det(xI - a), monic of degree k, by the Faddeev-LeVerrier recursion."""
+    """det(xI - a), monic of degree k, by the Faddeev-LeVerrier recursion.
+
+    It runs on A = D a, which is integral: M_s = A M_(s-1) + c_(k-s+1) I and
+    c_(k-s) = -tr(A M_s) / s keep every M_s integral and every division by s
+    exact, since det(xI - A) has Gaussian-integer coefficients.  Those are
+    D^j times the coefficients c_(k-j) of det(xI - a).
+    """
     if not a.is_square:
         raise ValueError("characteristic polynomial of a non-square matrix")
     k = a.shape[0]
-    coeffs = [ZERO] * (k + 1)
-    coeffs[k] = ONE
-    ident = QMatrix.identity(k)
-    am = QMatrix.zeros(k)  # a @ m for the previous step
+    den, abar = _split(a)
+    coeffs = [(0, 0)] * (k + 1)
+    coeffs[k] = (1, 0)
+    am = [[(0, 0)] * k for _ in range(k)]  # A @ M for the previous step
     for step in range(1, k + 1):
-        m = am + ident.scaled(coeffs[k - step + 1])
-        am = a @ m
-        coeffs[k - step] = -am.trace() / step
-    return Poly(coeffs)
+        cr, ci = coeffs[k - step + 1]
+        m = [[(re + cr, im + ci) if i == j else (re, im) for j, (re, im) in enumerate(r)]
+             for i, r in enumerate(am)]
+        am = _int_matmul(abar, m)
+        tr_re = sum(am[i][i][0] for i in range(k))
+        tr_im = sum(am[i][i][1] for i in range(k))
+        coeffs[k - step] = (-tr_re // step, -tr_im // step)
+    return Poly([over(re, im, den ** (k - j)) for j, (re, im) in enumerate(coeffs)])

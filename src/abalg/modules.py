@@ -26,13 +26,15 @@ entries known mod b^(N+1) is exact mod b^(N+1).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from .coefficients import GaussianRational
+from .coefficients import GaussianRational, common_denominator, over
 from .division import FactoredProduct, divide
 from .elements import LEFT, RIGHT, AlgebraElement, mul, with_ordering
 from .errors import AbalgError, OrderingMismatchError, OrderMismatchError
-from .linalg import QMatrix, characteristic_polynomial, minimal_polynomial
+from .linalg import (QMatrix, _int_identity, _int_matmul, _join, _split,
+                     characteristic_polynomial, minimal_polynomial)
 from .polynomials import Poly, rational_roots
 from .series import APolynomial, BSeries
 
@@ -110,14 +112,47 @@ class ModuleElement:
         return ModuleElement(self.module, tuple(s.scaled(c) for s in self.entries))
 
 
-def _shift_factors(theta: QMatrix, top: int) -> list[QMatrix]:
-    """[M_0..M_top] with M_p = (theta + (p-1)I) ... (theta + I) theta."""
-    k = theta.shape[0]
-    out = [QMatrix.identity(k)]
-    ident = QMatrix.identity(k)
+def _shift_factors(theta: QMatrix, top: int) -> tuple[int, list]:
+    """(D, [F_0..F_top]) with M_p = (theta + (p-1)I) ... (theta + I) theta = F_p / D^p.
+
+    D is the common denominator of theta and each F_p a Gaussian-integer
+    matrix, rows of (re, im): F_p = (T + (p-1) D I) F_(p-1) with T = D theta.
+    """
+    den, t = _split(theta)
+    out = [_int_identity(len(t))]
     for p in range(1, top + 1):
-        out.append((theta + ident.scaled(p - 1)) @ out[-1])
-    return out
+        shifted = [[(re + (p - 1) * den, im) if i == l else (re, im)
+                    for l, (re, im) in enumerate(r)] for i, r in enumerate(t)]
+        out.append(_int_matmul(shifted, out[-1]))
+    return den, out
+
+
+def _z_numerators(parts, module: SimplePoleModule) -> tuple[int, int, list]:
+    """(E, D, z) with z[j][i][l] / (E D^j) the b^j coefficient of Z(b)[i][l], summed over parts.
+
+    Each part (rows, e, table) is a RIGHT-ordered element sum table[p, q] / e
+    b^q a^p whose rows `rows` of Z are wanted; the shift factors are built
+    once for all of them.  On b^j the term (p, q) adds x_(p,q) M_p, which is
+    its numerator times F_p D^q over e D^j, so with E = lcm(e) the degree
+    j has the one denominator E D^j.
+    """
+    n, k = module.order, module.rank
+    common = math.lcm(*(e for _, e, _ in parts))
+    top = max((p for _, _, table in parts for p, q in table if p + q <= n), default=0)
+    den, factors = _shift_factors(module.theta, top)
+    z = [[[(0, 0)] * k for _ in range(k)] for _ in range(n + 1)]
+    for rows, e, table in parts:
+        for (p, q), (re, im) in table.items():
+            if p + q > n:
+                continue
+            s = common // e * den ** q
+            re, im = re * s, im * s
+            for i in rows:
+                acc = z[p + q][i]
+                for l, (fr, fi) in enumerate(factors[p][i]):
+                    ar, ai = acc[l]
+                    acc[l] = (ar + re * fr - im * fi, ai + re * fi + im * fr)
+    return common, den, z
 
 
 def act_on_basis(x: AlgebraElement, module: SimplePoleModule) -> list[QMatrix]:
@@ -131,30 +166,17 @@ def act_on_basis(x: AlgebraElement, module: SimplePoleModule) -> list[QMatrix]:
     if x.order < module.order:
         raise OrderMismatchError(
             f"element order {x.order} below module b-order {module.order}")
-    n = module.order
-    k = module.rank
-    factors = _shift_factors(module.theta, min(x.degree or 0, n))
-    zs = [QMatrix.zeros(k) for _ in range(n + 1)]
-    for (p, q), c in x.coeffs.items():
-        j = p + q
-        if j <= n:
-            zs[j] = zs[j] + factors[p].scaled(c)
-    return zs
-
-
-def _zmatrix_row(zs: list[QMatrix], i: int, module: SimplePoleModule) -> ModuleElement:
-    k = module.rank
-    entries = []
-    for l in range(k):
-        entries.append(BSeries(module.order, {j: z.entry(i, l) for j, z in enumerate(zs)}))
-    return ModuleElement(module, tuple(entries))
+    e, table = common_denominator(x.coeffs)
+    common, den, z = _z_numerators([(range(module.rank), e, table)], module)
+    return [_join(common * den ** j, zj) for j, zj in enumerate(z)]
 
 
 def act(x: AlgebraElement, v: ModuleElement, module: SimplePoleModule) -> ModuleElement:
     """x . (sum_i V_i e_i) = sum_i (x V_i) e_i, each product acting on e_i.
 
     x is expected RIGHT-ordered (the natural input for the basis law) but
-    the multiplication itself runs in LEFT form internally.
+    the multiplication itself runs in LEFT form internally.  Only row i of
+    the Z matrix of x V_i is accumulated, on integers.
     """
     if v.module != module:
         raise ValueError("element does not belong to the module")
@@ -162,18 +184,21 @@ def act(x: AlgebraElement, v: ModuleElement, module: SimplePoleModule) -> Module
         raise OrderMismatchError(
             f"element order {x.order} below module b-order {module.order}")
     left = with_ordering(x, LEFT)
-    out = module.zero()
+    parts = []
     for i, series in enumerate(v.entries):
-        if series.is_zero:
-            continue
-        w = mul(left, series.to_element(x.order))
-        zs = act_on_basis(with_ordering(w, RIGHT), module)
-        out = out + _zmatrix_row(zs, i, module)
-    return out
+        if not series.is_zero:
+            w = with_ordering(mul(left, series.to_element(x.order)), RIGHT)
+            parts.append(((i,), *common_denominator(w.coeffs)))
+    common, den, z = _z_numerators(parts, module)
+    k = module.rank
+    sums = [[(sum(zj[i][l][0] for i in range(k)), sum(zj[i][l][1] for i in range(k)))
+             for l in range(k)] for zj in z]
+    return module.element([[over(*sums[j][l], common * den ** j) for j in range(len(z))]
+                           for l in range(k)])
 
 
 def bernstein(module: SimplePoleModule) -> Poly:
-    """The minimal polynomial of -theta (monic, exact Krylov + lcm)."""
+    """The minimal polynomial of -theta (monic, exact)."""
     return minimal_polynomial(-module.theta)
 
 

@@ -14,7 +14,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd as int_gcd, isqrt
 
-from .coefficients import GaussianRational, ONE, ZERO
+from .coefficients import GaussianRational, ONE, ZERO, common_denominator, over
+from .errors import AbalgError
 
 
 class Poly:
@@ -185,10 +186,17 @@ def interpolate(points) -> Poly:
 # -- exact root searches ------------------------------------------------------
 
 
+_DIVISOR_BUDGET = 10 ** 6  # trial divisions by _divisors before a domain error
+_KRONECKER_CAP = 4000  # candidate quadratics tried before giving up
+
+
 def _divisors(n: int) -> list[int]:
     n = abs(n)
     if n == 0:
         return []
+    if isqrt(n) > _DIVISOR_BUDGET:
+        raise AbalgError(f"finding the divisors of a {n.bit_length()}-bit integer takes more "
+                         f"than {_DIVISOR_BUDGET} trial divisions")
     out = set()
     for d in range(1, isqrt(n) + 1):
         if n % d == 0:
@@ -197,39 +205,62 @@ def _divisors(n: int) -> list[int]:
     return sorted(out)
 
 
-def _clear_denominators(cs: list[Fraction]) -> list[int]:
-    lcm = 1
-    for c in cs:
-        lcm = lcm * c.denominator // int_gcd(lcm, c.denominator)
-    return [int(c * lcm) for c in cs]
+def _cleared(f: Poly) -> tuple[int, list]:
+    """(D, [(re, im), ...]) with f's coefficient j == (re + im*i) / D, low to high."""
+    den, table = common_denominator(dict(enumerate(f.coeffs)))
+    return den, list(table.values())
 
 
-def _rational_root_candidates(cs: list[Fraction]) -> list[Fraction]:
-    """Rational-root-theorem candidates for a nonzero Q[x] polynomial."""
-    ints = _clear_denominators(cs)
-    while ints and ints[0] == 0:
-        ints = ints[1:]
-    if not ints:
-        return [Fraction(0)]
-    cands = {Fraction(0)}
-    for p in _divisors(ints[0]):
-        for q in _divisors(ints[-1]):
-            cands.add(Fraction(p, q))
-            cands.add(Fraction(-p, q))
-    return sorted(cands)
+def _vanishes(cs: list, p: int, q: int) -> bool:
+    """Whether sum c_j (p/q)^j = 0, q > 0, by Horner on the integer
+    sum c_j p^j q^(n-j) (homogeneous in p and q)."""
+    re, im = cs[-1]
+    qk = 1
+    for cr, ci in reversed(cs[:-1]):
+        qk *= q
+        re, im = re * p + cr * qk, im * p + ci * qk
+    return not re and not im
 
 
 def rational_roots(f: Poly) -> list[Fraction]:
     """All rational roots of f (each listed once), exactly.
 
     A rational root kills both the real- and imaginary-part polynomials,
-    so candidates come from whichever of the two is nonzero.
+    so candidates come from whichever of the two is nonzero: p/q with p
+    dividing the lowest nonzero and q the leading coefficient of its
+    primitive integer form.  Each is tested on f's Gaussian-integer
+    numerators.
     """
     if f.is_zero:
         raise ValueError("the zero polynomial has every root")
-    re, im = f.real_part(), f.imag_part()
-    base = re if any(re) else im
-    return [r for r in _rational_root_candidates(base) if not f(r)]
+    _, cs = _cleared(f)
+    base = [re for re, _ in cs]
+    if not any(base):
+        base = [im for _, im in cs]
+    base = base[next(j for j, c in enumerate(base) if c):]
+    content = int_gcd(*base)
+    base = [c // content for c in base]
+    cands = {(0, 1)}
+    for p in _divisors(base[0]):
+        for q in _divisors(base[-1]):
+            g = int_gcd(p, q)
+            cands.add((p // g, q // g))
+            cands.add((-p // g, q // g))
+    return sorted(Fraction(p, q) for p, q in cands if _vanishes(cs, p, q))
+
+
+def _deflated(cs: list, p: int, q: int):
+    """The Gaussian-integer quotient of sum c_j x^j by q x - p, or None if
+    q x - p does not divide it (synthetic division from the top: by Gauss's
+    lemma, every step of a true division is an exact division by q)."""
+    h = [None] * (len(cs) - 1)
+    cr, ci = cs[-1]
+    for j in range(len(cs) - 2, -1, -1):
+        if cr % q or ci % q:
+            return None
+        h[j] = (cr // q, ci // q)
+        cr, ci = cs[j][0] + p * h[j][0], cs[j][1] + p * h[j][1]
+    return h if not cr and not ci else None
 
 
 def rational_sqrt(fr: Fraction):
@@ -279,8 +310,6 @@ def _quadratic_gaussian_roots(b: Fraction, c: Fraction):
     return roots or None
 
 
-_KRONECKER_CAP = 4000  # candidate quadratics tried before giving up
-
 
 def gaussian_roots(f: Poly) -> list[GaussianRational]:
     """All roots of f lying in Q(i), found exactly; best-effort beyond caps.
@@ -291,20 +320,20 @@ def gaussian_roots(f: Poly) -> list[GaussianRational]:
     N = g * conj(g) in Q[x], hence of a rational quadratic factor of N;
     integer quadratic factors of the primitive integer form of N are
     searched Kronecker-style through divisor triples of N(0), N(1), N(-1).
-    When the divisor enumeration would exceed the cap only the rational
-    roots are reported (callers treat the factorization as partial).
+    When the divisor enumeration would exceed the cap or the divisor
+    budget only the rational roots are reported (callers treat the
+    factorization as partial).
     """
     rs = rational_roots(f)
     roots: list[GaussianRational] = [GaussianRational(r) for r in rs]
-    g = f
+    # deflate on integers: with f = c / D, the quotient h = c / prod (q x - p)
+    # is D g / prod q for g = f / prod (x - r)
+    den, cs = _cleared(f)
+    scale = 1
     for r in rs:
-        lin = Poly([-GaussianRational(r), 1])
-        while True:
-            q, rem = g.divmod(lin)
-            if rem.is_zero and not q.is_zero:
-                g = q
-            else:
-                break
+        while len(cs) > 1 and (h := _deflated(cs, r.numerator, r.denominator)) is not None:
+            cs, scale = h, scale * r.denominator
+    g = Poly([over(re * scale, im * scale, den) for re, im in cs])
     if g.degree < 1:
         return roots
     if g.degree == 1:
@@ -317,12 +346,15 @@ def gaussian_roots(f: Poly) -> list[GaussianRational]:
                                                  g.coefficient(0)) if z.im)
         return roots
     # g has no rational roots now, so N(0), N(1), N(-1) are all nonzero.
-    norm = g * g.conjugate()
-    ints = _clear_denominators([c.re for c in norm.coeffs])
+    norm = g * g.conjugate()  # real coefficients
+    ints = [re for re, _ in _cleared(norm)[1]]
     n0 = ints[0]
     n1 = sum(ints)
     nm1 = sum(c if k % 2 == 0 else -c for k, c in enumerate(ints))
-    d0, d1, dm1 = _divisors(n0), _divisors(n1), _divisors(nm1)
+    try:
+        d0, d1, dm1 = _divisors(n0), _divisors(n1), _divisors(nm1)
+    except AbalgError:  # past the divisor budget: partial, as past the cap
+        return roots
     if len(d0) * len(d1) * len(dm1) * 8 > _KRONECKER_CAP:
         return roots
     seen = set()

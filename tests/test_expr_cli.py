@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -297,3 +298,37 @@ def test_cli_import_does_not_load_the_invariant_suites():
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                             env={**os.environ, "PYTHONPATH": path})
     assert result.returncode == 0, result.stderr
+
+
+def _cli_process(*args, **kwargs):
+    """Popen of `python -m abalg.cli args` on this checkout's source."""
+    src = os.path.dirname(os.path.dirname(abalg.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.Popen([sys.executable, "-m", "abalg.cli", *args],
+                            env={**os.environ, "PYTHONPATH": path}, **kwargs)
+
+
+# a document larger than the pipe's buffer, and one that is written only at exit
+@pytest.mark.parametrize("expr", ["(1 + a + b)^12", "a"])
+def test_cli_output_to_a_closed_pipe_is_not_an_error(expr):
+    proc = _cli_process("normalize", "--order", "12", expr,
+                        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()  # the reader is gone before the first write, as with `| head -0`
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert err == b""
+
+
+def test_cli_factor_with_a_semiprime_coefficient_is_a_bounded_domain_error():
+    # the rational-root search would trial-divide up to about 10^9
+    proc = _cli_process("factor", "--order", "4", "a^2 + 1000000007*1000000009*b^2",
+                        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    start = time.perf_counter()
+    try:
+        out, err = proc.communicate(timeout=10)
+    finally:
+        proc.kill()
+    assert time.perf_counter() - start < 5
+    assert proc.returncode == 3 and out == ""
+    assert "trial divisions" in err and "internal error" not in err

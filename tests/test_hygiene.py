@@ -1,5 +1,6 @@
 """Source hygiene: no module of the package imports a name it never uses,
-and the oracle stays an independent referee of the kernels.
+and the oracle and the GaussianRational routes of linalg and polynomials
+stay independent referees of the integer kernels.
 
 `__init__.py` is exempt from the import scan, since its imports are the
 package's re-exports.
@@ -40,20 +41,30 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
-# -- the oracle referees the kernels, so it must not share their code ----------
+# -- the referees must not share the kernels' code -------------------------------
 
 ORACLE = SRC / "oracle.py"
 
-# sha256 of shape() of each part of the referee as it stood when `act` moved
-# onto integers.  `act_composed`, `act_a`, `act_b` and the `PolySeries` they
-# build stay on Fractions so that they check `act` independently; a change to
-# them must be a deliberate change of these digests, made together with a new
-# argument that they still referee it.
+# sha256 of shape() of each referee, named module.qualname, as it stood when
+# the kernel it checks moved onto integers.  The oracle's `act_composed`,
+# `act_a`, `act_b` and the `PolySeries` they build stay on Fractions so that
+# they check the oracle `act`.  `matrix_power_sequence`, `solve_dependency`,
+# `evaluate_poly_at_matrix` and `Poly.__call__` stay on GaussianRational
+# arithmetic so that they check `QMatrix.__matmul__`, `minimal_polynomial`,
+# `characteristic_polynomial` and `rational_roots` in checks.py and the tests.
+# A change to a referee must be a deliberate change of these digests, made
+# together with a new argument that it still referees its kernel.
 REFEREE_DIGESTS = {
-    "PolySeries": "522c83f0121a58e4d34d677a21ad3965f74969bf7b8cf0734d1a4216132c134f",
-    "act_a": "94c2fe899b1ac8f16fb222f43a058948e0cd32153f2318a230a004b5c891ac3a",
-    "act_b": "6e564b790f8a39b2362280e8f3e7dd015211404301777a362827a43c59bdb5e1",
-    "act_composed": "4a1a0611c47124b5f44db3000cd6508ae3ba94943a433f503e6d9d5f0c151ce5",
+    "oracle.PolySeries": "522c83f0121a58e4d34d677a21ad3965f74969bf7b8cf0734d1a4216132c134f",
+    "oracle.act_a": "94c2fe899b1ac8f16fb222f43a058948e0cd32153f2318a230a004b5c891ac3a",
+    "oracle.act_b": "6e564b790f8a39b2362280e8f3e7dd015211404301777a362827a43c59bdb5e1",
+    "oracle.act_composed": "4a1a0611c47124b5f44db3000cd6508ae3ba94943a433f503e6d9d5f0c151ce5",
+    "linalg.matrix_power_sequence":
+        "f1635689bcb7221063dd3a819cdc9abd9e9fe71fc5fedb17a5634f070828b1e5",
+    "linalg.solve_dependency": "ce0afde8befa53498cf608642d761697dedff00da427bd0cd6a88d2598505978",
+    "linalg.evaluate_poly_at_matrix":
+        "c346cec144b72d043799e5b039a4e8117d4b8728f9717c5eeab6d3c7f50ab040",
+    "polynomials.Poly.__call__": "ed90ecf0fe4e4d230c9372002a2224c4c1b1ae809754319eb8d755763ec8412d",
 }
 
 
@@ -90,8 +101,25 @@ def test_the_oracle_imports_no_private_kernel_helpers():
     assert private_imports(ORACLE.read_text()) == []
 
 
+def definition(name: str):
+    """The def or class statement of module.qualname in src/abalg, or None."""
+    module, *path = name.split(".")
+    node, body = None, ast.parse((SRC / f"{module}.py").read_text()).body
+    for part in path:
+        node = next((n for n in body if isinstance(n, (ast.FunctionDef, ast.ClassDef))
+                     and n.name == part), None)
+        if node is None:
+            return None
+        body = node.body
+    return node
+
+
+def test_the_definition_lookup_reaches_methods():
+    assert definition("polynomials.Poly.__call__").name == "__call__"
+    assert definition("polynomials.Poly.missing") is None
+
+
 def test_the_referee_functions_are_unchanged():
-    tree = ast.parse(ORACLE.read_text())
-    found = {node.name: hashlib.sha256(shape(node).encode()).hexdigest() for node in tree.body
-             if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in REFEREE_DIGESTS}
+    found = {name: hashlib.sha256(shape(definition(name)).encode()).hexdigest()
+             for name in REFEREE_DIGESTS}
     assert found == REFEREE_DIGESTS

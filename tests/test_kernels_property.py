@@ -12,8 +12,18 @@ dense, sparse and zero series with degree bounds on both sides of
 deg X + max r; divide_linear referees remainder_polynomial, the product
 identity referees divide, and satisfies_system (the module action
 substituted back into the system) referees from_differential_system.
+
+The module layer's integer kernels are refereed on GaussianRationals too:
+`@` by an explicit triple sum, minimal_polynomial by evaluate_poly_at_matrix
+and the first solve_dependency among the flattened powers,
+characteristic_polynomial by Cayley-Hamilton and a cofactor-expansion
+determinant, rational_roots by Poly.__call__ on the rational-root-theorem
+candidates, and modules.act by the basis law summed over RIGHT monomials.
+Matrices are 1x1 to 6x6: dense or sparse over distinct denominators, zero,
+scalar and nilpotent.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -29,10 +39,14 @@ from abalg.division import (FactoredProduct, divide, divide_linear, invert,  # n
                             remainder_polynomial)
 from abalg.elements import (LEFT, RIGHT, AlgebraElement, gen_a, gen_b, mul,  # noqa: E402
                             scale, shear, to_left, to_right, with_ordering)
-from abalg.linalg import QMatrix  # noqa: E402
-from abalg.modules import (DifferentialSystem, from_differential_system,  # noqa: E402
-                           satisfies_system)
+from abalg.linalg import (QMatrix, characteristic_polynomial,  # noqa: E402
+                          evaluate_poly_at_matrix, matrix_power_sequence,
+                          minimal_polynomial, solve_dependency)
+from abalg import modules  # noqa: E402
+from abalg.modules import (DifferentialSystem, SimplePoleModule,  # noqa: E402
+                           from_differential_system, satisfies_system)
 from abalg.oracle import PolySeries, act, act_composed  # noqa: E402
+from abalg.polynomials import Poly, gaussian_roots, rational_roots  # noqa: E402
 from abalg.series import BSeries  # noqa: E402
 
 MAX_ORDER = 10
@@ -253,3 +267,190 @@ def test_ode2ab_satisfies_the_system(system, order):
     assert len(coeffs) == order + 1 and module.order == order
     assert module.x_at_zero() == system.residue
     assert satisfies_system(module, system)
+
+
+# -- the module layer: matrices, their polynomials and the rational-root test ------
+
+ZERO = GaussianRational(0)
+MATRIX_KINDS = ("dense", "sparse", "zero", "scalar", "nilpotent")
+
+
+@st.composite
+def matrices(draw, k=None):
+    """A k x k matrix, k in 1..6, of one of MATRIX_KINDS."""
+    k = draw(st.integers(1, 6)) if k is None else k
+    kind = draw(st.sampled_from(MATRIX_KINDS))
+    entry = scalars()
+    if kind == "zero":
+        return QMatrix.zeros(k)
+    if kind == "scalar":
+        return QMatrix.identity(k).scaled(draw(entry))
+    if kind == "sparse":
+        entry = st.one_of(st.just(ZERO), entry)
+    rows = [[draw(entry) if kind != "nilpotent" or j > i else ZERO for j in range(k)]
+            for i in range(k)]
+    return QMatrix(rows)
+
+
+def _product(x, y):
+    """x @ y as the triple sum on GaussianRationals."""
+    return [[sum((x.entry(i, l) * y.entry(l, j) for l in range(x.shape[1])), ZERO)
+             for j in range(y.shape[1])] for i in range(x.shape[0])]
+
+
+@given(st.integers(1, 6).flatmap(lambda k: st.tuples(matrices(k), matrices(k))))
+def test_matmul_agrees_with_the_triple_sum(xy):
+    x, y = xy
+    assert (x @ y).rows == tuple(map(tuple, _product(x, y)))
+
+
+@given(st.integers(1, 6).flatmap(lambda k: st.tuples(matrices(k), st.lists(scalars(), min_size=k,
+                                                                            max_size=k))))
+def test_apply_agrees_with_the_triple_sum(case):
+    a, vec = case
+    assert a.apply(vec) == tuple(r[0] for r in _product(a, QMatrix([[c] for c in vec])))
+
+
+@given(matrices())
+def test_minimal_polynomial_is_the_first_power_dependency(a):
+    p = minimal_polynomial(a)
+    k = a.shape[0]
+    assert p.is_monic and 1 <= p.degree <= k
+    assert evaluate_poly_at_matrix(p, a).is_zero
+    flat = [tuple(c for row in m.rows for c in row) for m in matrix_power_sequence(a, k)]
+    d = 1
+    while solve_dependency(flat[:d + 1]) is None:
+        d += 1
+    assert d == p.degree
+
+
+def _determinant(rows):
+    """Cofactor expansion along the first row."""
+    if not rows:
+        return GaussianRational(1)
+    out = ZERO
+    for j, c in enumerate(rows[0]):
+        if c:
+            minor = [r[:j] + r[j + 1:] for r in rows[1:]]
+            out = out + (c if j % 2 == 0 else -c) * _determinant(minor)
+    return out
+
+
+@given(matrices())
+def test_characteristic_polynomial_cayley_hamilton_and_determinant(a):
+    k = a.shape[0]
+    cp = characteristic_polynomial(a)
+    assert cp.degree == k and cp.is_monic
+    assert evaluate_poly_at_matrix(cp, a).is_zero
+    assert cp.divmod(minimal_polynomial(a))[1].is_zero
+    det = _determinant([list(r) for r in a.rows])
+    assert cp.coefficient(0) == (det if k % 2 == 0 else -det)
+
+
+def test_characteristic_polynomial_of_the_special_kinds():
+    n = QMatrix([[0, 2, GaussianRational(1, 1)], [0, 0, Fraction(1, 3)], [0, 0, 0]])
+    assert characteristic_polynomial(n) == Poly([0, 0, 0, 1])
+    assert minimal_polynomial(n) == Poly([0, 0, 0, 1])
+    s = QMatrix.identity(3).scaled(GaussianRational(Fraction(2, 7), -1))
+    assert minimal_polynomial(s) == Poly([GaussianRational(Fraction(-2, 7), 1), 1])
+    assert minimal_polynomial(QMatrix.zeros(4)) == Poly([0, 1])
+
+
+def _divisors(n):
+    n = abs(n)
+    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    return small + [n // d for d in small]
+
+
+def _candidates(f):
+    """The rational-root-theorem candidates, on Fractions: p/q with p dividing
+    the lowest nonzero and q the leading coefficient of the real part with its
+    denominators cleared (the imaginary part when the real part is zero)."""
+    part = [c.re for c in f.coeffs]
+    if not any(part):
+        part = [c.im for c in f.coeffs]
+    lcm = 1
+    for c in part:
+        lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
+    ints = [int(c * lcm) for c in part]
+    ints = ints[next(j for j, c in enumerate(ints) if c):]
+    return {Fraction(0)} | {Fraction(s * p, q) for p in _divisors(ints[0])
+                            for q in _divisors(ints[-1]) for s in (1, -1)}
+
+
+small_fractions = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 6))
+
+
+@st.composite
+def polys_with_roots(draw):
+    """prod (x - r) over drawn rational roots (repeats allowed), times a drawn
+    cofactor with small Gaussian-rational coefficients, times a scalar."""
+    f = Poly.from_roots(draw(st.lists(small_fractions, max_size=4)))
+    cofactor = draw(st.lists(st.builds(GaussianRational, small_fractions, small_fractions),
+                             min_size=1, max_size=4))
+    f = f * Poly(cofactor)
+    if f.is_zero:
+        f = Poly([1])
+    return f * draw(st.sampled_from(SUITE_VALUES))
+
+
+@given(polys_with_roots())
+def test_rational_roots_are_the_candidates_that_vanish(f):
+    assert rational_roots(f) == sorted(r for r in _candidates(f) if not f(r))
+
+
+@pytest.mark.parametrize("rs, cs, scale", [
+    ([Fraction(1, 2), Fraction(-1, 2), 1], [(0, 1), (0, -1), (-2, 1), (-2, -1)], 2),
+    ([-1, 1, Fraction(1, 9)], [(-2, 2), (-2, -2), (0, 2), (0, -2)], 3),
+])
+def test_gaussian_roots_search_the_exactly_deflated_part(rs, cs, scale):
+    """After the rational roots, the search sees g = f / prod (x - r) itself:
+    the divisor counts of its norm, and so its cap, depend on the scale of g."""
+    g = Poly.from_roots([GaussianRational(*c) for c in cs]) * scale
+    f = Poly.from_roots(rs) * g
+    assert gaussian_roots(f) == [GaussianRational(r) for r in sorted(map(Fraction, rs))] \
+        + gaussian_roots(g)
+
+
+@st.composite
+def module_cases(draw):
+    """(x, v, module): x RIGHT-ordered at order n >= the module's b-order."""
+    theta = draw(matrices(draw(st.integers(1, 4))))
+    k = theta.shape[0]
+    order = draw(st.integers(0, 6))
+    module = SimplePoleModule(theta, order)
+    height = draw(st.sampled_from(HEIGHTS))
+    entries = []
+    for _ in range(k):
+        exps = draw(st.lists(st.integers(0, order), max_size=3, unique=True))
+        entries.append(BSeries(order, {q: draw(coefficients(height)) for q in exps}))
+    x = draw(elements(order + draw(st.integers(0, 2)), RIGHT))
+    return x, module.element(entries), module
+
+
+def _shift_factor(theta, p):
+    """M_p = (theta + (p-1)I) ... (theta + I) theta on GaussianRationals."""
+    k = theta.shape[0]
+    out = QMatrix.identity(k)
+    for s in range(p):
+        shifted = QMatrix([[theta.entry(i, j) + (s if i == j else 0) for j in range(k)]
+                           for i in range(k)])
+        out = QMatrix(_product(shifted, out))
+    return out
+
+
+@given(module_cases())
+def test_module_act_is_the_basis_law_summed_over_right_monomials(case):
+    """x (sum_i V_i e_i) = sum_i sum_(p,q) w_(p,q) b^q a^p e_i with w = x V_i in
+    RIGHT order, and b^q a^p e = M_p b^(p+q) e."""
+    x, v, module = case
+    n, k = module.order, module.rank
+    out = [[ZERO] * (n + 1) for _ in range(k)]
+    for i, series in enumerate(v.entries):
+        w = to_right(mul(to_left(x), series.to_element(x.order)))
+        for (p, q), c in w.coeffs.items():
+            if p + q <= n:
+                m = _shift_factor(module.theta, p)
+                for l in range(k):
+                    out[l][p + q] = out[l][p + q] + c * m.entry(i, l)
+    assert modules.act(x, v, module) == module.element(out)

@@ -298,7 +298,7 @@ def check_factorization(rng, count=25, order=8):
         x = power(gen_b(order), j)
         x = scale(rng.choice([c for c in _COEFF_POOL if c]), x)
         for _ in range(d):
-            lam = GaussianRational(random_rational(rng))
+            lam = GaussianRational(random_rational(rng), random_rational(rng))
             x = mul(x, gen_a(order) - scale(lam, gen_b(order)))
         fact = factor_homogeneous(x)
         assert fact.complete, "factorization of a split product came back partial"

@@ -52,10 +52,6 @@ class GaussianRational:
     def __bool__(self):
         return bool(self.re) or bool(self.im)
 
-    @property
-    def is_real(self) -> bool:
-        return not self.im
-
     # -- arithmetic --------------------------------------------------
 
     def __add__(self, other):

@@ -254,8 +254,9 @@ class HomogeneousFactorization:
     """scale * b^b_power * core * prod_i (a - lambdas[i] * b), re-expandable.
 
     `complete` means core is absent and the lambdas account for the whole
-    element; otherwise `core` is the monic homogeneous part on which no
-    further Gaussian-rational root was found.
+    element; otherwise `core` is the monic homogeneous part whose remainder
+    polynomial has no root in Q(i), so that no right factor (a - lam*b)
+    with lam in Q(i) divides it.
     """
 
     scale: GaussianRational
@@ -280,14 +281,15 @@ class HomogeneousFactorization:
 
 
 def factor_homogeneous(x: AlgebraElement) -> HomogeneousFactorization:
-    """Best-effort factorization of a homogeneous element into linear forms.
+    """Factorization of a homogeneous element into linear forms over Q(i).
 
     Strips the maximal left power of b (the smallest q in the RIGHT form),
     scales the rest monic, then repeatedly peels a right factor
-    (a - lam*b) at a root lam of the remainder polynomial.  Roots are
-    searched in Q(i); if none is found the peeled prefix is returned with
-    the unfactored monic core.  Factorizations are not unique; the
-    deterministic choice here is the largest root under (re, im) ordering.
+    (a - lam*b) at a root lam of the remainder polynomial.  The root search
+    is complete in Q(i): the unfactored monic core is returned exactly when
+    its remainder polynomial has no root there.  Factorizations are not
+    unique; the deterministic choice here is the largest root under (re, im)
+    ordering.
     """
     if x.is_zero:
         raise ZeroElementError("cannot factor the zero element")

@@ -29,13 +29,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .coefficients import GaussianRational, common_denominator, over
+from .coefficients import common_denominator, over
 from .division import FactoredProduct, divide
 from .elements import LEFT, RIGHT, AlgebraElement, mul, with_ordering
 from .errors import AbalgError, OrderingMismatchError, OrderMismatchError
 from .linalg import (QMatrix, _int_identity, _int_matmul, _join, _split,
                      characteristic_polynomial, minimal_polynomial)
-from .polynomials import Poly, rational_roots
+from .polynomials import Poly, _cleared, _deflated, rational_roots
 from .series import APolynomial, BSeries
 
 
@@ -217,26 +217,21 @@ class SpectrumCheck:
 def is_geometric_spectrum(module: SimplePoleModule) -> SpectrumCheck:
     """True iff every eigenvalue of theta is a positive rational.
 
-    Decided exactly: deflate rational roots out of the characteristic
-    polynomial; anything left means the spectrum does not split over Q and
-    the check fails with a diagnostic rather than attempting algebraic
-    numbers.
+    Decided exactly: one root search finds the rational roots of the
+    characteristic polynomial, and synthetic division on its Gaussian-integer
+    numerators takes out each as often as it divides; anything left means the
+    spectrum does not split over Q and the check fails with a diagnostic
+    rather than attempting algebraic numbers.
     """
     eigen = []
     g = characteristic_polynomial(module.theta)
-    while g.degree >= 1:
-        found = None
-        for r in rational_roots(g):
-            q, rem = g.divmod(Poly([-GaussianRational(r), 1]))
-            if rem.is_zero:
-                found = (r, q)
-                break
-        if found is None:
-            return SpectrumCheck(False, None,
-                                 "characteristic polynomial does not split over Q")
-        r, g = found
-        eigen.append(r)
-    eigen.sort()
+    cs = _cleared(g)[1]
+    for r in rational_roots(g):  # ascending
+        while len(cs) > 1 and (h := _deflated(cs, r.numerator, r.denominator)) is not None:
+            cs = h
+            eigen.append(r)
+    if len(cs) > 1:
+        return SpectrumCheck(False, None, "characteristic polynomial does not split over Q")
     bad = [r for r in eigen if r <= 0]
     if bad:
         return SpectrumCheck(False, tuple(eigen),

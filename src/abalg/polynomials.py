@@ -2,20 +2,19 @@
 
 Small exact toolkit backing the remainder-root machinery, Bernstein
 polynomials and spectrum checks: ring operations, division, gcd/lcm,
-Lagrange interpolation, and exact root searches (rational roots by the
-rational root theorem; Gaussian roots through rational quadratic factors
-of the norm polynomial, found Kronecker-style).  Everything is exact; the
-root searches are complete for roots lying in Q(i) and report nothing
-otherwise.
+Lagrange interpolation, and one exact root search, complete for roots in
+Q(i).  It lifts the roots of a monic Gaussian-integer form mod p to a
+p-adic precision past a Cauchy bound B on them, and keeps a candidate only
+if it vanishes exactly; it factors no integer and has no budget.  Roots
+come real ones first, ascending, then the others by (re, im).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd as int_gcd, isqrt
+from math import isqrt
 
 from .coefficients import GaussianRational, ONE, ZERO, common_denominator, over
-from .errors import AbalgError
 
 
 class Poly:
@@ -139,15 +138,6 @@ class Poly:
     def derivative(self) -> Poly:
         return Poly([c * k for k, c in enumerate(self.coeffs)][1:])
 
-    def real_part(self) -> list[Fraction]:
-        return [c.re for c in self.coeffs]
-
-    def imag_part(self) -> list[Fraction]:
-        return [c.im for c in self.coeffs]
-
-    def conjugate(self) -> Poly:
-        return Poly([c.conjugate() for c in self.coeffs])
-
     def __repr__(self):
         body = " + ".join(f"({c})x^{k}" for k, c in enumerate(self.coeffs) if c) or "0"
         return f"<Poly {body}>"
@@ -183,70 +173,13 @@ def interpolate(points) -> Poly:
     return out
 
 
-# -- exact root searches ------------------------------------------------------
-
-
-_DIVISOR_BUDGET = 10 ** 6  # trial divisions by _divisors before a domain error
-_KRONECKER_CAP = 4000  # candidate quadratics tried before giving up
-
-
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    if n == 0:
-        return []
-    if isqrt(n) > _DIVISOR_BUDGET:
-        raise AbalgError(f"finding the divisors of a {n.bit_length()}-bit integer takes more "
-                         f"than {_DIVISOR_BUDGET} trial divisions")
-    out = set()
-    for d in range(1, isqrt(n) + 1):
-        if n % d == 0:
-            out.add(d)
-            out.add(n // d)
-    return sorted(out)
+# -- exact root search ---------------------------------------------------------
 
 
 def _cleared(f: Poly) -> tuple[int, list]:
     """(D, [(re, im), ...]) with f's coefficient j == (re + im*i) / D, low to high."""
     den, table = common_denominator(dict(enumerate(f.coeffs)))
     return den, list(table.values())
-
-
-def _vanishes(cs: list, p: int, q: int) -> bool:
-    """Whether sum c_j (p/q)^j = 0, q > 0, by Horner on the integer
-    sum c_j p^j q^(n-j) (homogeneous in p and q)."""
-    re, im = cs[-1]
-    qk = 1
-    for cr, ci in reversed(cs[:-1]):
-        qk *= q
-        re, im = re * p + cr * qk, im * p + ci * qk
-    return not re and not im
-
-
-def rational_roots(f: Poly) -> list[Fraction]:
-    """All rational roots of f (each listed once), exactly.
-
-    A rational root kills both the real- and imaginary-part polynomials,
-    so candidates come from whichever of the two is nonzero: p/q with p
-    dividing the lowest nonzero and q the leading coefficient of its
-    primitive integer form.  Each is tested on f's Gaussian-integer
-    numerators.
-    """
-    if f.is_zero:
-        raise ValueError("the zero polynomial has every root")
-    _, cs = _cleared(f)
-    base = [re for re, _ in cs]
-    if not any(base):
-        base = [im for _, im in cs]
-    base = base[next(j for j, c in enumerate(base) if c):]
-    content = int_gcd(*base)
-    base = [c // content for c in base]
-    cands = {(0, 1)}
-    for p in _divisors(base[0]):
-        for q in _divisors(base[-1]):
-            g = int_gcd(p, q)
-            cands.add((p // g, q // g))
-            cands.add((-p // g, q // g))
-    return sorted(Fraction(p, q) for p, q in cands if _vanishes(cs, p, q))
 
 
 def _deflated(cs: list, p: int, q: int):
@@ -263,123 +196,161 @@ def _deflated(cs: list, p: int, q: int):
     return h if not cr and not ci else None
 
 
-def rational_sqrt(fr: Fraction):
-    """The nonnegative rational square root of fr, or None."""
-    if fr < 0:
-        return None
-    n, d = isqrt(fr.numerator), isqrt(fr.denominator)
-    if n * n == fr.numerator and d * d == fr.denominator:
-        return Fraction(n, d)
-    return None
+def _gmul(a: tuple, b: tuple) -> tuple:
+    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
 
 
-def gaussian_sqrt(z: GaussianRational):
-    """A w in Q(i) with w^2 = z, or None if z is not a square there.
-
-    With w = x + yi: x^2 + y^2 must equal the rational square root of
-    norm(z), then x^2 = (re + |z|)/2 must itself be a rational square.
-    """
-    z = GaussianRational.coerce(z)
-    if not z:
-        return ZERO
-    n = rational_sqrt(z.norm())
-    if n is None:
-        return None
-    x = rational_sqrt((z.re + n) / 2)
-    if x is None:
-        return None
-    if x:
-        return GaussianRational(x, z.im / (2 * x))
-    y = rational_sqrt(-z.re)
-    return GaussianRational(0, y) if y is not None else None
+def _ggcd(a: tuple, b: tuple) -> tuple:
+    """A gcd of two Gaussian integers (Euclid, each quotient rounded)."""
+    while b != (0, 0):
+        n = b[0] * b[0] + b[1] * b[1]
+        x, y = _gmul(a, (b[0], -b[1]))
+        qb = _gmul(((2 * x + n) // (2 * n), (2 * y + n) // (2 * n)), b)
+        a, b = b, (a[0] - qb[0], a[1] - qb[1])
+    return a
 
 
-def _quadratic_roots(A: GaussianRational, B: GaussianRational, C: GaussianRational):
-    """Roots of A x^2 + B x + C lying in Q(i) (exact quadratic formula)."""
-    s = gaussian_sqrt(B * B - 4 * A * C)
-    if s is None:
-        return []
-    half = (2 * A).inverse()
-    r1, r2 = (-B + s) * half, (-B - s) * half
-    return [r1] if r1 == r2 else [r1, r2]
+def _primitive(cs: list) -> list:
+    """cs without trailing zeros, divided by the Gaussian-integer gcd of its entries."""
+    cs = list(cs)
+    while cs and cs[-1] == (0, 0):
+        cs.pop()
+    g = (0, 0)
+    for c in cs:
+        g = _ggcd(g, c)
+    n = g[0] * g[0] + g[1] * g[1]
+    return [((cr * g[0] + ci * g[1]) // n, (ci * g[0] - cr * g[1]) // n) for cr, ci in cs]
 
 
-def _quadratic_gaussian_roots(b: Fraction, c: Fraction):
-    """Roots of x^2 + b x + c for rational b, c, when they lie in Q(i)."""
-    roots = _quadratic_roots(ONE, GaussianRational(b), GaussianRational(c))
-    return roots or None
+def _pseudo_divmod(a: list, b: list) -> tuple[list, list]:
+    """(q, r) over Z[i] with lc(b)^(deg a - deg b + 1) a = q b + r, deg r < deg b."""
+    q, r = [], list(a)
+    for k in range(len(a) - len(b), -1, -1):
+        t = r[k + len(b) - 1]
+        q = [_gmul(b[-1], c) for c in q] + [t]
+        r = [_gmul(b[-1], c) for c in r]
+        for j, c in enumerate(b):
+            tc = _gmul(t, c)
+            r[k + j] = (r[k + j][0] - tc[0], r[k + j][1] - tc[1])
+    return q[::-1], r[:len(b) - 1]
 
+
+def _squarefree(cs: list) -> list:
+    """The primitive part of f / gcd(f, f') for f = sum c_j x^j, by a primitive
+    pseudo-remainder sequence over Z[i]."""
+    a = cs
+    b = _primitive([(j * cr, j * ci) for j, (cr, ci) in enumerate(cs)][1:])
+    while b:
+        a, b = b, _primitive(_pseudo_divmod(a, b)[1])
+    return _primitive(_pseudo_divmod(cs, a)[0]) if len(a) > 1 else cs
+
+
+def _horner(cs: list, x: int, m: int) -> int:
+    out = 0
+    for c in reversed(cs):
+        out = (out * x + c) % m
+    return out
+
+
+def _roots_mod(cs: list, p: int):
+    """The roots mod p of sum cs[j] x^j (integers), or None if one is multiple."""
+    roots = [x for x in range(p) if not _horner(cs, x, p)]
+    der = [j * c for j, c in enumerate(cs)][1:]
+    return None if any(not _horner(der, x, p) for x in roots) else roots
+
+
+def _lift(cs: list, r: int, p: int, m: int) -> int:
+    """The root mod m = p^(2^k) of sum cs[j] x^j over the simple root r mod p
+    (Newton, doubling the exponent each step)."""
+    der = [j * c for j, c in enumerate(cs)][1:]
+    q = p
+    while q < m:
+        q *= q
+        r = (r - _horner(cs, r, q) * pow(_horner(der, r, q), -1, q)) % q
+    return r
+
+
+def _prime_after(p: int) -> int:
+    """The least prime above p that is 1 mod 4."""
+    p += 1
+    while p % 4 != 1 or any(p % d == 0 for d in range(3, isqrt(p) + 1, 2)):
+        p += 1
+    return p
+
+
+def _reductions(g: list, p: int):
+    """(s, roots of g mod p under i -> s, roots under i -> -s) for an s with
+    s^2 = -1 mod p, or None if either reduction has a multiple root."""
+    s = next(t for t in (pow(b, (p - 1) // 4, p) for b in range(2, p)) if t * t % p == p - 1)
+    roots = [_roots_mod([(re + e * s * im) % p for re, im in g], p) for e in (1, -1)]
+    return None if None in roots else (s, *roots)
+
+
+def _monic(cs: list) -> list:
+    """g(w) = sum_j c_j c_n^(n-1-j) w^j, monic, so that g(c_n z) = c_n^(n-1) f(z)."""
+    g, power = [(1, 0)], (1, 0)
+    for c in reversed(cs[:-1]):
+        g.append(_gmul(c, power))
+        power = _gmul(power, cs[-1])
+    return g[::-1]
+
+
+def _is_root(g: list, u: int, v: int) -> bool:
+    re = im = 0
+    for cr, ci in reversed(g):
+        re, im = re * u - im * v + cr, re * v + im * u + ci
+    return not re and not im
 
 
 def gaussian_roots(f: Poly) -> list[GaussianRational]:
-    """All roots of f lying in Q(i), found exactly; best-effort beyond caps.
+    """All roots of f in Q(i), each listed once: the real ones ascending,
+    then the others by (re, im).  Complete, and no integer is factored.
 
-    Real rational roots come from the rational root theorem and are
-    deflated out.  A strictly complex Gaussian root u+vi of the remaining
-    part g is, together with its conjugate, a zero of the norm polynomial
-    N = g * conj(g) in Q[x], hence of a rational quadratic factor of N;
-    integer quadratic factors of the primitive integer form of N are
-    searched Kronecker-style through divisor triples of N(0), N(1), N(-1).
-    When the divisor enumeration would exceed the cap or the divisor
-    budget only the rational roots are reported (callers treat the
-    factorization as partial).
+    With f = sum c_j x^j / D over Gaussian integers c_j, every root z gives
+    a Gaussian integer w = c_n z, a root of the monic
+    g(w) = sum_j c_j c_n^(n-1-j) w^j, with |w| <= |c_n| + max_(j<n) |c_j| = B
+    (Cauchy).  Take the least prime p = 1 mod 4 above n at which both
+    reductions of g, i -> s and i -> -s for s^2 = -1 mod p, have only simple
+    roots; if the first one fails, f is first replaced by its squarefree
+    part, and then only finitely many primes fail.  The roots mod p (found
+    by evaluation) and s are Newton-lifted mod M = p^(2^k) > 2B.  A pair
+    (r+, r-) of lifted roots is u + sv and u - sv mod M for a root
+    w = u + vi, so u and v are read off as symmetric residues; a candidate
+    is kept if |u|, |v| <= B and g(w) = 0 exactly.
     """
-    rs = rational_roots(f)
-    roots: list[GaussianRational] = [GaussianRational(r) for r in rs]
-    # deflate on integers: with f = c / D, the quotient h = c / prod (q x - p)
-    # is D g / prod q for g = f / prod (x - r)
-    den, cs = _cleared(f)
-    scale = 1
-    for r in rs:
-        while len(cs) > 1 and (h := _deflated(cs, r.numerator, r.denominator)) is not None:
-            cs, scale = h, scale * r.denominator
-    g = Poly([over(re * scale, im * scale, den) for re, im in cs])
-    if g.degree < 1:
-        return roots
-    if g.degree == 1:
-        z = -g.coefficient(0) * g.coefficient(1).inverse()
-        if z.im:
-            roots.append(z)
-        return roots
-    if g.degree == 2:
-        roots.extend(z for z in _quadratic_roots(g.coefficient(2), g.coefficient(1),
-                                                 g.coefficient(0)) if z.im)
-        return roots
-    # g has no rational roots now, so N(0), N(1), N(-1) are all nonzero.
-    norm = g * g.conjugate()  # real coefficients
-    ints = [re for re, _ in _cleared(norm)[1]]
-    n0 = ints[0]
-    n1 = sum(ints)
-    nm1 = sum(c if k % 2 == 0 else -c for k, c in enumerate(ints))
-    try:
-        d0, d1, dm1 = _divisors(n0), _divisors(n1), _divisors(nm1)
-    except AbalgError:  # past the divisor budget: partial, as past the cap
-        return roots
-    if len(d0) * len(d1) * len(dm1) * 8 > _KRONECKER_CAP:
-        return roots
-    seen = set()
-    lead = ints[-1]
-    for g0 in d0:
-        for s0 in (g0, -g0):
-            for g1 in d1:
-                for s1 in (g1, -g1):
-                    for gm1 in dm1:
-                        for sm1 in (gm1, -gm1):
-                            # integer quadratic e x^2 + p x + s0 through
-                            # the three sampled values
-                            e2, p2 = s1 + sm1 - 2 * s0, s1 - sm1
-                            if e2 == 0 or e2 % 2 or p2 % 2:
-                                continue
-                            e = e2 // 2
-                            if lead % e:
-                                continue
-                            pair = _quadratic_gaussian_roots(
-                                Fraction(p2, 2 * e), Fraction(s0, e))
-                            if not pair:
-                                continue
-                            for z in pair:
-                                if z.im and (z.re, z.im) not in seen and not f(z):
-                                    seen.add((z.re, z.im))
-                                    roots.append(z)
-    return roots
+    if f.is_zero:
+        raise ValueError("the zero polynomial has every root")
+    _, cs = _cleared(f)
+    if len(cs) < 3:
+        return [-f.coeffs[0] / f.coeffs[1]] if len(cs) == 2 else []
+    g, p = _monic(cs), _prime_after(len(cs) - 1)
+    if (found := _reductions(g, p)) is None:
+        cs = _squarefree(cs)
+        g = _monic(cs)
+        while (found := _reductions(g, p)) is None:
+            p = _prime_after(p)
+    s, plus, minus = found
+    lr, li = cs[-1]
+    n = lr * lr + li * li
+    bound = isqrt(n) + 1 + max(isqrt(re * re + im * im) + 1 for re, im in cs[:-1])
+    m = p
+    while m <= 2 * bound:
+        m *= m
+    s = _lift([1, 0, 1], s, p, m)
+    plus, minus = ([_lift([(re + e * s * im) % m for re, im in g], r, p, m) for r in rs]
+                   for e, rs in ((1, plus), (-1, minus)))
+    half, half_s, mid = pow(2, -1, m), pow(2 * s, -1, m), m // 2
+    roots = set()
+    for a in plus:
+        for b in minus:
+            u = ((a + b) * half + mid) % m - mid
+            v = ((a - b) * half_s + mid) % m - mid
+            if abs(u) <= bound and abs(v) <= bound and _is_root(g, u, v):
+                roots.add(over(u * lr + v * li, v * lr - u * li, n))
+    return sorted(roots, key=lambda z: (z.im != 0, z.re, z.im))
 
+
+def rational_roots(f: Poly) -> list[Fraction]:
+    """All rational roots of f, each listed once, ascending: the real ones
+    of gaussian_roots(f)."""
+    return [z.re for z in gaussian_roots(f) if not z.im]

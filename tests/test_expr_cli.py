@@ -13,10 +13,11 @@ from abalg import checks
 from abalg.checks import random_element
 from abalg.cli import main
 from abalg.coefficients import GaussianRational
-from abalg.elements import LEFT, RIGHT, AlgebraElement, binomial_pow, gen_a, gen_b, mul
+from abalg.elements import (LEFT, RIGHT, AlgebraElement, binomial_pow, gen_a, gen_b, mul,
+                            scale)
 from abalg.errors import ExprError
 from abalg.expr import format_element, parse, parse_element, parse_scalar
-from abalg.jsonio import (element_from_json, element_to_json, matrix_to_json,
+from abalg.jsonio import (coeff_from_json, element_from_json, element_to_json, matrix_to_json,
                           polyseries_from_json, polyseries_to_json, system_to_json,
                           xi_from_json, xi_to_json)
 from abalg.linalg import QMatrix
@@ -320,8 +321,8 @@ def test_cli_output_to_a_closed_pipe_is_not_an_error(expr):
     assert err == b""
 
 
-def test_cli_factor_with_a_semiprime_coefficient_is_a_bounded_domain_error():
-    # the rational-root search would trial-divide up to about 10^9
+def test_cli_factor_with_a_semiprime_coefficient_ends_partial_in_bounded_time():
+    # rho = x^2 + 1000000007*1000000009 has no root in Q(i); no integer is factored
     proc = _cli_process("factor", "--order", "4", "a^2 + 1000000007*1000000009*b^2",
                         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
     start = time.perf_counter()
@@ -330,5 +331,23 @@ def test_cli_factor_with_a_semiprime_coefficient_is_a_bounded_domain_error():
     finally:
         proc.kill()
     assert time.perf_counter() - start < 5
-    assert proc.returncode == 3 and out == ""
-    assert "trial divisions" in err and "internal error" not in err
+    assert proc.returncode == 0 and "internal error" not in err
+    doc = json.loads(out)
+    assert doc["complete"] is False and doc["lambdas"] == []
+    assert element_from_json(doc["core"]) == parse_element(
+        "a^2 + 1000000007*1000000009*b^2", 4)
+
+
+def test_cli_factor_finds_gaussian_lambdas(capsys):
+    text = "(a - (3/2 + 2*i)*b)*(a - (1 - 1/4*i)*b)*(a - 5/3*i*b)"
+    code, out, _ = run_cli(capsys, "factor", "--order", "3", text)
+    doc = json.loads(out)
+    assert code == 0 and doc["complete"] is True and doc["core"] is None
+    assert doc["b_power"] == 0 and coeff_from_json(doc["scale"]) == 1
+    lambdas = [coeff_from_json(lam) for lam in doc["lambdas"]]
+    assert lambdas == [GaussianRational(Fraction(3, 2), 2), GaussianRational(1, Fraction(-1, 4)),
+                       GaussianRational(0, Fraction(5, 3))]
+    product = AlgebraElement.monomial(0, 0, 3)
+    for lam in lambdas:
+        product = mul(product, gen_a(3) - scale(lam, gen_b(3)))
+    assert product == parse_element(text, 3)

@@ -18,13 +18,16 @@ The module layer's integer kernels are refereed on GaussianRationals too:
 and the first solve_dependency among the flattened powers,
 characteristic_polynomial by Cayley-Hamilton and a cofactor-expansion
 determinant, rational_roots by Poly.__call__ on the rational-root-theorem
-candidates, and modules.act by the basis law summed over RIGHT monomials.
+candidates, gaussian_roots by the Gaussian-rational roots planted in
+products with an integer quadratic and an integer scale, and modules.act by
+the basis law summed over RIGHT monomials.
 Matrices are 1x1 to 6x6: dense or sparse over distinct denominators, zero,
 scalar and nilpotent.
 """
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -404,12 +407,50 @@ def test_rational_roots_are_the_candidates_that_vanish(f):
     ([-1, 1, Fraction(1, 9)], [(-2, 2), (-2, -2), (0, 2), (0, -2)], 3),
 ])
 def test_gaussian_roots_search_the_exactly_deflated_part(rs, cs, scale):
-    """After the rational roots, the search sees g = f / prod (x - r) itself:
-    the divisor counts of its norm, and so its cap, depend on the scale of g."""
+    """The roots of f are its rational roots, ascending, then those of
+    g = f / prod (x - r), whatever the scale of g."""
     g = Poly.from_roots([GaussianRational(*c) for c in cs]) * scale
     f = Poly.from_roots(rs) * g
     assert gaussian_roots(f) == [GaussianRational(r) for r in sorted(map(Fraction, rs))] \
         + gaussian_roots(g)
+
+
+@st.composite
+def planted_roots(draw):
+    """(R, prod_(r in R) (x - r) * g * k): 1-4 Gaussian-rational roots R, some
+    drawn again as repeats, an integer quadratic g and an integer scale k."""
+    roots = draw(st.lists(st.builds(GaussianRational, small_fractions, small_fractions),
+                          min_size=1, max_size=4))
+    roots += draw(st.lists(st.sampled_from(roots), max_size=3))
+    g = Poly(draw(st.lists(st.integers(-9, 9), min_size=2, max_size=2)) + [draw(st.integers(1, 9))])
+    return roots, Poly.from_roots(roots) * g * draw(st.integers(1, 50))
+
+
+@given(planted_roots())
+def test_gaussian_roots_include_every_planted_root(case):
+    roots, f = case
+    found = gaussian_roots(f)
+    assert set(roots) <= set(found)
+    assert all(not f(z) for z in found)
+    assert len(set(found)) == len(found)
+    assert rational_roots(f) == [z.re for z in found if not z.im]
+
+
+I = GaussianRational(0, 1)
+
+
+@pytest.mark.parametrize("search, f, expected", [
+    # about 9 * 10^7 rational-root-theorem candidates
+    (rational_roots, Poly([963761198400, 1, 963761198400]), []),
+    # a semiprime constant term
+    (gaussian_roots, Poly([1000000007 * 1000000009, 0, 1]), []),
+    # a scaled product of two Gaussian quadratics
+    (gaussian_roots, Poly.from_roots([I, -I, -2 + I, -2 - I]) * 2, [-2 - I, -2 + I, -I, I]),
+])
+def test_root_searches_end_at_once_on_large_and_scaled_coefficients(search, f, expected):
+    start = time.perf_counter()
+    assert search(f) == expected
+    assert time.perf_counter() - start < 1
 
 
 @st.composite

@@ -7,8 +7,8 @@ from abalg.coefficients import GaussianRational
 from abalg.elements import LEFT, RIGHT, AlgebraElement, gen_a, gen_b, mul, power
 from abalg.errors import OrderMismatchError, ZeroConstantTermError
 from abalg.linalg import QMatrix, characteristic_polynomial, minimal_polynomial
-from abalg.polynomials import (Poly, gaussian_roots, gaussian_sqrt, interpolate,
-                               poly_gcd, poly_lcm, rational_roots)
+from abalg.polynomials import (Poly, gaussian_roots, interpolate, poly_gcd, poly_lcm,
+                               rational_roots)
 from abalg.series import APolynomial, BSeries
 
 
@@ -101,11 +101,11 @@ def test_rational_roots():
 
 def test_gaussian_sqrt():
     i = GaussianRational(0, 1)
-    assert gaussian_sqrt(GaussianRational(-1)) in (i, -i)
+    assert gaussian_roots(Poly([1, 0, 1])) == [-i, i]
     z = GaussianRational(3, 4)
-    w = gaussian_sqrt(z)
-    assert w is not None and w * w == z
-    assert gaussian_sqrt(GaussianRational(2)) is None
+    ws = gaussian_roots(Poly([-z, 0, 1]))
+    assert len(ws) == 2 and all(w * w == z for w in ws)
+    assert gaussian_roots(Poly([-2, 0, 1])) == []
 
 
 def test_gaussian_roots_mixed():

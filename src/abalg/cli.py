@@ -14,19 +14,9 @@ import json
 import os
 import sys
 
-from .division import divide, divide_linear, factor_homogeneous, invert
 from .elements import LEFT, RIGHT, AlgebraElement, anti_automorphism, mul, shear
 from .errors import AbalgError, ExprError, SchemaError
-from .expansions import xi_act_a, xi_act_b
 from .expr import format_element, parse_element, parse_scalar
-from .jsonio import (element_to_json, factored_product_from_json, factorization_to_json,
-                     matrix_from_json, poly_to_json, polyseries_from_json,
-                     polyseries_to_json, series_matrix_to_json, system_from_json,
-                     xi_from_json, xi_to_json)
-from .modules import (Fresco, SimplePoleModule, bernstein, fresco_act,
-                      from_differential_system, is_geometric_spectrum)
-from .oracle import PolySeries, act
-from .series import APolynomial
 
 _FORMS = {"left": LEFT, "right": RIGHT}
 
@@ -51,7 +41,17 @@ def _print_element(x: AlgebraElement, pretty: bool):
     if pretty:
         print(format_element(x))
     else:
+        from .jsonio import element_to_json
         _emit(element_to_json(x))
+
+
+def _print_quotient_remainder(q: AlgebraElement, r: AlgebraElement, pretty: bool):
+    if pretty:
+        print(f"Q = {format_element(q)}")
+        print(f"R = {format_element(r)}")
+    else:
+        from .jsonio import element_to_json
+        _emit({"quotient": element_to_json(q), "remainder": element_to_json(r)})
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -143,6 +143,8 @@ def _run(args) -> int:
     degree = getattr(args, "degree", None)
     if degree is not None and degree < 0:
         raise SchemaError("--degree must be nonnegative")
+    # Each branch imports the kernels it uses, so that a process loads only
+    # what its subcommand needs.
     if cmd == "normalize":
         x = parse_element(args.expr, args.order, _FORMS[args.form])
         _print_element(x, args.pretty)
@@ -151,28 +153,21 @@ def _run(args) -> int:
         y = parse_element(args.y, args.order)
         _print_element(mul(x, y).with_ordering(_FORMS[args.form]), args.pretty)
     elif cmd == "inv":
+        from .division import invert
         x = parse_element(args.expr, args.order)
         _print_element(invert(x), args.pretty)
     elif cmd == "div-linear":
+        from .division import divide_linear
         x = parse_element(args.expr, args.order)
         q, r = divide_linear(x, parse_scalar(args.lam))
-        if args.pretty:
-            print(f"Q = {format_element(q)}")
-            print(f"R = {format_element(r.to_element())}")
-        else:
-            _emit({"quotient": element_to_json(q),
-                   "remainder": element_to_json(r.to_element())})
+        _print_quotient_remainder(q, r.to_element(), args.pretty)
     elif cmd == "div":
+        from .division import divide
+        from .jsonio import factored_product_from_json
         product = factored_product_from_json(_load(args.product), args.order)
         x = parse_element(args.expr, args.order)
         res = divide(x, product)
-        rem = res.remainder.to_element()
-        if args.pretty:
-            print(f"Q = {format_element(res.quotient)}")
-            print(f"R = {format_element(rem)}")
-        else:
-            _emit({"quotient": element_to_json(res.quotient),
-                   "remainder": element_to_json(rem)})
+        _print_quotient_remainder(res.quotient, res.remainder.to_element(), args.pretty)
     elif cmd == "tau":
         x = parse_element(args.expr, args.order)
         _print_element(shear(parse_scalar(args.x), x).with_ordering(_FORMS[args.form]),
@@ -181,15 +176,21 @@ def _run(args) -> int:
         x = parse_element(args.expr, args.order)
         _print_element(anti_automorphism(x, _FORMS[args.form]), args.pretty)
     elif cmd == "act":
+        from .jsonio import polyseries_from_json, polyseries_to_json
+        from .oracle import PolySeries, act
         x = parse_element(args.expr, args.order)
         f = polyseries_from_json(_load(args.input))
         bound = args.degree if args.degree is not None else 3 * args.order
         f = PolySeries(bound, f.coeffs)
         _emit(polyseries_to_json(act(x, f)))
     elif cmd == "factor":
+        from .division import factor_homogeneous
+        from .jsonio import factorization_to_json
         x = parse_element(args.expr, args.order)
         _emit(factorization_to_json(factor_homogeneous(x)))
     elif cmd == "bernstein":
+        from .jsonio import matrix_from_json, poly_to_json
+        from .modules import SimplePoleModule, bernstein
         theta = matrix_from_json(_load(args.matrix))
         p = bernstein(SimplePoleModule(theta, 0))
         if args.pretty:
@@ -198,28 +199,34 @@ def _run(args) -> int:
         else:
             _emit(poly_to_json(p))
     elif cmd == "geometric":
+        from .coefficients import fraction_to_str
+        from .jsonio import matrix_from_json
+        from .modules import SimplePoleModule, is_geometric_spectrum
         theta = matrix_from_json(_load(args.matrix))
         chk = is_geometric_spectrum(SimplePoleModule(theta, 0))
-        from .coefficients import fraction_to_str
         _emit({"geometric": chk.is_geometric,
                "eigenvalues": None if chk.eigenvalues is None
                else [fraction_to_str(e) for e in chk.eigenvalues],
                "diagnostic": chk.diagnostic})
     elif cmd == "ode2ab":
+        from .jsonio import series_matrix_to_json, system_from_json
+        from .modules import from_differential_system
         system = system_from_json(_load(args.system))
         _, coeffs = from_differential_system(system, args.order)
         _emit(series_matrix_to_json(coeffs))
     elif cmd == "fresco-act":
+        from .jsonio import factored_product_from_json
+        from .modules import Fresco, fresco_act
+        from .series import APolynomial
         product = factored_product_from_json(_load(args.product), args.order)
         fresco = Fresco(product)
         x = parse_element(args.x, args.order)
         r = APolynomial.from_element(parse_element(args.r, args.order, RIGHT))
         out = fresco_act(x, r, fresco)
-        if args.pretty:
-            print(format_element(out.to_element()))
-        else:
-            _emit(element_to_json(out.to_element()))
+        _print_element(out.to_element(), args.pretty)
     elif cmd == "xi-act":
+        from .expansions import xi_act_a, xi_act_b
+        from .jsonio import xi_from_json, xi_to_json
         xi = xi_from_json(_load(args.input))
         out = xi_act_a(xi) if args.op == "a" else xi_act_b(xi)
         _emit(xi_to_json(out))

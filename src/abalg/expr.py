@@ -12,6 +12,11 @@ Leading "-" inside a term position is unary negation, so canonical output
 like "-a + b" or "(-1 + 2*i)*a" re-parses.  Parse errors carry the byte
 offset and the expected-token set.
 
+Sums and products of any length parse into one flat node each and are
+folded left to right in a loop.  Parentheses and unary minus signs may nest
+at most MAX_NESTING deep; deeper input is a parse error, not a recursion
+overflow.
+
 The canonical printer orders terms by (total degree, b-power), which makes
 CLI output byte-stable, and renders coefficients so that the output always
 re-parses to the same element.
@@ -99,10 +104,15 @@ def _describe(text: str, pos: int) -> str:
 
 
 # -- AST ---------------------------------------------------------------------
-# Nodes are plain tuples: ("add", l, r), ("sub", l, r), ("mul", l, r),
+# Nodes are plain tuples: ("sum", t0, ("+"|"-", t1), ...), ("product", f0, f1, ...),
 # ("neg", x), ("pow", x, n), ("gen", "a"|"b"), ("imag",), ("rat", Fraction).
+# A sum or product of one operand is that operand itself.
 
 Expression = tuple
+
+#: How deeply parentheses and unary minus signs may nest, counted together.
+#: Each level costs a few interpreter frames in the parser and elaborator.
+MAX_NESTING = 100
 
 
 class _Parser:
@@ -110,6 +120,7 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.text = text
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -124,6 +135,13 @@ class _Parser:
         found = tok.value if tok.kind != "end" else "end of input"
         raise ExprError(tok.offset, expected, repr(found) if tok.kind != "end" else found)
 
+    def nest(self, tok: _Token):
+        """Enter one more level of parentheses or unary minus at `tok`."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ExprError(tok.offset, (f"at most {MAX_NESTING} nested parentheses and "
+                                         "unary minus signs",), repr(tok.value))
+
     def parse(self) -> Expression:
         node = self.expr()
         if self.peek().kind != "end":
@@ -131,24 +149,25 @@ class _Parser:
         return node
 
     def expr(self) -> Expression:
-        node = self.term()
+        terms = [self.term()]
         while self.peek().kind in ("+", "-"):
             op = self.take().kind
-            rhs = self.term()
-            node = ("add" if op == "+" else "sub", node, rhs)
-        return node
+            terms.append((op, self.term()))
+        return terms[0] if len(terms) == 1 else ("sum", *terms)
 
     def term(self) -> Expression:
-        node = self.factor()
+        factors = [self.factor()]
         while self.peek().kind == "*":
             self.take()
-            node = ("mul", node, self.factor())
-        return node
+            factors.append(self.factor())
+        return factors[0] if len(factors) == 1 else ("product", *factors)
 
     def factor(self) -> Expression:
         if self.peek().kind == "-":
-            self.take()
-            return ("neg", self.factor())
+            self.nest(self.take())
+            node = ("neg", self.factor())
+            self.depth -= 1
+            return node
         node = self.atom()
         if self.peek().kind == "^":
             self.take()
@@ -168,11 +187,12 @@ class _Parser:
             self.take()
             return ("rat", tok.value)
         if tok.kind == "(":
-            self.take()
+            self.nest(self.take())
             node = self.expr()
             if self.peek().kind != ")":
                 self.fail(("')'",))
             self.take()
+            self.depth -= 1
             return node
         self.fail(("'a'", "'b'", "'i'", "number", "'('"))
 
@@ -194,12 +214,17 @@ def elaborate(node: Expression, order: int) -> AlgebraElement:
         return AlgebraElement.scalar(GaussianRational(node[1]), order)
     if kind == "neg":
         return -elaborate(node[1], order)
-    if kind == "add":
-        return elaborate(node[1], order) + elaborate(node[2], order)
-    if kind == "sub":
-        return elaborate(node[1], order) - elaborate(node[2], order)
-    if kind == "mul":
-        return mul(elaborate(node[1], order), elaborate(node[2], order))
+    if kind == "sum":
+        acc = elaborate(node[1], order)
+        for op, term in node[2:]:
+            value = elaborate(term, order)
+            acc = acc + value if op == "+" else acc - value
+        return acc
+    if kind == "product":
+        acc = elaborate(node[1], order)
+        for factor in node[2:]:
+            acc = mul(acc, elaborate(factor, order))
+        return acc
     if kind == "pow":
         return power(elaborate(node[1], order), node[2])
     raise AssertionError(f"unknown node {kind}")
@@ -212,15 +237,19 @@ def parse_element(text: str, order: int, ordering: Ordering = LEFT) -> AlgebraEl
 def parse_scalar(text: str) -> GaussianRational:
     """Parse an expression that must evaluate to a scalar (used for flags)."""
     node = parse(text)
-
-    def mentions_generator(n):
-        if n[0] == "gen":
-            return True
-        return any(isinstance(c, tuple) and mentions_generator(c) for c in n[1:])
-
-    if mentions_generator(node):
+    if _mentions_generator(node):
         raise ExprError(0, ("a scalar expression (no a or b)",), repr(text))
     return elaborate(node, 0).constant_term
+
+
+def _mentions_generator(node: Expression) -> bool:
+    stack = [node]
+    while stack:
+        n = stack.pop()
+        if n[0] == "gen":
+            return True
+        stack.extend(c for c in n[1:] if isinstance(c, tuple))
+    return False
 
 
 # -- canonical printing ----------------------------------------------------------

@@ -4,20 +4,31 @@ Rationals travel as decimal strings "num/den" (reduced, positive
 denominator, optional leading minus); a bare "num" is accepted on input.
 Term lists are emitted in the canonical (total degree, b-power) order so
 output is byte-stable.
+
+The types of the division, linalg, modules and series layers are imported
+by the functions that build them, so that a subcommand which reads and
+writes only elements, power series and expansions loads none of those
+layers.
 """
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from .coefficients import GaussianRational, fraction_from_str, fraction_to_str
-from .division import FactoredProduct, HomogeneousFactorization
 from .elements import LEFT, RIGHT, AlgebraElement
 from .errors import SchemaError
+# Kept at top level: perfbench's traced runs find abalg.expansions and
+# abalg.oracle in sys.modules after importing jsonio.
 from .expansions import XiElement
-from .linalg import QMatrix
-from .modules import DifferentialSystem
 from .oracle import PolySeries
-from .polynomials import Poly
-from .series import BSeries
+
+if TYPE_CHECKING:
+    from .division import FactoredProduct, HomogeneousFactorization
+    from .linalg import QMatrix
+    from .modules import DifferentialSystem
+    from .polynomials import Poly
+    from .series import BSeries
 
 
 def _need(doc: dict, key: str, kind=None):
@@ -70,6 +81,7 @@ def element_from_json(doc) -> AlgebraElement:
 # -- b-series and factored products ----------------------------------------
 
 def bseries_from_json(doc) -> BSeries:
+    from .series import BSeries
     x = element_from_json(doc)
     try:
         return BSeries.from_element(x)
@@ -78,6 +90,7 @@ def bseries_from_json(doc) -> BSeries:
 
 
 def factored_product_from_json(doc, order: int | None = None) -> FactoredProduct:
+    from .division import FactoredProduct
     factors = []
     for entry in _need(doc, "factors", list):
         lam = coeff_from_json(_need(entry, "lambda"))
@@ -131,6 +144,7 @@ def matrix_to_json(m: QMatrix) -> dict:
 
 
 def matrix_from_json(doc) -> QMatrix:
+    from .linalg import QMatrix
     k = _need(doc, "k", int)
     entries = _need(doc, "entries", list)
     if len(entries) != k or any(not isinstance(r, list) or len(r) != k for r in entries):
@@ -143,6 +157,7 @@ def system_to_json(sys: DifferentialSystem) -> dict:
 
 
 def system_from_json(doc) -> DifferentialSystem:
+    from .modules import DifferentialSystem
     k = _need(doc, "k", int)
     mats = [matrix_from_json(m) for m in _need(doc, "coeffs", list)]
     if not mats:

@@ -32,14 +32,6 @@ class Poly:
         raise AttributeError("Poly is immutable")
 
     @staticmethod
-    def constant(c) -> Poly:
-        return Poly([c])
-
-    @staticmethod
-    def x() -> Poly:
-        return Poly([0, 1])
-
-    @staticmethod
     def from_roots(roots) -> Poly:
         out = Poly([1])
         for r in roots:
@@ -134,9 +126,6 @@ class Poly:
         for c in reversed(self.coeffs):
             out = out * x + c
         return out
-
-    def derivative(self) -> Poly:
-        return Poly([c * k for k, c in enumerate(self.coeffs)][1:])
 
     def __repr__(self):
         body = " + ".join(f"({c})x^{k}" for k, c in enumerate(self.coeffs) if c) or "0"

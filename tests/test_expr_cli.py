@@ -16,7 +16,7 @@ from abalg.coefficients import GaussianRational
 from abalg.elements import (LEFT, RIGHT, AlgebraElement, binomial_pow, gen_a, gen_b, mul,
                             scale)
 from abalg.errors import ExprError
-from abalg.expr import format_element, parse, parse_element, parse_scalar
+from abalg.expr import MAX_NESTING, format_element, parse, parse_element, parse_scalar
 from abalg.jsonio import (coeff_from_json, element_from_json, element_to_json, matrix_to_json,
                           polyseries_from_json, polyseries_to_json, system_to_json,
                           xi_from_json, xi_to_json)
@@ -71,6 +71,27 @@ def test_unary_minus_and_scalars():
     assert parse_scalar("2*i - 1") == GaussianRational(-1, 2)
     with pytest.raises(ExprError):
         parse_scalar("a + 1")
+
+
+def test_long_sums_and_products_fold_left_to_right():
+    a, b = gen_a(6), gen_b(6)
+    assert parse_element("a + b - a*b - b + a", 6) == a + b - mul(a, b) - b + a
+    assert parse_element("a*b*a*(a + b)*a", 6) == mul(mul(mul(mul(a, b), a), a + b), a)
+    assert parse_element("a+" * 3000 + "a", 6) == 3001 * a
+
+
+def test_nesting_is_limited():
+    # one level per "(" and per unary "-", counted together; each is one byte,
+    # so the first level too many is at offset MAX_NESTING
+    a = gen_a(3)
+    for opener, closer, value in [("(", ")", a), ("-", "", (-1) ** MAX_NESTING * a),
+                                  ("-(", ")", (-1) ** (MAX_NESTING // 2) * a)]:
+        levels = MAX_NESTING // len(opener)
+        assert parse_element(opener * levels + "a" + closer * levels, 3) == value
+        with pytest.raises(ExprError) as err:
+            parse(opener * (levels + 1) + "a" + closer * (levels + 1))
+        assert err.value.offset == MAX_NESTING
+    assert parse_element(" + ".join(["(a)"] * 2 * MAX_NESTING), 3) == 2 * MAX_NESTING * a
 
 
 def test_imaginary_arithmetic():
@@ -264,6 +285,21 @@ def test_cli_literal_beyond_the_digit_limit_is_a_parse_error(capsys):
     assert code == 2 and "offset 2" in err and "internal error" not in err
 
 
+@pytest.mark.parametrize("text, expected", [
+    ("a+" * 5000 + "a", 0),
+    ("a*" * 5000 + "a", 0),
+    ("(" * 300 + "a" + ")" * 300, 2),
+    ("1*" + "-" * 2000 + "a", 2),
+], ids=["long-sum", "long-product", "deep-parentheses", "deep-unary-minus"])
+def test_cli_long_and_deeply_nested_expressions_end_in_bounded_time(capsys, text, expected):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "normalize", "--order", "4", text)
+    assert time.perf_counter() - start < 5
+    assert code == expected and "internal error" not in err
+    if expected == 2:
+        assert f"at most {MAX_NESTING} nested" in err and out == ""
+
+
 def test_selftest_reports_a_crashing_suite_and_runs_the_rest(monkeypatch):
     def crash(rng):
         raise ZeroDivisionError("boom")
@@ -292,21 +328,46 @@ def test_selftest_json_reports_each_suite_with_its_time(monkeypatch, capsys):
     assert run_cli(capsys, "selftest", "--json")[0] == 0
 
 
+# Runs the CLI as `python -m abalg.cli` does, then lists the abalg modules it loaded.
+_LOADED_BY = """
+import runpy, sys
+try:
+    runpy.run_module("abalg.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    assert exc.code == 0, exc.code
+print(" ".join(sorted(name for name in sys.modules if name.startswith("abalg."))))
+"""
+
+_KERNELS = {"division", "modules", "linalg", "polynomials", "series"}
+_NOT_LOADED_BY = [
+    (["normalize", "--pretty", "a^2*b"], _KERNELS | {"oracle", "expansions", "jsonio", "checks"}),
+    (["normalize", "a^2*b"], _KERNELS | {"checks"}),
+    (["inv", "1 + a*b"], {"modules", "linalg", "checks"}),
+]
+
+
 def test_cli_import_does_not_load_the_invariant_suites():
+    """Each subcommand loads only what it uses, and none loads the suites."""
+    for argv, not_loaded in _NOT_LOADED_BY:
+        result = subprocess.run([sys.executable, "-c", _LOADED_BY, *argv, "--order", "6"],
+                                capture_output=True, text=True, env=_checkout_env())
+        assert result.returncode == 0, result.stderr
+        loaded = {name.removeprefix("abalg.") for name in result.stdout.splitlines()[-1].split()}
+        assert {"elements", "expr"} <= loaded
+        assert not loaded & not_loaded, argv
+
+
+def _checkout_env():
+    """The environment with this checkout's source first on PYTHONPATH."""
     src = os.path.dirname(os.path.dirname(abalg.__file__))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    code = "import sys, abalg.cli; assert 'abalg.checks' not in sys.modules, 'loaded'"
-    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                            env={**os.environ, "PYTHONPATH": path})
-    assert result.returncode == 0, result.stderr
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
 def _cli_process(*args, **kwargs):
     """Popen of `python -m abalg.cli args` on this checkout's source."""
-    src = os.path.dirname(os.path.dirname(abalg.__file__))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return subprocess.Popen([sys.executable, "-m", "abalg.cli", *args],
-                            env={**os.environ, "PYTHONPATH": path}, **kwargs)
+    return subprocess.Popen([sys.executable, "-m", "abalg.cli", *args], env=_checkout_env(),
+                            **kwargs)
 
 
 # a document larger than the pipe's buffer, and one that is written only at exit

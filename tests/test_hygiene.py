@@ -1,19 +1,20 @@
 """Source hygiene: no module of the package imports a name it never uses,
-and the oracle and the GaussianRational routes of linalg and polynomials
-stay independent referees of the integer kernels.
-
-`__init__.py` is exempt from the import scan, since its imports are the
-package's re-exports.
+the package exports a fixed set of names, and the oracle and the
+GaussianRational routes of linalg and polynomials stay independent referees
+of the integer kernels.
 """
 
 import ast
 import hashlib
+import importlib
 from pathlib import Path
 
 import pytest
 
+import abalg
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "abalg"
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+MODULES = sorted(SRC.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -39,6 +40,47 @@ def test_the_scan_sees_unused_and_used_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+# -- the public names of the package -------------------------------------------------
+
+# module -> the names `abalg` exports from it, under the same name
+EXPORTED = {
+    "coefficients": "Coefficient GaussianRational",
+    "division": "DivisionResult FactoredProduct HomogeneousFactorization divide divide_linear "
+                "factor_homogeneous invert power_division_closed_form remainder_polynomial",
+    "elements": "LEFT RIGHT AlgebraElement Ordering add anti_automorphism binomial_pow "
+                "coefficient_profile gen_a gen_b mul power reorder_coeff scale shear to_left "
+                "to_right",
+    "errors": "AbalgError ExprError NotHomogeneousError NotMonicError OrderingMismatchError "
+              "OrderMismatchError SchemaError WitnessNotFoundError ZeroConstantTermError "
+              "ZeroElementError",
+    "expansions": "XiElement xi_act_a xi_act_b xi_check_simple_pole",
+    "expr": "format_element parse parse_element parse_scalar",
+    "linalg": "QMatrix characteristic_polynomial minimal_polynomial",
+    "modules": "DifferentialSystem Fresco ModuleElement SeriesPoleModule SimplePoleModule "
+               "SpectrumCheck act_on_basis bernstein fresco_act from_differential_system "
+               "is_geometric_spectrum satisfies_system unit_fresco",
+    "oracle": "PolySeries act act_a act_b act_composed injectivity_witness oracle_check_mul",
+    "polynomials": "Poly gaussian_roots interpolate rational_roots",
+    "series": "APolynomial BSeries",
+}
+EXPORTS = {name: (module, name) for module, names in EXPORTED.items() for name in names.split()}
+EXPORTS["module_act"] = ("modules", "act")
+
+
+def test_the_package_exports_its_public_names():
+    assert set(abalg.__all__) == set(EXPORTS) and len(abalg.__all__) == len(EXPORTS)
+    for name, (module, attr) in EXPORTS.items():
+        assert getattr(abalg, name) is getattr(importlib.import_module(f"abalg.{module}"), attr)
+    assert set(EXPORTS) <= set(dir(abalg))
+    namespace = {}
+    exec("from abalg import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(EXPORTS)
+    with pytest.raises(AttributeError):
+        getattr(abalg, "no_such_name")
+    exec("from abalg import division", namespace)
+    assert namespace["division"] is importlib.import_module("abalg.division")
 
 
 # -- the referees must not share the kernels' code -------------------------------

@@ -12,10 +12,11 @@ to order N; both identities are exact in the truncated algebra.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
-from .coefficients import GaussianRational, ONE, common_denominator
+from .coefficients import GaussianRational, ONE, common_denominator, over
 from .elements import (LEFT, RIGHT, AlgebraElement, _by_degree, _from_ints, _scalar_ints,
                        _times_b_power, gen_a, gen_b, mul, scale, shear, with_ordering)
 from .errors import (NotHomogeneousError, NotMonicError, OrderMismatchError,
@@ -222,6 +223,19 @@ def divide(x: AlgebraElement, product: FactoredProduct) -> DivisionResult:
     return DivisionResult(with_ordering(quotient, x.ordering), remainder)
 
 
+@functools.cache
+def _stirling_row(p: int) -> tuple:
+    """([p 0], ..., [p p]): the unsigned Stirling numbers of the first kind,
+    the coefficients of the rising factorial lam(lam+1)...(lam+p-1), by
+    [p+1 k] = p [p k] + [p k-1].  Callers ask for the rows in increasing p,
+    so that each new row finds the one before it cached."""
+    if p == 0:
+        return (1,)
+    prev = _stirling_row(p - 1)
+    return tuple((p - 1) * (prev[k] if k < p else 0) + (prev[k - 1] if k else 0)
+                 for k in range(p + 1))
+
+
 def remainder_polynomial(x: AlgebraElement) -> Poly:
     """The polynomial rho with rho(lam) b^m = remainder of x by (a - lam*b).
 
@@ -230,7 +244,12 @@ def remainder_polynomial(x: AlgebraElement) -> Poly:
     power_division_closed_form), and multiplying on the left by b^q keeps
     that congruence, so x = sum_p c_p b^(m-p) a^p on the RIGHT basis has
 
-        rho(lam) = sum_p c_p lam(lam+1)...(lam+p-1).
+        rho(lam) = sum_p c_p lam(lam+1)...(lam+p-1) = sum_k (sum_p c_p [p k]) lam^k
+
+    with [p k] the unsigned Stirling numbers of the first kind.  With
+    c_p = C_p / D in the layout of coefficients.common_denominator, rho_k is
+    the integer sum_p C_p [p k] over D: one integer matrix-vector product
+    over the cached Stirling triangle, and one division per coefficient.
 
     lam is a root of rho iff (a - lam*b) divides x on the right.
     """
@@ -242,11 +261,16 @@ def remainder_polynomial(x: AlgebraElement) -> Poly:
     m = right.degree
     if right.coefficient(m, 0) != ONE:
         raise NotMonicError("the a^m coefficient must be 1")
-    rho, rising = Poly(), Poly([1])
+    den, table = common_denominator({p: right.coefficient(p, m - p) for p in range(m + 1)})
+    rho_re, rho_im = [0] * (m + 1), [0] * (m + 1)
     for p in range(m + 1):
-        rho = rho + rising * right.coefficient(p, m - p)
-        rising = rising * Poly([p, 1])
-    return rho
+        row = _stirling_row(p)
+        re, im = table[p]
+        if re or im:
+            for k, s in enumerate(row):
+                rho_re[k] += re * s
+                rho_im[k] += im * s
+    return Poly([over(re, im, den) for re, im in zip(rho_re, rho_im)])
 
 
 @dataclass(frozen=True)

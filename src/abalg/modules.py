@@ -372,23 +372,46 @@ def from_differential_system(system: DifferentialSystem, order: int
     b^n, W_d[n] = sum_(s+u=n-1) W_(d-1)[s] X_u + (n-1) W_(d-1)[n-1], and
     W_(d-1)[s] = 0 for s < d (a raises b-valuation), so W_d[t+1] needs only
     X_0..X_(t-1): X_t = [t = 0] M_0 + sum_(d>=1) M_d W_d[t+1] comes one
-    coefficient at a time, as in BSeries.inverse.  Returns the module and
-    the coefficient matrices of X.
+    coefficient at a time, as in BSeries.inverse.
+
+    The recurrence runs on Gaussian-integer matrices: with one common
+    denominator D of all M_d (coefficients.common_denominator) and
+    M~_d = D M_d, the matrices W~_d[n] = D^(n-1) W_d[n] and X~_t = D^(t+1) X_t
+    are integral, since
+
+        W~_d[t+1] = t D W~_(d-1)[t] + sum_(s=d..t) W~_(d-1)[s] X~_(t-s)
+        X~_t = [t = 0] M~_0 + sum_(d>=1) M~_d W~_d[t+1]
+
+    and each sum is one product of a row of blocks by a column of blocks.
+    X_t = X~_t / D^(t+1) is divided out once per entry at the end.  Returns
+    the module and the coefficient matrices of X.
     """
     k = system.rank
-    zero = QMatrix.zeros(k)
-    w = [[zero] * (order + 2) for _ in system.coeffs]  # w[d][n] = W_d[n]
-    w[0][1] = QMatrix.identity(k)
+    top = len(system.coeffs) - 1
+    den, table = common_denominator({(d, i, j): c for d, m in enumerate(system.coeffs)
+                                     for i, r in enumerate(m.rows) for j, c in enumerate(r)})
+    mt = [[[table[d, i, j] for j in range(k)] for i in range(k)] for d in range(top + 1)]
+    zero = [[(0, 0)] * k for _ in range(k)]
+    # M~_1 .. M~_top side by side, for the sum over d
+    m_row = [[z for d in range(1, top + 1) for z in mt[d][i]] for i in range(k)]
+    w = [[zero] * (order + 2) for _ in range(top + 1)]  # w[d][n] = W~_d[n]
+    w[0][1] = _int_identity(k)
     x = []
     for t in range(order + 1):
-        for d in range(1, len(w)):
-            acc = w[d - 1][t].scaled(t)
-            for s in range(d, t + 1):
-                acc = acc + w[d - 1][s] @ x[t - s]
-            w[d][t + 1] = acc
-        x.append(sum((m @ w[d][t + 1] for d, m in enumerate(system.coeffs) if d),
-                     system.residue if t == 0 else zero))
-    module = SeriesPoleModule(tuple(x), order)
+        top_t = min(t, top)  # W~_d[t+1] = 0 for d > t
+        for d in range(1, top_t + 1):
+            prev = w[d - 1]
+            acc = _int_matmul([[z for s in range(d, t + 1) for z in prev[s][i]] for i in range(k)],
+                              [r for s in range(d, t + 1) for r in x[t - s]])
+            f = t * den
+            w[d][t + 1] = [[(ar + f * pr, ai + f * pi) for (ar, ai), (pr, pi) in zip(ra, rp)]
+                           for ra, rp in zip(acc, prev[t])]
+        if top_t:
+            x.append(_int_matmul([r[:k * top_t] for r in m_row],
+                                 [r for d in range(1, top_t + 1) for r in w[d][t + 1]]))
+        else:
+            x.append(mt[0] if t == 0 else zero)
+    module = SeriesPoleModule(tuple(_join(den ** (t + 1), xt) for t, xt in enumerate(x)), order)
     if module.x_at_zero() != system.residue:
         raise AssertionError("X(0) != M(0); internal bug")
     return module, module.x_coeffs

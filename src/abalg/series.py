@@ -13,7 +13,9 @@ up to b^(order-j).
 
 from __future__ import annotations
 
-from .coefficients import GaussianRational, ONE
+import math
+
+from .coefficients import GaussianRational, ONE, common_denominator, over
 from .elements import LEFT, RIGHT, AlgebraElement, Ordering
 from .errors import OrderMismatchError, ZeroConstantTermError
 
@@ -162,18 +164,46 @@ class BSeries:
         return BSeries(n, [self.coeffs[q + 1] * (q + 1) for q in range(min(n + 1, self.order))])
 
     def inverse(self) -> BSeries:
-        """The multiplicative inverse of a unit, by the Cauchy-product recursion."""
-        c0 = self.coeffs[0]
-        if not c0:
+        """The multiplicative inverse of a unit, by the Cauchy-product recursion.
+
+        The loop runs on integers, with invert's normalisation: in the layout
+        of coefficients.common_denominator the series is T / D, and
+        U = conj(T_0) T / g has the positive integer constant term
+        N = |T_0|^2 / g, g the gcd of |T_0|^2 and the parts of conj(T_0) T.
+        Then Y_n = N^(n+1) (U^(-1))_n is a Gaussian integer, with Y_0 = 1 and
+
+            Y_n = - sum_(i=1..n) U_i Y_(n-i) N^(i-1),
+
+        and the inverse has the b^n coefficient D conj(T_0) Y_n / (g N^(n+1)):
+        one division per coefficient, at the end.
+        """
+        if not self.coeffs[0]:
             raise ZeroConstantTermError("b-series with zero constant term has no inverse")
-        inv0 = c0.inverse()
-        out = [inv0]
+        den, table = common_denominator(dict(enumerate(self.coeffs)))
+        cr, ci = table[0]
+        norm = cr * cr + ci * ci
+        u = [(re * cr + im * ci, im * cr - re * ci) for re, im in table.values()]
+        g = math.gcd(norm, *(part for c in u for part in c))
+        norm //= g
+        u = [(re // g, im // g) for re, im in u]
+        powers = [1]  # N^(i-1) for i = 1..order
+        for _ in range(self.order - 1):
+            powers.append(powers[-1] * norm)
+        y = [(1, 0)]
         for n in range(1, self.order + 1):
-            s = GaussianRational()
+            re = im = 0
             for i in range(1, n + 1):
-                if self.coeffs[i]:
-                    s = s + self.coeffs[i] * out[n - i]
-            out.append(-inv0 * s)
+                ur, ui = u[i]
+                if ur or ui:
+                    yr, yi = y[n - i]
+                    p = powers[i - 1]
+                    re += (ur * yr - ui * yi) * p
+                    im += (ur * yi + ui * yr) * p
+            y.append((-re, -im))
+        scale, out = g, []
+        for yr, yi in y:
+            scale *= norm
+            out.append(over(den * (yr * cr + yi * ci), den * (yi * cr - yr * ci), scale))
         return BSeries(self.order, out)
 
     def __repr__(self):

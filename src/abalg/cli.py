@@ -25,9 +25,17 @@ def _emit(doc):
     print(json.dumps(doc, indent=2))
 
 
+#: The largest --order any subcommand accepts; --degree may go to 3 * MAX_ORDER,
+#: its default at that order.  Larger values are usage errors (exit 2).
+MAX_ORDER = 100
+
+
 def _load(path):
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise SchemaError("input file is nested too deeply") from None
 
 
 def _element_args(sub, order_default=8):
@@ -138,11 +146,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _run(args) -> int:
     cmd = args.command
-    if getattr(args, "order", 0) < 0:
-        raise SchemaError("--order must be nonnegative")
+    if not 0 <= getattr(args, "order", 0) <= MAX_ORDER:
+        raise SchemaError(f"--order must be between 0 and {MAX_ORDER}")
     degree = getattr(args, "degree", None)
-    if degree is not None and degree < 0:
-        raise SchemaError("--degree must be nonnegative")
+    if degree is not None and not 0 <= degree <= 3 * MAX_ORDER:
+        raise SchemaError(f"--degree must be between 0 and {3 * MAX_ORDER}")
     # Each branch imports the kernels it uses, so that a process loads only
     # what its subcommand needs.
     if cmd == "normalize":

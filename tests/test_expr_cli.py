@@ -11,7 +11,7 @@ import pytest
 import abalg
 from abalg import checks
 from abalg.checks import random_element
-from abalg.cli import main
+from abalg.cli import MAX_ORDER, main
 from abalg.coefficients import GaussianRational
 from abalg.elements import (LEFT, RIGHT, AlgebraElement, binomial_pow, gen_a, gen_b, mul,
                             scale)
@@ -232,6 +232,27 @@ def test_cli_exit_codes(capsys, tmp_path):
     # bad usage (unknown flag) is 2 as well
     code, _, _ = run_cli(capsys, "normalize", "--nope", "a")
     assert code == 2
+
+
+def test_cli_deeply_nested_json_is_a_schema_error(capsys, tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000)
+    code, out, err = run_cli(capsys, "bernstein", "--matrix", str(deep))
+    assert code == 2 and out == ""
+    assert "nested too deeply" in err and "internal error" not in err
+
+
+def test_cli_order_and_degree_limits(capsys, tmp_path):
+    series = tmp_path / "series.json"
+    series.write_text(json.dumps(polyseries_to_json(PolySeries.monomial(1, 3))))
+    act = ("act", "--input", str(series), "--order", "2", "a")
+    assert run_cli(capsys, "normalize", "--order", str(MAX_ORDER), "a")[0] == 0
+    assert run_cli(capsys, *act, "--degree", str(3 * MAX_ORDER))[0] == 0
+    for argv in [("inv", "--order", str(MAX_ORDER + 1), "1 - a*b"),
+                 ("factor", "--order", str(MAX_ORDER + 1), "a^2"),
+                 act + ("--degree", str(3 * MAX_ORDER + 1))]:
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "" and "must be between 0 and" in err
 
 
 def test_cli_bernstein_geometric_ode2ab(capsys, tmp_path):

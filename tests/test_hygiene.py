@@ -1,19 +1,22 @@
 """Source hygiene: no module of the package imports a name it never uses,
-the package exports a fixed set of names, and the oracle and the
+the package exports a fixed set of names, the oracle and the
 GaussianRational routes of linalg and polynomials stay independent referees
-of the integer kernels.
+of the integer kernels, and every span of the traced benchmark names a
+function or method that exists.
 """
 
 import ast
 import hashlib
 import importlib
+import importlib.util
 from pathlib import Path
 
 import pytest
 
 import abalg
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "abalg"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "abalg"
 MODULES = sorted(SRC.glob("*.py"))
 
 
@@ -165,3 +168,23 @@ def test_the_referee_functions_are_unchanged():
     found = {name: hashlib.sha256(shape(definition(name)).encode()).hexdigest()
              for name in REFEREE_DIGESTS}
     assert found == REFEREE_DIGESTS
+
+
+# -- the traced benchmark's spans ---------------------------------------------------
+
+
+def test_every_traced_span_names_an_existing_function():
+    """A rename in the package must fail here, not in `perfbench/run.py --trace 1`."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracing",
+                                                  ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = []
+    for name, owner, attr in tracing.SPANS:
+        if isinstance(owner, type):
+            found = attr in owner.__dict__
+        else:
+            found = hasattr(importlib.import_module(owner), attr)
+        if not found:
+            missing.append(f"{name}: {owner}.{attr}")
+    assert tracing.SPANS and missing == []

@@ -1,6 +1,7 @@
 """Property tests of the integer kernels: mul, invert, the ordering
 conversions, shear and divide_linear; and of the one-pass module stack:
-remainder_polynomial, factored divide and from_differential_system.
+remainder_polynomial, factored divide, from_differential_system and
+BSeries.inverse.
 
 Inputs are dense and sparse elements at orders 0-10 in both orderings,
 with coefficients of three heights: the small values of the invariant
@@ -10,8 +11,9 @@ The zero element is drawn too.  The oracle `act` referees mul, and
 `act_composed` (composed act_a/act_b on Fractions) referees `act` itself on
 dense, sparse and zero series with degree bounds on both sides of
 deg X + max r; divide_linear referees remainder_polynomial, the product
-identity referees divide, and satisfies_system (the module action
-substituted back into the system) referees from_differential_system.
+identity referees divide, satisfies_system (the module action
+substituted back into the system) referees from_differential_system, and
+BSeries.__mul__ and invert referee BSeries.inverse.
 
 The module layer's integer kernels are refereed on GaussianRationals too:
 `@` by an explicit triple sum, minimal_polynomial by evaluate_poly_at_matrix
@@ -270,6 +272,38 @@ def test_ode2ab_satisfies_the_system(system, order):
     assert len(coeffs) == order + 1 and module.order == order
     assert module.x_at_zero() == system.residue
     assert satisfies_system(module, system)
+
+
+@st.composite
+def gaussian_systems(draw):
+    """Systems whose entries each draw their own height: Gaussian, over mixed denominators."""
+    k = draw(st.integers(1, 3))
+    mats = [QMatrix([[draw(scalars()) for _ in range(k)] for _ in range(k)])
+            for _ in range(draw(st.integers(1, 3)))]
+    return DifferentialSystem(tuple(mats))
+
+
+@given(gaussian_systems(), st.integers(0, 8))
+def test_ode2ab_satisfies_a_system_with_gaussian_entries_over_mixed_denominators(system, order):
+    module, coeffs = from_differential_system(system, order)
+    assert len(coeffs) == order + 1 and module.x_at_zero() == system.residue
+    assert satisfies_system(module, system)
+
+
+@st.composite
+def bseries_units(draw):
+    """A dense or sparse unit b-series whose constant term is not real."""
+    order = draw(orders)
+    rest = st.one_of(st.just(GaussianRational(0)), scalars())
+    return BSeries(order, [draw(scalars().filter(lambda c: c.im))]
+                   + [draw(rest) for _ in range(order)])
+
+
+@given(bseries_units())
+def test_bseries_inverse_of_a_unit_with_a_non_real_constant_term(s):
+    inverse = s.inverse()
+    assert s * inverse == BSeries.one(s.order)
+    assert inverse.to_element() == invert(s.to_element())
 
 
 # -- the module layer: matrices, their polynomials and the rational-root test ------

@@ -399,11 +399,11 @@ def from_differential_system(system: DifferentialSystem, order: int
     x = []
     for t in range(order + 1):
         top_t = min(t, top)  # W~_d[t+1] = 0 for d > t
+        f = t * den
         for d in range(1, top_t + 1):
             prev = w[d - 1]
             acc = _int_matmul([[z for s in range(d, t + 1) for z in prev[s][i]] for i in range(k)],
                               [r for s in range(d, t + 1) for r in x[t - s]])
-            f = t * den
             w[d][t + 1] = [[(ar + f * pr, ai + f * pi) for (ar, ai), (pr, pi) in zip(ra, rp)]
                            for ra, rp in zip(acc, prev[t])]
         if top_t:

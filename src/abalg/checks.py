@@ -195,7 +195,7 @@ def check_grading(rng, count=30, order=9):
         x = random_element(rng, order, terms=3, max_degree=d1).homogeneous_part(d1)
         y = random_element(rng, order, terms=3, max_degree=d2).homogeneous_part(d2)
         for out, deg in ((mul(x, y), d1 + d2), (x.to_right().to_left(), d1)):
-            degrees = {p + q for p, q in out.coeffs}
+            degrees = {p + q for p, q in out.table}
             assert degrees <= {deg}, "operation broke the grading"
         assert shear(random_rational(rng), x).is_homogeneous
         assert anti_automorphism(x).is_homogeneous

@@ -1,9 +1,11 @@
 """Exact scalars: Gaussian rationals re + im*i with arbitrary-precision parts.
 
-Every coefficient in the package is a GaussianRational.  Arithmetic is
-exact (fractions.Fraction underneath, always reduced, positive
-denominator), so equality of algebra elements is decidable and no
-tolerance appears anywhere.
+Every coefficient that the package takes in or gives out is a
+GaussianRational; inside, the kernels work on Gaussian-integer numerators
+over one positive denominator (see common_denominator, and the storage of
+elements.AlgebraElement).  Arithmetic is exact (fractions.Fraction
+underneath, always reduced, positive denominator), so equality of algebra
+elements is decidable and no tolerance appears anywhere.
 """
 
 from __future__ import annotations
@@ -173,14 +175,26 @@ def over(re: int, im: int, den: int) -> GaussianRational:
     return GaussianRational(Fraction(re, den), Fraction(im, den))
 
 
+def _over_the_limit(limit: int) -> AbalgError:
+    return AbalgError(f"coefficient over the {limit}-digit limit for printing")
+
+
 def int_to_str(n: int) -> str:
     """str(n); a domain error beyond the interpreter's digit limit, which stays
     in force because decimal conversion is quadratic in the digit count."""
     try:
         return str(n)
     except ValueError:
-        limit = sys.get_int_max_str_digits()
-        raise AbalgError(f"coefficient over the {limit}-digit limit for printing") from None
+        raise _over_the_limit(sys.get_int_max_str_digits()) from None
+
+
+def check_printable_bits(bits: int):
+    """The error of int_to_str, raised ahead of time for an integer known to
+    be at least 2^bits in size: 2^bits >= 10^limit once 3*bits >= 10*limit,
+    so such an integer has more digits than the limit allows."""
+    limit = sys.get_int_max_str_digits()
+    if limit and 3 * bits >= 10 * limit:
+        raise _over_the_limit(limit)
 
 
 def fraction_to_str(x: Fraction) -> str:

@@ -16,9 +16,9 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .coefficients import GaussianRational, ONE, common_denominator, over
-from .elements import (LEFT, RIGHT, AlgebraElement, _by_degree, _from_ints, _scalar_ints,
-                       _times_b_power, gen_a, gen_b, mul, scale, shear, with_ordering)
+from .coefficients import GaussianRational, ONE, over
+from .elements import (LEFT, RIGHT, AlgebraElement, _by_degree, _times_b_power, gen_a, gen_b,
+                       mul, scale, shear, with_ordering)
 from .errors import (NotHomogeneousError, NotMonicError, OrderMismatchError,
                      ZeroConstantTermError, ZeroElementError)
 from .polynomials import Poly, gaussian_roots
@@ -36,29 +36,29 @@ def invert(x: AlgebraElement) -> AlgebraElement:
     inverse; the truncated algebra is finite-dimensional, so it is
     automatically two-sided.)
 
-    The loop runs on integers: with x' = X / D in the layout of
-    coefficients.common_denominator, it keeps Y_{m,n} = y_{m,n} D^(m+n),
-    which is a Gaussian integer, since
+    The loop runs on integers: with x' = X / D over one denominator, it
+    keeps Y_{m,n} = y_{m,n} D^(m+n), which is a Gaussian integer, since
 
         Y_d = - sum over deg = 1..d of D^(deg-1) (X_deg * Y_(d-deg))_d
 
-    where X_deg is the degree-deg part of X.  The division by D^(m+n), and
-    by the constant term, happens once per coefficient at the end.
+    where X_deg is the degree-deg part of X.  At the end each Y_{m,n} is
+    multiplied by the numerator of the inverse constant term and by
+    D^(N-m-n), so that the result lies over one denominator.
     """
     src = with_ordering(x, LEFT)
-    c0 = src.constant_term
-    if not c0:
+    c0 = src.table.get((0, 0))
+    if c0 is None:
         raise ZeroConstantTermError("constant term is zero; element is not a unit")
     order = x.order
     width = order + 1
     # x' = X / den: dividing the numerators by the constant term's numerator C
     # (times conj(C) over |C|^2) and reducing gives the least such den.
-    _, table = common_denominator(src.coeffs)
-    cr, ci = table.pop((0, 0))
-    den = cr * cr + ci * ci
-    table = {k: (re * cr + im * ci, im * cr - re * ci) for k, (re, im) in table.items()}
-    g = math.gcd(den, *(part for c in table.values() for part in c))
-    den //= g
+    cr, ci = c0
+    norm = cr * cr + ci * ci
+    table = {k: (re * cr + im * ci, im * cr - re * ci)
+             for k, (re, im) in src.table.items() if k != (0, 0)}
+    g = math.gcd(norm, *(part for c in table.values() for part in c))
+    den = norm // g
     x_blocks = _by_degree({k: (re // g, im // g) for k, (re, im) in table.items()}, order)
     y_blocks = [[(0, 0, 1, 0)]]
     # w_blocks[q][e] is b^q times the degree-e part of Y, on the LEFT basis;
@@ -89,10 +89,17 @@ def invert(x: AlgebraElement) -> AlgebraElement:
                         old[0] += re
                         old[1] += im
         y_blocks.append([(*divmod(k, width), -re, -im) for k, (re, im) in acc.items() if re or im])
-    e, (ur, ui) = _scalar_ints(c0.inverse())
-    out = {(m, n): (re * ur - im * ui, re * ui + im * ur)
-           for block in y_blocks for m, n, re, im in block}
-    return with_ordering(_from_ints(order, LEFT, e, out, step=den), x.ordering)
+    # 1/c0 = src.den * conj(C) / |C|^2 = (ur + ui*i) / e in lowest terms
+    ur, ui = src.den * cr, -src.den * ci
+    g = math.gcd(norm, ur, ui)
+    e, ur, ui = norm // g, ur // g, ui // g
+    steps = [den ** (order - d) for d in range(width)]
+    out = {}
+    for block in y_blocks:
+        for m, n, re, im in block:
+            s = steps[m + n]
+            out[(m, n)] = ((re * ur - im * ui) * s, (re * ui + im * ur) * s)
+    return with_ordering(AlgebraElement.from_ints(order, LEFT, e * steps[0], out), x.ordering)
 
 
 def divide_linear(x: AlgebraElement, lam) -> tuple[AlgebraElement, BSeries]:
@@ -105,15 +112,16 @@ def divide_linear(x: AlgebraElement, lam) -> tuple[AlgebraElement, BSeries]:
     lam = GaussianRational.coerce(lam)
     order = x.order
     sheared = shear(lam, with_ordering(x, RIGHT))
+    den = sheared.den
     r_table = {}
     q_table = {}
-    for (p, q), c in sheared.coeffs.items():
+    for (p, q), c in sheared.table.items():
         if p == 0:
-            r_table[q] = c
+            r_table[q] = over(*c, den)
         else:
             q_table[(p - 1, q)] = c
     remainder = BSeries(order, r_table)
-    quotient = AlgebraElement(max(order - 1, 0), RIGHT, q_table)
+    quotient = AlgebraElement.from_ints(max(order - 1, 0), RIGHT, den, q_table)
     quotient = with_ordering(shear(-lam, quotient), x.ordering)
     return quotient, remainder
 
@@ -247,8 +255,7 @@ def remainder_polynomial(x: AlgebraElement) -> Poly:
         rho(lam) = sum_p c_p lam(lam+1)...(lam+p-1) = sum_k (sum_p c_p [p k]) lam^k
 
     with [p k] the unsigned Stirling numbers of the first kind.  With
-    c_p = C_p / D in the layout of coefficients.common_denominator, rho_k is
-    the integer sum_p C_p [p k] over D: one integer matrix-vector product
+    c_p = C_p / D over the element's one denominator, rho_k is the integer sum_p C_p [p k] over D: one integer matrix-vector product
     over the cached Stirling triangle, and one division per coefficient.
 
     lam is a root of rho iff (a - lam*b) divides x on the right.
@@ -259,13 +266,13 @@ def remainder_polynomial(x: AlgebraElement) -> Poly:
         raise NotHomogeneousError("remainder_polynomial expects a homogeneous element")
     right = with_ordering(x, RIGHT)
     m = right.degree
-    if right.coefficient(m, 0) != ONE:
+    den, table = right.den, right.table
+    if table.get((m, 0)) != (den, 0):
         raise NotMonicError("the a^m coefficient must be 1")
-    den, table = common_denominator({p: right.coefficient(p, m - p) for p in range(m + 1)})
     rho_re, rho_im = [0] * (m + 1), [0] * (m + 1)
     for p in range(m + 1):
         row = _stirling_row(p)
-        re, im = table[p]
+        re, im = table.get((p, m - p), (0, 0))
         if re or im:
             for k, s in enumerate(row):
                 rho_re[k] += re * s
@@ -321,8 +328,9 @@ def factor_homogeneous(x: AlgebraElement) -> HomogeneousFactorization:
         raise NotHomogeneousError("factor_homogeneous expects a homogeneous element")
     order = x.order
     right = with_ordering(x, RIGHT)
-    j = min(q for _, q in right.coeffs)
-    stripped = AlgebraElement(order, RIGHT, {(p, q - j): c for (p, q), c in right.coeffs.items()})
+    j = min(q for _, q in right.table)
+    stripped = AlgebraElement.from_ints(order, RIGHT, right.den,
+                                        {(p, q - j): c for (p, q), c in right.table.items()})
     m = stripped.degree
     lead = stripped.coefficient(m, 0)
     core = with_ordering(scale(lead.inverse(), stripped), LEFT)

@@ -17,17 +17,21 @@ reorder_coeff(p, q, j):
     a^p b^q = sum_j reorder_coeff(p,q,j) * b^(q+j) a^(p-j)
     b^q a^p = sum_j (-1)^j reorder_coeff(p,q,j) * a^(p-j) b^(q+j)
 
-Coefficients are stored as GaussianRationals, but the kernels (the
-ordering conversions, mul, shear and division.invert) never add or
-multiply Fractions in their loops.  This is the layout of FLINT's fmpq_poly:
-at entry, coefficients.common_denominator writes an element as one positive
-common denominator D, the lcm of all part denominators, and a table of
-Gaussian-integer numerators, {(p, q): (re, im)} with coefficient
-(re + im*i) / D.  The loops run on Python ints; at exit, _from_ints divides
-each numerator by its denominator once, giving reduced GaussianRational
-parts.  A product of tables over D and D' lies over D*D'; shear's
+An element is stored as FLINT's fmpq_poly stores a polynomial: one
+denominator `den` >= 1 and a table `table` of Gaussian-integer numerators
+{(p, q): (re, im)}, with coefficient (re + im*i) / den, kept in lowest
+terms: no zero entry, and gcd(den, every numerator) == 1.  That form is
+unique (den is the lcm of the denominators of all parts), so equality is
+equality of (den, table).  The kernels (the ordering conversions, mul,
+shear, division.invert, the oracle act) loop on those Python ints, and
+every result is built by AlgebraElement.from_ints, which divides out one
+gcd.  A product of tables over D and D' lies over D*D'; shear's
 coefficients lie over D times a power of the shift's denominator; invert
-keeps its own per-degree denominators (see division.invert).
+scales its per-degree denominators to one (see division.invert).
+
+The public constructor takes a table of GaussianRationals and is the only
+place that splits one; `coeffs` and `coefficient` give them back, built on
+each call, for the printer, JSON and the referees.
 """
 
 from __future__ import annotations
@@ -37,7 +41,8 @@ import math
 from fractions import Fraction
 from functools import cache
 
-from .coefficients import ONE, Coefficient, GaussianRational, RationalLike, common_denominator
+from .coefficients import (ONE, ZERO, Coefficient, GaussianRational, RationalLike,
+                           common_denominator, over)
 from .errors import OrderingMismatchError, OrderMismatchError
 
 
@@ -71,18 +76,18 @@ def reorder_coeff(p: int, q: int, j: int) -> int:
 class AlgebraElement:
     """An element of the order-N quotient algebra, in a fixed normal ordering.
 
-    Immutable.  Zero coefficients are never stored; no stored key exceeds
-    total degree `order`.  Equality demands identical order and ordering:
-    comparing across truncations or orderings raises instead of silently
-    returning False - convert explicitly.
+    Immutable.  Stored as `den` and `table` (see the module docstring); no
+    stored key exceeds total degree `order`.  Equality demands identical
+    order and ordering: comparing across truncations or orderings raises
+    instead of silently returning False - convert explicitly.
     """
 
-    __slots__ = ("order", "ordering", "coeffs")
+    __slots__ = ("order", "ordering", "den", "table")
 
     def __init__(self, order: int, ordering: Ordering, coeffs: dict):
         if order < 0:
             raise ValueError("truncation order must be nonnegative")
-        table = {}
+        split = {}
         for (p, q), c in coeffs.items():
             if p < 0 or q < 0:
                 raise ValueError(f"negative exponent in key {(p, q)}")
@@ -90,15 +95,33 @@ class AlgebraElement:
                 raise ValueError(f"key {(p, q)} exceeds truncation order {order}")
             c = GaussianRational.coerce(c)
             if c:
-                table[(p, q)] = c
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "ordering", ordering)
-        object.__setattr__(self, "coeffs", table)
+                split[(p, q)] = c
+        # The lcm of reduced denominators leaves no common factor: lowest terms.
+        _fill(self, order, ordering, *common_denominator(split))
 
     def __setattr__(self, name, value):
         raise AttributeError("AlgebraElement is immutable")
 
     # -- constructors --------------------------------------------------
+
+    @staticmethod
+    def from_ints(order: int, ordering: Ordering, den: int, table: dict) -> AlgebraElement:
+        """The element with coefficient (re + im*i) / den at each key (p, q) of table.
+
+        den >= 1, and every key must satisfy 0 <= p, q and p + q <= order
+        (not checked: this is the exit of the kernels).  Zero entries are
+        dropped and one gcd over den and all numerators is divided out.
+        """
+        table = {k: (re, im) for k, (re, im) in table.items() if re or im}
+        g = den
+        for re, im in table.values():
+            if g == 1:
+                break
+            g = math.gcd(g, re, im)
+        if g != 1:
+            den //= g
+            table = {k: (re // g, im // g) for k, (re, im) in table.items()}
+        return _make(order, ordering, den, table)
 
     @staticmethod
     def zero(order: int, ordering: Ordering = LEFT) -> AlgebraElement:
@@ -120,40 +143,49 @@ class AlgebraElement:
     # -- structure -------------------------------------------------------
 
     @property
+    def coeffs(self) -> dict:
+        """{(p, q): GaussianRational}, built on each call."""
+        den = self.den
+        return {k: over(re, im, den) for k, (re, im) in self.table.items()}
+
+    @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.table
 
     @property
     def degree(self):
         """Maximal total degree of a stored monomial; None for zero."""
-        return max(p + q for p, q in self.coeffs) if self.coeffs else None
+        return max(p + q for p, q in self.table) if self.table else None
 
     @property
     def valuation(self):
         """Minimal total degree of a stored monomial; None for zero."""
-        return min(p + q for p, q in self.coeffs) if self.coeffs else None
+        return min(p + q for p, q in self.table) if self.table else None
 
     @property
     def is_homogeneous(self) -> bool:
-        return len({p + q for p, q in self.coeffs}) <= 1
+        return len({p + q for p, q in self.table}) <= 1
 
     def coefficient(self, p: int, q: int) -> Coefficient:
-        return self.coeffs.get((p, q), GaussianRational())
+        c = self.table.get((p, q))
+        return ZERO if c is None else over(*c, self.den)
 
     @property
     def constant_term(self) -> Coefficient:
         return self.coefficient(0, 0)
 
     def homogeneous_part(self, n: int) -> AlgebraElement:
-        return AlgebraElement(self.order, self.ordering,
-                              {k: c for k, c in self.coeffs.items() if k[0] + k[1] == n})
+        return AlgebraElement.from_ints(self.order, self.ordering, self.den,
+                                        {k: c for k, c in self.table.items()
+                                         if k[0] + k[1] == n})
 
     def truncated(self, order: int) -> AlgebraElement:
         """Image in the smaller quotient of the given order."""
         if order > self.order:
             raise OrderMismatchError(f"cannot truncate order {self.order} up to {order}")
-        return AlgebraElement(order, self.ordering,
-                              {k: c for k, c in self.coeffs.items() if k[0] + k[1] <= order})
+        return AlgebraElement.from_ints(order, self.ordering, self.den,
+                                        {k: c for k, c in self.table.items()
+                                         if k[0] + k[1] <= order})
 
     def lifted(self, order: int) -> AlgebraElement:
         """The zero-tail representative in a larger quotient.
@@ -164,7 +196,7 @@ class AlgebraElement:
         """
         if order < self.order:
             raise OrderMismatchError(f"cannot lift order {self.order} down to {order}")
-        return AlgebraElement(order, self.ordering, dict(self.coeffs))
+        return _make(order, self.ordering, self.den, self.table)
 
     # -- comparison --------------------------------------------------------
 
@@ -177,7 +209,7 @@ class AlgebraElement:
         if self.ordering is not other.ordering:
             raise OrderingMismatchError(
                 "comparing elements in different orderings; convert explicitly")
-        return self.coeffs == other.coeffs
+        return self.den == other.den and self.table == other.table
 
     __hash__ = None
 
@@ -227,6 +259,24 @@ class AlgebraElement:
         return f"<AlgebraElement order={self.order} {self.ordering.value} {{{terms}}}>"
 
 
+def _fill(x: AlgebraElement, order: int, ordering: Ordering, den: int, table: dict):
+    setattr_ = object.__setattr__
+    setattr_(x, "order", order)
+    setattr_(x, "ordering", ordering)
+    setattr_(x, "den", den)
+    setattr_(x, "table", table)
+
+
+def _make(order: int, ordering: Ordering, den: int, table: dict) -> AlgebraElement:
+    """The element stored as (den, table), which must already be in lowest terms.
+
+    Tables are shared, never mutated.
+    """
+    x = object.__new__(AlgebraElement)
+    _fill(x, order, ordering, den, table)
+    return x
+
+
 def gen_a(order: int) -> AlgebraElement:
     return AlgebraElement.monomial(1, 0, order)
 
@@ -254,40 +304,28 @@ def add(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
     """Coefficientwise sum; the result lives at the smaller of the two orders."""
     _check_same_ordering(x, y)
     order = min(x.order, y.order)
-    out = {k: c for k, c in x.coeffs.items() if k[0] + k[1] <= order}
-    for k, c in y.coeffs.items():
+    den = math.lcm(x.den, y.den)
+    sx, sy = den // x.den, den // y.den
+    out = {k: (re * sx, im * sx) for k, (re, im) in x.table.items() if k[0] + k[1] <= order}
+    for k, (re, im) in y.table.items():
         if k[0] + k[1] <= order:
-            out[k] = out.get(k, GaussianRational()) + c
-    return AlgebraElement(order, x.ordering, out)
+            acc = out.get(k)
+            out[k] = (re * sy, im * sy) if acc is None else (acc[0] + re * sy, acc[1] + im * sy)
+    return AlgebraElement.from_ints(order, x.ordering, den, out)
 
 
 def scale(c, x: AlgebraElement) -> AlgebraElement:
-    c = GaussianRational.coerce(c)
-    if not c:
-        return AlgebraElement.zero(x.order, x.ordering)
-    return AlgebraElement(x.order, x.ordering, {k: c * v for k, v in x.coeffs.items()})
+    e, (cr, ci) = _scalar_ints(GaussianRational.coerce(c))
+    return AlgebraElement.from_ints(x.order, x.ordering, e * x.den,
+                                    {k: (cr * re - ci * im, cr * im + ci * re)
+                                     for k, (re, im) in x.table.items()})
 
 
 def negated(x: AlgebraElement) -> AlgebraElement:
-    return AlgebraElement(x.order, x.ordering, {k: -v for k, v in x.coeffs.items()})
+    return _make(x.order, x.ordering, x.den, {k: (-re, -im) for k, (re, im) in x.table.items()})
 
 
-# -- the integer layout of the kernels (see the module docstring) --------------
-
-def _from_ints(order: int, ordering: Ordering, den: int, table: dict,
-               step: int = 1) -> AlgebraElement:
-    """The element with coefficient (re + im*i) / (den * step^(p+q)) at key (p, q).
-
-    Zero numerators are dropped; every part comes out reduced.
-    """
-    dens = [den * step ** d for d in range(order + 1)]
-    coeffs = {}
-    for (p, q), (re, im) in table.items():
-        if re or im:
-            d = dens[p + q]
-            coeffs[(p, q)] = GaussianRational(Fraction(re, d), Fraction(im, d))
-    return AlgebraElement(order, ordering, coeffs)
-
+# -- helpers of the integer kernels ----------------------------------------------------
 
 @cache
 def _row(p: int, q: int, sign: int) -> tuple:
@@ -328,9 +366,8 @@ def _binomial_rows(s: GaussianRational, top: int) -> tuple[int, list]:
 
 def _reorder(x: AlgebraElement, ordering: Ordering, sign: int) -> AlgebraElement:
     """x rewritten on the basis of `ordering`; sign as in _row."""
-    den, table = common_denominator(x.coeffs)
     out: dict = {}
-    for (p, q), (re, im) in table.items():
+    for (p, q), (re, im) in x.table.items():
         for j, g in enumerate(_row(p, q, sign)):
             key = (p - j, q + j)
             acc = out.get(key)
@@ -339,7 +376,7 @@ def _reorder(x: AlgebraElement, ordering: Ordering, sign: int) -> AlgebraElement
             else:
                 acc[0] += g * re
                 acc[1] += g * im
-    return _from_ints(x.order, ordering, den, out)
+    return AlgebraElement.from_ints(x.order, ordering, x.den, out)
 
 
 def to_right(x: AlgebraElement) -> AlgebraElement:
@@ -401,7 +438,7 @@ def mul(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
     and degree-d' monomials is homogeneous of degree d+d': grading is exact,
     truncation only drops whole degrees > N, and b^q y is built and used one
     degree block at a time.  The loops run on Gaussian-integer numerators
-    under the denominator Dx*Dy (see coefficients.common_denominator).
+    over the denominator Dx*Dy.
     """
     _check_same_ordering(x, y)
     if x.ordering is not LEFT:
@@ -409,11 +446,9 @@ def mul(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
     _check_same_order(x, y)
     order = x.order
     width = order + 1
-    dx, xt = common_denominator(x.coeffs)
-    dy, yt = common_denominator(y.coeffs)
-    y_blocks = _by_degree(yt, order)
+    y_blocks = _by_degree(y.table, order)
     x_by_b_power: dict = {}
-    for (p, q), (re, im) in xt.items():
+    for (p, q), (re, im) in x.table.items():
         x_by_b_power.setdefault(q, []).append((p, re, im))
     acc_re = [0] * (width * width)
     acc_im = [0] * (width * width)
@@ -429,7 +464,7 @@ def mul(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
                     acc_im[k] += xr * wi + xi * wr
     table = {divmod(k, width): (re, im)
              for k, (re, im) in enumerate(zip(acc_re, acc_im)) if re or im}
-    return _from_ints(order, LEFT, dx * dy, table)
+    return AlgebraElement.from_ints(order, LEFT, x.den * y.den, table)
 
 
 def power(x: AlgebraElement, n: int) -> AlgebraElement:
@@ -461,8 +496,8 @@ def anti_automorphism(x: AlgebraElement, ordering: Ordering | None = None) -> Al
     returned as-is.
     """
     swapped = RIGHT if x.ordering is LEFT else LEFT
-    out = {(p, q): (-c if q % 2 else c) for (p, q), c in x.coeffs.items()}
-    result = AlgebraElement(x.order, swapped, out)
+    out = {(p, q): ((-re, -im) if q % 2 else (re, im)) for (p, q), (re, im) in x.table.items()}
+    result = _make(x.order, swapped, x.den, out)
     if ordering is not None:
         result = with_ordering(result, ordering)
     return result
@@ -477,7 +512,8 @@ def binomial_pow(x, p: int, order: int) -> AlgebraElement:
     if p > order:
         raise OrderMismatchError(f"degree {p} exceeds truncation order {order}")
     e, rows = _binomial_rows(GaussianRational.coerce(x), p)
-    return _from_ints(order, RIGHT, e ** p, {(p - j, j): c for j, c in enumerate(rows[p])})
+    return AlgebraElement.from_ints(order, RIGHT, e ** p,
+                                    {(p - j, j): c for j, c in enumerate(rows[p])})
 
 
 def shear(x, X: AlgebraElement) -> AlgebraElement:
@@ -491,7 +527,7 @@ def shear(x, X: AlgebraElement) -> AlgebraElement:
     (see _binomial_rows).
     """
     src = with_ordering(X, RIGHT)
-    den, table = common_denominator(src.coeffs)
+    table = src.table
     top = max((p for p, _ in table), default=0)
     e, rows = _binomial_rows(GaussianRational.coerce(x), top)
     out: dict = {}
@@ -505,7 +541,7 @@ def shear(x, X: AlgebraElement) -> AlgebraElement:
             else:
                 acc[0] += re
                 acc[1] += im
-    result = _from_ints(X.order, RIGHT, den * e ** top, out)
+    result = AlgebraElement.from_ints(X.order, RIGHT, src.den * e ** top, out)
     return with_ordering(result, X.ordering)
 
 

@@ -15,7 +15,9 @@ offset and the expected-token set.
 Sums and products of any length parse into one flat node each and are
 folded left to right in a loop.  Parentheses and unary minus signs may nest
 at most MAX_NESTING deep; deeper input is a parse error, not a recursion
-overflow.
+overflow.  An exponent is at most MAX_EXPONENT, and a power whose constant
+term is not 0, 1, -1, i or -i must not have a constant term too large to
+print (see _check_power): both end huge powers before they are computed.
 
 The canonical printer orders terms by (total degree, b-power), which makes
 CLI output byte-stable, and renders coefficients so that the output always
@@ -27,7 +29,7 @@ from __future__ import annotations
 import sys
 from fractions import Fraction
 
-from .coefficients import GaussianRational, int_to_str
+from .coefficients import GaussianRational, check_printable_bits, int_to_str
 from .elements import LEFT, AlgebraElement, Ordering, gen_a, gen_b, mul, power
 from .errors import ExprError
 
@@ -114,6 +116,12 @@ Expression = tuple
 #: Each level costs a few interpreter frames in the parser and elaborator.
 MAX_NESTING = 100
 
+#: The largest exponent literal.  With a unit constant term (0, 1, -1, i or
+#: -i) a power's coefficients grow only polynomially in the exponent, and
+#: this bounds the squarings; other constant terms are bounded by the
+#: printing limit first (see _check_power).
+MAX_EXPONENT = 100_000
+
 
 class _Parser:
     def __init__(self, tokens, text):
@@ -174,6 +182,9 @@ class _Parser:
             tok = self.peek()
             if tok.kind != "number" or tok.value.denominator != 1 or tok.value < 0:
                 self.fail(("natural number exponent",))
+            if tok.value > MAX_EXPONENT:
+                raise ExprError(tok.offset, (f"an exponent of at most {MAX_EXPONENT}",),
+                                str(tok.value))
             self.take()
             node = ("pow", node, int(tok.value))
         return node
@@ -226,8 +237,45 @@ def elaborate(node: Expression, order: int) -> AlgebraElement:
             acc = mul(acc, elaborate(factor, order))
         return acc
     if kind == "pow":
-        return power(elaborate(node[1], order), node[2])
+        base = elaborate(node[1], order)
+        _check_power(base, node[2])
+        return power(base, node[2])
     raise AssertionError(f"unknown node {kind}")
+
+
+def _floor_log2(a: int, b: int) -> int:
+    """floor(log2(a / b)) for positive integers a, b."""
+    t = a.bit_length() - b.bit_length()
+    return t if a << max(-t, 0) >= b << max(t, 0) else t - 1
+
+
+def _check_power(x: AlgebraElement, n: int):
+    """Raise the printing-limit error when the constant term c^n of x^n is
+    certain to print past it, before x^n is computed.
+
+    Write c = (re + im*i) / D in lowest terms, not 0 and not a unit of Z[i],
+    c^n = A1/A2 + (B1/B2)*i in lowest terms, and M for the largest of
+    |A1|, A2, |B1|, B2, all of which the printer writes out.  Then:
+      - |c|^(2n) = A^2 + B^2 <= 2 M^2;
+      - |c|^(2n) >= 1 / (A2 B2)^2 >= M^-4;
+      - M^2 >= A2 B2 >= lcm(A2, B2) = D^n / g, where g is the largest integer
+        dividing both D^n and (re + im*i)^n in Z[i].  No odd prime p | D
+        divides (re + im*i)^n: p is prime in Z[i], or p = pi conj(pi) with
+        at most one of pi, conj(pi) dividing re + im*i.  And 2 = -i(1+i)^2
+        while (1+i)^2 does not divide re + im*i, so g <= 2^(n/2), and
+        M^4 >= (D^2 / 2)^n.
+    Each bound gives a number of bits that M certainly reaches.
+    """
+    c = x.table.get((0, 0))
+    if c is None:
+        return
+    re, im = c
+    den2 = x.den * x.den
+    if den2 == 1 and abs(re) + abs(im) == 1:
+        return  # c^n is a unit too
+    t = _floor_log2(re * re + im * im, den2)  # 2^t <= |c|^2 < 2^(t+1)
+    check_printable_bits(max((t * n - 1) // 2, -(t + 1) * n // 4,
+                             (den2.bit_length() - 2) * n // 4))
 
 
 def parse_element(text: str, order: int, ordering: Ordering = LEFT) -> AlgebraElement:

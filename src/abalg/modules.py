@@ -166,8 +166,7 @@ def act_on_basis(x: AlgebraElement, module: SimplePoleModule) -> list[QMatrix]:
     if x.order < module.order:
         raise OrderMismatchError(
             f"element order {x.order} below module b-order {module.order}")
-    e, table = common_denominator(x.coeffs)
-    common, den, z = _z_numerators([(range(module.rank), e, table)], module)
+    common, den, z = _z_numerators([(range(module.rank), x.den, x.table)], module)
     return [_join(common * den ** j, zj) for j, zj in enumerate(z)]
 
 
@@ -188,7 +187,7 @@ def act(x: AlgebraElement, v: ModuleElement, module: SimplePoleModule) -> Module
     for i, series in enumerate(v.entries):
         if not series.is_zero:
             w = with_ordering(mul(left, series.to_element(x.order)), RIGHT)
-            parts.append(((i,), *common_denominator(w.coeffs)))
+            parts.append(((i,), w.den, w.table))
     common, den, z = _z_numerators(parts, module)
     k = module.rank
     sums = [[(sum(zj[i][l][0] for i in range(k)), sum(zj[i][l][1] for i in range(k)))

@@ -15,16 +15,17 @@ through the closed kernel u_m = sum r!/(q+r)! x_{p,q} t_r, once by
 composing the elementary act_a/act_b - and the two are cross-checked
 against each other in the tests.
 
-The kernel `act` runs on Gaussian integers in the layout of the algebra
-kernels (coefficients.common_denominator: an integer table over one
-positive denominator), with an integral scale F_m per output degree m
-(see `act`).  `act_composed`, `act_a` and `act_b` stay on Fractions, one
+The kernel `act` runs on Gaussian integers: the element's own table over
+its one denominator, and the series split the same way
+(coefficients.common_denominator), with an integral scale F_m per output
+degree m (see `act`).  `act_composed`, `act_a` and `act_b` stay on Fractions, one
 coefficient at a time, and share no arithmetic with `act`, so they remain
 an independent referee of it.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .coefficients import GaussianRational, ONE, common_denominator
@@ -108,8 +109,8 @@ def act(X: AlgebraElement, f: PolySeries) -> PolySeries:
 
     Output coefficient of z^m is  sum over p+q+r = m of r!/(q+r)! x_{p,q} t_r.
 
-    The sum runs on integers.  With X = (table) / Dx and f = (table) / Dt in
-    the layout of coefficients.common_denominator, let r0 be the smallest
+    The sum runs on integers.  With X = (table) / Dx as stored and
+    f = (table) / Dt by coefficients.common_denominator, let r0 be the smallest
     exponent of f that reaches z^m.  Every term reaching z^m has r >= r0
     and q + r <= m, so with F_m = m!/r0! = (r0+1)...m each weight
 
@@ -123,7 +124,7 @@ def act(X: AlgebraElement, f: PolySeries) -> PolySeries:
     if X.ordering is not LEFT:
         raise OrderingMismatchError("act expects a LEFT-ordered element")
     bound = f.degree_bound
-    dx, xt = common_denominator(X.coeffs)
+    dx, xt = X.den, X.table
     dt, tt = common_denominator(f.coeffs)
     blocks: dict = {}
     for (p, q), c in xt.items():
@@ -201,10 +202,10 @@ def _default_witness_bound(P: AlgebraElement) -> int:
     # A factorization of P over C has each root bounded in terms of the
     # coefficient data; for Gaussian-rational input the vanishing slots
     # r+1 = root are confined below max numerator + degree + 1.
-    biggest = 0
-    for c in P.coeffs.values():
-        biggest = max(biggest, abs(c.re.numerator), abs(c.im.numerator))
-    return int(biggest) + (P.degree or 0) + 1
+    # the largest numerator of a part in lowest terms
+    biggest = max((abs(part) // math.gcd(part, P.den) for c in P.table.values() for part in c),
+                  default=0)
+    return biggest + (P.degree or 0) + 1
 
 
 def injectivity_witness(P: AlgebraElement, r_max: int | None = None) -> int:

@@ -63,10 +63,10 @@ class BSeries:
     def from_element(x: AlgebraElement) -> BSeries:
         """Read off an AlgebraElement all of whose terms have p = 0."""
         table = {}
-        for (p, q), c in x.coeffs.items():
+        for (p, q), c in x.table.items():
             if p != 0:
                 raise ValueError(f"element has an a-power term {(p, q)}; not a b-series")
-            table[q] = c
+            table[q] = over(*c, x.den)
         return BSeries(x.order, table)
 
     def to_element(self, order: int | None = None, ordering: Ordering = LEFT) -> AlgebraElement:
@@ -299,12 +299,11 @@ class APolynomial:
     @staticmethod
     def from_element(x: AlgebraElement) -> APolynomial:
         right = x.with_ordering(RIGHT)
-        k = max((p for p, _ in right.coeffs), default=0)
-        parts = []
-        for j in range(k + 1):
-            parts.append(BSeries(x.order - j,
-                                 {q: c for (p, q), c in right.coeffs.items() if p == j}))
-        return APolynomial(x.order, parts)
+        k = max((p for p, _ in right.table), default=0)
+        parts = [{} for _ in range(k + 1)]
+        for (p, q), c in right.table.items():
+            parts[p][q] = over(*c, right.den)
+        return APolynomial(x.order, [BSeries(x.order - j, t) for j, t in enumerate(parts)])
 
     def __repr__(self):
         body = " + ".join(f"[{s!r}]a^{j}" for j, s in enumerate(self.parts)) or "0"

@@ -231,3 +231,33 @@ def test_homogeneous_part_and_degrees():
     assert not x.is_homogeneous
     assert x.homogeneous_part(2).is_homogeneous
     assert x.homogeneous_part(5).is_zero
+
+
+# -- one representation ----------------------------------------------------------------
+
+def test_the_kernels_construct_no_gaussian_rational(monkeypatch):
+    """Elements are stored as integer tables over one denominator, and the
+    kernels read and build those tables directly: a GaussianRational made
+    inside one of them would be a split or join of the old layout."""
+    keys = [(p, d - p) for d in range(7) for p in range(d + 1)]
+    values = [GaussianRational(Fraction(k + 1, 3 + k % 4), Fraction(2 - k, 5 + k % 3))
+              for k in range(len(keys))]
+    x = AlgebraElement(6, LEFT, dict(zip(keys, values)))
+    y = AlgebraElement(6, LEFT, dict(zip(keys, reversed(values))))
+    x_right = AlgebraElement(6, RIGHT, dict(zip(keys, values)))
+    s = GaussianRational(Fraction(-3, 2), Fraction(2, 3))
+    made = []
+    original = GaussianRational.__init__
+
+    def counted(self, *args):
+        made.append(args)
+        original(self, *args)
+
+    monkeypatch.setattr(GaussianRational, "__init__", counted)
+    from abalg.division import invert
+    results = [mul(x, y), to_right(x), to_left(x_right), shear(s, x), shear(s, x_right),
+               invert(x), power(x, 5), add(x, y), anti_automorphism(x),
+               anti_automorphism(x_right, LEFT)]
+    assert made == []
+    monkeypatch.undo()
+    assert all(not r.is_zero for r in results)

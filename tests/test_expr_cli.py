@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import random
 import subprocess
@@ -15,8 +16,9 @@ from abalg.cli import MAX_ORDER, main
 from abalg.coefficients import GaussianRational
 from abalg.elements import (LEFT, RIGHT, AlgebraElement, binomial_pow, gen_a, gen_b, mul,
                             scale)
-from abalg.errors import ExprError
-from abalg.expr import MAX_NESTING, format_element, parse, parse_element, parse_scalar
+from abalg.errors import AbalgError, ExprError
+from abalg.expr import (MAX_EXPONENT, MAX_NESTING, format_element, parse, parse_element,
+                        parse_scalar)
 from abalg.jsonio import (coeff_from_json, element_from_json, element_to_json, matrix_to_json,
                           polyseries_from_json, polyseries_to_json, system_to_json,
                           xi_from_json, xi_to_json)
@@ -92,6 +94,18 @@ def test_nesting_is_limited():
             parse(opener * (levels + 1) + "a" + closer * (levels + 1))
         assert err.value.offset == MAX_NESTING
     assert parse_element(" + ".join(["(a)"] * 2 * MAX_NESTING), 3) == 2 * MAX_NESTING * a
+
+
+def test_exponents_are_limited():
+    a = gen_a(3)
+    assert parse_element(f"a^{MAX_EXPONENT}", 3).is_zero
+    assert parse_element(f"(1 + a)^{MAX_EXPONENT}", 3) == sum(
+        (scale(math.comb(MAX_EXPONENT, k), a ** k) for k in range(1, 4)), AlgebraElement.one(3))
+    for text in (f"a^{MAX_EXPONENT + 1}", "(1/3 + a)^1000000000000"):
+        with pytest.raises(ExprError) as err:
+            parse(text)
+        assert err.value.offset == text.index("^") + 1
+        assert f"at most {MAX_EXPONENT}" in str(err.value)
 
 
 def test_imaginary_arithmetic():
@@ -304,6 +318,59 @@ def test_cli_literal_beyond_the_digit_limit_is_a_parse_error(capsys):
     assert f"at most {DIGIT_LIMIT} digits" in err and "internal error" not in err
     code, _, err = run_cli(capsys, "normalize", "--order", "1", "1/" + digits)
     assert code == 2 and "offset 2" in err and "internal error" not in err
+
+
+@needs_digit_limit
+@pytest.mark.parametrize("text", [
+    f"(1/3 + a + b)^{MAX_EXPONENT}",
+    "((1/3)^50000)^50000",
+    "((3/5 + 4/5*i)^40000)^40000",
+    "(2^3000 + a)^2000",
+    "(1/2^3000 + b)^2000",
+])
+def test_cli_power_with_a_huge_constant_term_is_a_domain_error_before_it_is_computed(capsys,
+                                                                                     text):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "normalize", "--order", "12", text)
+    assert time.perf_counter() - start < 5
+    assert code == 3 and out == ""
+    assert f"{DIGIT_LIMIT}-digit limit" in err and "internal error" not in err
+
+
+@pytest.mark.parametrize("text", [f"(1 + a + b)^{MAX_EXPONENT}", f"(i - a*b)^{MAX_EXPONENT - 1}",
+                                  f"(a + b)^{MAX_EXPONENT}"])
+def test_cli_power_with_a_unit_or_zero_constant_term_ends_in_bounded_time(capsys, text):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "normalize", "--order", "12", text)
+    assert time.perf_counter() - start < 5
+    assert code == 0 and err == ""
+
+
+@needs_digit_limit
+def test_the_early_power_error_only_fires_when_printing_would_fail():
+    """Wherever the power check raises, the constant term c^n does not print."""
+    rng = random.Random(5)
+    values = [Fraction(1, 3), Fraction(2), Fraction(-3, 2), Fraction(5, 4), Fraction(7, 8)]
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)  # the smallest limit there is, so that c^n stays cheap
+    try:
+        raised = 0
+        for _ in range(300):
+            c = GaussianRational(rng.choice(values + [0]), rng.choice(values + [0]))
+            if not c or c in (1, -1) or c == GaussianRational(0, 1) or c == GaussianRational(0, -1):
+                continue
+            n = rng.randrange(1, 6000)
+            text = f"(({format_element(AlgebraElement.scalar(c, 0))}) + a)^{n}"
+            try:
+                parse_element(text, 1)
+            except AbalgError as exc:
+                assert "digit limit" in str(exc)
+                raised += 1
+                with pytest.raises(AbalgError):
+                    format_element(AlgebraElement.scalar(c ** n, 0))
+        assert raised > 50
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 @pytest.mark.parametrize("text, expected", [

@@ -25,8 +25,14 @@ products with an integer quadratic and an integer scale, and modules.act by
 the basis law summed over RIGHT monomials.
 Matrices are 1x1 to 6x6: dense or sparse over distinct denominators, zero,
 scalar and nilpotent.
+
+Every element kernel's result is checked to be stored in lowest terms (one
+denominator, no zero entry, no common factor) and to agree with its
+GaussianRational view; printing and JSON are checked to round-trip
+elements with Gaussian coefficients over mixed denominators.
 """
 
+import json
 import math
 import random
 import time
@@ -42,8 +48,11 @@ from hypothesis import strategies as st  # noqa: E402
 from abalg.coefficients import GaussianRational  # noqa: E402
 from abalg.division import (FactoredProduct, divide, divide_linear, invert,  # noqa: E402
                             remainder_polynomial)
-from abalg.elements import (LEFT, RIGHT, AlgebraElement, gen_a, gen_b, mul,  # noqa: E402
-                            scale, shear, to_left, to_right, with_ordering)
+from abalg.elements import (LEFT, RIGHT, AlgebraElement, add,  # noqa: E402
+                            anti_automorphism, binomial_pow, gen_a, gen_b, mul, power, scale,
+                            shear, to_left, to_right, with_ordering)
+from abalg.expr import format_element, parse_element  # noqa: E402
+from abalg.jsonio import element_from_json, element_to_json  # noqa: E402
 from abalg.linalg import (QMatrix, characteristic_polynomial,  # noqa: E402
                           evaluate_poly_at_matrix, matrix_power_sequence,
                           minimal_polynomial, solve_dependency)
@@ -143,6 +152,74 @@ def series_for(draw, x):
 def test_act_agrees_with_the_composed_action(xf):
     x, f = xf
     assert act(x, f) == act_composed(x, f)
+
+
+# -- storage in lowest terms, and the GaussianRational view --------------------------
+
+
+def stored_in_lowest_terms(x) -> bool:
+    parts = [part for c in x.table.values() for part in c]
+    return (x.den >= 1 and all(re or im for re, im in x.table.values())
+            and math.gcd(x.den, *parts) == 1
+            and all(p >= 0 and q >= 0 and p + q <= x.order for p, q in x.table)
+            and all(type(c) is tuple and len(c) == 2 for c in x.table.values()))
+
+
+def agrees_with_its_view(x) -> bool:
+    view = x.coeffs
+    keys = [(p, d - p) for d in range(x.order + 1) for p in range(d + 1)]
+    return (AlgebraElement(x.order, x.ordering, view) == x
+            and all(x.coefficient(*k) == view.get(k, 0) for k in keys)
+            and all(view[k] == GaussianRational(Fraction(re, x.den), Fraction(im, x.den))
+                    for k, (re, im) in x.table.items()))
+
+
+@given(orders.flatmap(lambda n: st.tuples(elements(n), elements(n), elements(n, unit=True),
+                                          st.integers(0, n))),
+       scalars())
+def test_every_kernel_result_is_stored_in_lowest_terms(case, s):
+    x, y, u, k = case
+    n = x.order
+    xl, yl = with_ordering(x, LEFT), with_ordering(y, LEFT)
+    other = RIGHT if x.ordering is LEFT else LEFT
+    zero = AlgebraElement.zero(n)
+    results = [x, y, u, mul(xl, yl), mul(xl, zero), with_ordering(x, other), shear(s, x),
+               invert(u), power(xl, 3), add(x, with_ordering(y, x.ordering)), x - x, -x,
+               scale(s, x), scale(0, x), anti_automorphism(x), x.truncated(k),
+               x.homogeneous_part(k), x.lifted(n + 1), binomial_pow(s, k, n),
+               divide_linear(x, s)[0]]
+    for r in results:
+        assert stored_in_lowest_terms(r)
+        assert agrees_with_its_view(r)
+        if r.is_zero:
+            assert r.den == 1 and r.table == {}
+    assert (x - x).is_zero and scale(0, x).is_zero and mul(xl, zero).is_zero
+
+
+def mixed_coefficients():
+    part = st.one_of(st.integers(-5, 5),
+                     st.fractions(min_value=-10 ** 6, max_value=10 ** 6, max_denominator=10 ** 4))
+    return st.builds(GaussianRational, part, part)
+
+
+@st.composite
+def mixed_elements(draw):
+    """An element of order <= 8 in either ordering, each coefficient over its own denominator."""
+    order = draw(st.integers(0, 8))
+    keys = [(p, d - p) for d in range(order + 1) for p in range(d + 1)]
+    chosen = draw(st.lists(st.sampled_from(keys), unique=True, max_size=len(keys)))
+    return AlgebraElement(order, draw(st.sampled_from([LEFT, RIGHT])),
+                          {k: draw(mixed_coefficients()) for k in chosen})
+
+
+@given(st.one_of(mixed_elements(), orders.flatmap(elements)))
+def test_printing_and_parsing_round_trip(x):
+    assert parse_element(format_element(x), x.order, x.ordering) == x
+
+
+@given(st.one_of(mixed_elements(), orders.flatmap(elements)))
+def test_json_round_trip(x):
+    assert element_from_json(json.loads(json.dumps(element_to_json(x)))) == x
 
 
 def _dense_left(order):

@@ -255,8 +255,9 @@ def remainder_polynomial(x: AlgebraElement) -> Poly:
         rho(lam) = sum_p c_p lam(lam+1)...(lam+p-1) = sum_k (sum_p c_p [p k]) lam^k
 
     with [p k] the unsigned Stirling numbers of the first kind.  With
-    c_p = C_p / D over the element's one denominator, rho_k is the integer sum_p C_p [p k] over D: one integer matrix-vector product
-    over the cached Stirling triangle, and one division per coefficient.
+    c_p = C_p / D over the element's one denominator, rho_k is the integer
+    sum_p C_p [p k] over D: one integer matrix-vector product over the
+    cached Stirling triangle, and one division per coefficient.
 
     lam is a root of rho iff (a - lam*b) divides x on the right.
     """

@@ -254,8 +254,9 @@ def _check_power(x: AlgebraElement, n: int):
     certain to print past it, before x^n is computed.
 
     Write c = (re + im*i) / D in lowest terms, not 0 and not a unit of Z[i],
-    c^n = A1/A2 + (B1/B2)*i in lowest terms, and M for the largest of
-    |A1|, A2, |B1|, B2, all of which the printer writes out.  Then:
+    c^n = A + B*i with A = A1/A2 and B = B1/B2 in lowest terms, and M for
+    the largest of |A1|, A2, |B1|, B2, all of which the printer writes out.
+    Then:
       - |c|^(2n) = A^2 + B^2 <= 2 M^2;
       - |c|^(2n) >= 1 / (A2 B2)^2 >= M^-4;
       - M^2 >= A2 B2 >= lcm(A2, B2) = D^n / g, where g is the largest integer

@@ -18,9 +18,9 @@ against each other in the tests.
 The kernel `act` runs on Gaussian integers: the element's own table over
 its one denominator, and the series split the same way
 (coefficients.common_denominator), with an integral scale F_m per output
-degree m (see `act`).  `act_composed`, `act_a` and `act_b` stay on Fractions, one
-coefficient at a time, and share no arithmetic with `act`, so they remain
-an independent referee of it.
+degree m (see `act`).  `act_composed`, `act_a` and `act_b` stay on
+Fractions, one coefficient at a time, and share no arithmetic with `act`,
+so they remain an independent referee of it.
 """
 
 from __future__ import annotations
@@ -201,8 +201,8 @@ def oracle_check_mul(X: AlgebraElement, Y: AlgebraElement, degree_bound: int) ->
 def _default_witness_bound(P: AlgebraElement) -> int:
     # A factorization of P over C has each root bounded in terms of the
     # coefficient data; for Gaussian-rational input the vanishing slots
-    # r+1 = root are confined below max numerator + degree + 1.
-    # the largest numerator of a part in lowest terms
+    # r+1 = root are confined below max numerator + degree + 1 (the
+    # numerators of the parts in lowest terms).
     biggest = max((abs(part) // math.gcd(part, P.den) for c in P.table.values() for part in c),
                   default=0)
     return biggest + (P.degree or 0) + 1

@@ -5,6 +5,7 @@ import pytest
 
 from abalg.checks import random_element
 from abalg.coefficients import GaussianRational
+from abalg.division import invert
 from abalg.elements import (LEFT, RIGHT, AlgebraElement, add, anti_automorphism,
                             binomial_pow, coefficient_profile, gen_a, gen_b, mul,
                             power, reorder_coeff, scale, shear, to_left, to_right)
@@ -238,7 +239,7 @@ def test_homogeneous_part_and_degrees():
 def test_the_kernels_construct_no_gaussian_rational(monkeypatch):
     """Elements are stored as integer tables over one denominator, and the
     kernels read and build those tables directly: a GaussianRational made
-    inside one of them would be a split or join of the old layout."""
+    inside one of them means it converts a table to coefficients and back."""
     keys = [(p, d - p) for d in range(7) for p in range(d + 1)]
     values = [GaussianRational(Fraction(k + 1, 3 + k % 4), Fraction(2 - k, 5 + k % 3))
               for k in range(len(keys))]
@@ -254,7 +255,6 @@ def test_the_kernels_construct_no_gaussian_rational(monkeypatch):
         original(self, *args)
 
     monkeypatch.setattr(GaussianRational, "__init__", counted)
-    from abalg.division import invert
     results = [mul(x, y), to_right(x), to_left(x_right), shear(s, x), shear(s, x_right),
                invert(x), power(x, 5), add(x, y), anti_automorphism(x),
                anti_automorphism(x_right, LEFT)]

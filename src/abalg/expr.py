@@ -26,6 +26,7 @@ re-parses to the same element.
 
 from __future__ import annotations
 
+import math
 import sys
 from fractions import Fraction
 
@@ -271,7 +272,9 @@ def _check_power(x: AlgebraElement, n: int):
     if c is None:
         return
     re, im = c
-    den2 = x.den * x.den
+    g = math.gcd(x.den, re, im)  # x.den is shared by every coefficient of x
+    re, im, den = re // g, im // g, x.den // g
+    den2 = den * den
     if den2 == 1 and abs(re) + abs(im) == 1:
         return  # c^n is a unit too
     t = _floor_log2(re * re + im * im, den2)  # 2^t <= |c|^2 < 2^(t+1)

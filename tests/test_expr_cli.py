@@ -338,7 +338,8 @@ def test_cli_power_with_a_huge_constant_term_is_a_domain_error_before_it_is_comp
 
 
 @pytest.mark.parametrize("text", [f"(1 + a + b)^{MAX_EXPONENT}", f"(i - a*b)^{MAX_EXPONENT - 1}",
-                                  f"(a + b)^{MAX_EXPONENT}"])
+                                  f"(a + b)^{MAX_EXPONENT}", "(1 + 1/3*a)^30000",
+                                  f"(-i + 1/7*a + 1/9*b)^{MAX_EXPONENT}"])
 def test_cli_power_with_a_unit_or_zero_constant_term_ends_in_bounded_time(capsys, text):
     start = time.perf_counter()
     code, out, err = run_cli(capsys, "normalize", "--order", "12", text)
@@ -347,20 +348,27 @@ def test_cli_power_with_a_unit_or_zero_constant_term_ends_in_bounded_time(capsys
 
 
 @needs_digit_limit
+def test_cli_power_whose_constant_term_prints_is_not_refused_for_other_denominators(capsys):
+    """2^12000 has 3613 digits; the 1/1000003 of a must not count toward c^n."""
+    code, out, err = run_cli(capsys, "normalize", "--order", "3", "(2 + 1/1000003*a)^12000")
+    assert code == 0 and err == "" and f"\"{2 ** 12000}/1\"" in out
+
+
+@needs_digit_limit
 def test_the_early_power_error_only_fires_when_printing_would_fail():
-    """Wherever the power check raises, the constant term c^n does not print."""
+    """Wherever the power check raises, the constant term c^n does not print,
+    also when another coefficient of the base has a larger denominator than c."""
     rng = random.Random(5)
     values = [Fraction(1, 3), Fraction(2), Fraction(-3, 2), Fraction(5, 4), Fraction(7, 8)]
+    others = ["a", "1/7*a", "1/1000003*a", "(2/3 + 1/9*i)*a", "1/6*a + 1/35*b"]
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(640)  # the smallest limit there is, so that c^n stays cheap
     try:
         raised = 0
         for _ in range(300):
-            c = GaussianRational(rng.choice(values + [0]), rng.choice(values + [0]))
-            if c in (0, 1, -1) or c in (GaussianRational(0, 1), GaussianRational(0, -1)):
-                continue
+            c = GaussianRational(rng.choice(values + [0, 1, -1]), rng.choice(values + [0, 1, -1]))
             n = rng.randrange(1, 6000)
-            text = f"(({format_element(AlgebraElement.scalar(c, 0))}) + a)^{n}"
+            text = f"(({format_element(AlgebraElement.scalar(c, 0))}) + {rng.choice(others)})^{n}"
             try:
                 parse_element(text, 1)
             except AbalgError as exc:

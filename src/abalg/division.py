@@ -36,14 +36,19 @@ def invert(x: AlgebraElement) -> AlgebraElement:
     inverse; the truncated algebra is finite-dimensional, so it is
     automatically two-sided.)
 
-    The loop runs on integers: with x' = X / D over one denominator, it
-    keeps Y_{m,n} = y_{m,n} D^(m+n), which is a Gaussian integer, since
+    The loop runs on integers, each degree over its own denominator.  The
+    degree-k part of x' is X_k / D_k, D_k its least denominator.  With
+    L_0 = 1 and L_d the lcm of D_k L_(d-k) over the k = 1..d for which
+    both X_k and y_(d-k) are nonzero (1 if there is none), Y_d = L_d y_d
+    is a Gaussian integer, since
 
-        Y_d = - sum over deg = 1..d of D^(deg-1) (X_deg * Y_(d-deg))_d
+        Y_d = - sum over those k of (L_d / (D_k L_(d-k))) (X_k * Y_(d-k))_d
 
-    where X_deg is the degree-deg part of X.  At the end each Y_{m,n} is
-    multiplied by the numerator of the inverse constant term and by
-    D^(N-m-n), so that the result lies over one denominator.
+    and each factor L_d / (D_k L_(d-k)) is an integer; each k's products
+    are summed first and scaled by its factor once per key.  So the
+    numerators stay near the size of the result's, where one denominator D
+    for all of x' would scale y_d by D^d.  At the end every block is
+    brought over e lcm(L_0, ..., L_N), with 1/c0 = u / e in lowest terms.
     """
     src = with_ordering(x, LEFT)
     c0 = src.table.get((0, 0))
@@ -51,55 +56,64 @@ def invert(x: AlgebraElement) -> AlgebraElement:
         raise ZeroConstantTermError("constant term is zero; element is not a unit")
     order = x.order
     width = order + 1
-    # x' = X / den: dividing the numerators by the constant term's numerator C
-    # (times conj(C) over |C|^2) and reducing gives the least such den.
+    # x' = x / c0 - 1: the numerators times conj(C) are over |C|^2, C the
+    # constant term's numerator; one gcd per degree block gives D_k.
     cr, ci = c0
     norm = cr * cr + ci * ci
     table = {k: (re * cr + im * ci, im * cr - re * ci)
              for k, (re, im) in src.table.items() if k != (0, 0)}
-    g = math.gcd(norm, *(part for c in table.values() for part in c))
-    den = norm // g
-    x_blocks = _by_degree({k: (re // g, im // g) for k, (re, im) in table.items()}, order)
+    x_blocks = []
+    dens = []
+    for block in _by_degree(table, order):
+        g = math.gcd(norm, *(part for _, _, re, im in block for part in (re, im)))
+        x_blocks.append([(p, q, re // g, im // g) for p, q, re, im in block])
+        dens.append(norm // g)
     y_blocks = [[(0, 0, 1, 0)]]
-    # w_blocks[q][e] is b^q times the degree-e part of Y, on the LEFT basis;
-    # it is needed up to e = w_top[q], where the x-term a^p b^q of least p runs out.
+    scales = [1]  # L_d
+    # w_blocks[q][e] is b^q times Y_e, on the LEFT basis; it is needed up
+    # to e = w_top[q], where the x-term a^p b^q of least p runs out.
     w_top = {}
     for p, q in table:
         w_top[q] = max(w_top.get(q, 0), order - p - q)
     w_blocks = {q: [] for q in w_top}
+    # Y_d is summed in acc at the keys m * width + (d - m), which no other
+    # degree shares; part holds one k's products while they await their factor.
+    acc_re, acc_im, part_re, part_im = ([0] * (width * width) for _ in range(4))
     for d in range(1, width):
         for q, blocks in w_blocks.items():
             if d - 1 <= w_top[q]:
                 blocks.append(_times_b_power(q, y_blocks[d - 1], width))
-        # Horner's rule in den, from the highest deg down
-        acc: dict = {}
-        for deg in range(d, 0, -1):
-            for v in acc.values():
-                v[0] *= den
-                v[1] *= den
-            for p, q, xr, xi in x_blocks[deg]:
+        parts = [k for k in range(1, d + 1) if x_blocks[k] and y_blocks[d - k]]
+        scale_d = math.lcm(*(dens[k] * scales[d - k] for k in parts))
+        keys = range(d, d * width + 1, width - 1)  # m = 0..d
+        for k in parts:
+            f = scale_d // (dens[k] * scales[d - k])
+            sum_re, sum_im = (acc_re, acc_im) if f == 1 else (part_re, part_im)
+            for p, q, xr, xi in x_blocks[k]:
                 shift = p * width
-                for k, wr, wi in w_blocks[q][d - deg]:
-                    k += shift
-                    re, im = xr * wr - xi * wi, xr * wi + xi * wr
-                    old = acc.get(k)
-                    if old is None:
-                        acc[k] = [re, im]
-                    else:
-                        old[0] += re
-                        old[1] += im
-        y_blocks.append([(*divmod(k, width), -re, -im) for k, (re, im) in acc.items() if re or im])
+                for i, wr, wi in w_blocks[q][d - k]:
+                    i += shift
+                    sum_re[i] += xr * wr - xi * wi
+                    sum_im[i] += xr * wi + xi * wr
+            if f != 1:
+                for i in keys:
+                    acc_re[i] += f * part_re[i]
+                    acc_im[i] += f * part_im[i]
+                    part_re[i] = part_im[i] = 0
+        y_blocks.append([(m, d - m, -acc_re[i], -acc_im[i])
+                         for m, i in enumerate(keys) if acc_re[i] or acc_im[i]])
+        scales.append(scale_d)
     # 1/c0 = src.den * conj(C) / |C|^2 = (ur + ui*i) / e in lowest terms
     ur, ui = src.den * cr, -src.den * ci
     g = math.gcd(norm, ur, ui)
     e, ur, ui = norm // g, ur // g, ui // g
-    steps = [den ** (order - d) for d in range(width)]
+    common = math.lcm(*scales)
     out = {}
-    for block in y_blocks:
+    for block, s in zip(y_blocks, scales):
+        s = common // s
         for m, n, re, im in block:
-            s = steps[m + n]
             out[(m, n)] = ((re * ur - im * ui) * s, (re * ui + im * ur) * s)
-    return with_ordering(AlgebraElement.from_ints(order, LEFT, e * steps[0], out), x.ordering)
+    return with_ordering(AlgebraElement.from_ints(order, LEFT, e * common, out), x.ordering)
 
 
 def divide_linear(x: AlgebraElement, lam) -> tuple[AlgebraElement, BSeries]:
@@ -182,6 +196,11 @@ class FactoredProduct:
     def __len__(self):
         return len(self.factors)
 
+    @functools.cached_property
+    def unit_inverses(self) -> tuple:
+        """S_i^(-1) for each factor, at the product's order, computed once."""
+        return tuple(s.inverse() for _, s in self.factors)
+
     def expanded(self, order: int | None = None) -> AlgebraElement:
         order = self.order if order is None else order
         out = AlgebraElement.one(order)
@@ -219,8 +238,9 @@ def divide(x: AlgebraElement, product: FactoredProduct) -> DivisionResult:
     quotient = with_ordering(x, LEFT)
     tail = AlgebraElement.one(order)
     rem = AlgebraElement.zero(order)
-    for lam, s in reversed(product.factors):
-        s_inv = s.truncated(quotient.order).inverse().to_element()
+    # The inverse of a truncation is the truncation of the inverse.
+    for (lam, s), s_inv in zip(reversed(product.factors), reversed(product.unit_inverses)):
+        s_inv = s_inv.truncated(quotient.order).to_element()
         quotient, r = divide_linear(mul(quotient, s_inv), lam)
         s_tail = mul(s.to_element(order), tail)
         rem = rem + mul(r.to_element(order), s_tail)

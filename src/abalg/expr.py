@@ -42,12 +42,13 @@ _LETTERS = {"a", "b", "i"}
 
 
 class _Token:
-    __slots__ = ("kind", "value", "offset")
+    __slots__ = ("kind", "value", "offset", "source")
 
-    def __init__(self, kind, value, offset):
+    def __init__(self, kind, value, offset, source):
         self.kind = kind      # 'letter' | 'number' | one of _SYMBOLS | 'end'
         self.value = value
         self.offset = offset
+        self.source = source  # the literal text, as an error message quotes it
 
     def __repr__(self):
         return f"Token({self.kind}, {self.value!r}, @{self.offset})"
@@ -63,11 +64,11 @@ def _tokenize(text: str) -> list[_Token]:
             pos += 1
             continue
         if ch in _SYMBOLS:
-            out.append(_Token(ch, ch, pos))
+            out.append(_Token(ch, ch, pos, ch))
             pos += 1
             continue
         if ch in _LETTERS:
-            out.append(_Token("letter", ch, pos))
+            out.append(_Token("letter", ch, pos, ch))
             pos += 1
             continue
         if ch.isdigit():
@@ -87,10 +88,10 @@ def _tokenize(text: str) -> list[_Token]:
                 den = _int_literal(text, dstart, pos)
                 if den == 0:
                     raise ExprError(dstart, ("nonzero denominator",), "0")
-            out.append(_Token("number", Fraction(num, den), start))
+            out.append(_Token("number", Fraction(num, den), start, text[start:pos]))
             continue
         raise ExprError(pos, ("'a'", "'b'", "'i'", "number", "'('", "operator"), repr(ch))
-    out.append(_Token("end", None, n))
+    out.append(_Token("end", None, n, ""))
     return out
 
 
@@ -141,15 +142,15 @@ class _Parser:
 
     def fail(self, expected):
         tok = self.peek()
-        found = tok.value if tok.kind != "end" else "end of input"
-        raise ExprError(tok.offset, expected, repr(found) if tok.kind != "end" else found)
+        raise ExprError(tok.offset, expected,
+                        repr(tok.source) if tok.kind != "end" else "end of input")
 
     def nest(self, tok: _Token):
         """Enter one more level of parentheses or unary minus at `tok`."""
         self.depth += 1
         if self.depth > MAX_NESTING:
             raise ExprError(tok.offset, (f"at most {MAX_NESTING} nested parentheses and "
-                                         "unary minus signs",), repr(tok.value))
+                                         "unary minus signs",), repr(tok.source))
 
     def parse(self) -> Expression:
         node = self.expr()

@@ -80,9 +80,16 @@ def element_from_json(doc) -> AlgebraElement:
 
 # -- b-series and factored products ----------------------------------------
 
-def bseries_from_json(doc) -> BSeries:
+def bseries_from_json(doc, order: int | None = None) -> BSeries:
+    """The b-series of an element document, cut at b^order if order is given.
+
+    The cut comes before the series is built, so a huge truncation order in
+    the document costs nothing beyond the order asked for.
+    """
     from .series import BSeries
     x = element_from_json(doc)
+    if order is not None and x.order > order:
+        x = x.truncated(order)
     try:
         return BSeries.from_element(x)
     except ValueError as exc:
@@ -94,7 +101,7 @@ def factored_product_from_json(doc, order: int | None = None) -> FactoredProduct
     factors = []
     for entry in _need(doc, "factors", list):
         lam = coeff_from_json(_need(entry, "lambda"))
-        s = bseries_from_json(_need(entry, "S"))
+        s = bseries_from_json(_need(entry, "S"), order)
         factors.append((lam, s))
     if not factors:
         raise SchemaError("a factored product needs at least one factor")
@@ -134,7 +141,10 @@ def polyseries_from_json(doc) -> PolySeries:
         if m < 0 or m > bound:
             raise SchemaError(f"exponent {m} outside [0, {bound}]")
         table[m] = coeff_from_json(entry)
-    return PolySeries(bound, table)
+    try:
+        return PolySeries(bound, table)
+    except ValueError as exc:
+        raise SchemaError(str(exc)) from exc
 
 
 # -- matrices and differential systems --------------------------------------------
@@ -149,7 +159,10 @@ def matrix_from_json(doc) -> QMatrix:
     entries = _need(doc, "entries", list)
     if len(entries) != k or any(not isinstance(r, list) or len(r) != k for r in entries):
         raise SchemaError(f"entries must be a {k}x{k} array")
-    return QMatrix([[coeff_from_json(c) for c in row] for row in entries])
+    try:
+        return QMatrix([[coeff_from_json(c) for c in row] for row in entries])
+    except ValueError as exc:
+        raise SchemaError(str(exc)) from exc
 
 
 def system_to_json(sys: DifferentialSystem) -> dict:
@@ -193,9 +206,16 @@ def xi_to_json(xi: XiElement) -> dict:
             "terms": terms}
 
 
+#: The largest log depth an expansion document may declare.  b maps a symbol
+#: of log depth j to j + 1 symbols, whose weights come from a j-step recursion.
+MAX_LOG_DEPTH = 100
+
+
 def xi_from_json(doc) -> XiElement:
     dim = _need(doc, "dim", int)
     depth = _need(doc, "log_depth", int)
+    if depth > MAX_LOG_DEPTH:
+        raise SchemaError(f"log_depth must be at most {MAX_LOG_DEPTH}")
     table = {}
     max_m = 0
     for entry in _need(doc, "terms", list):

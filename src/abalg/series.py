@@ -166,8 +166,8 @@ class BSeries:
     def inverse(self) -> BSeries:
         """The multiplicative inverse of a unit, by the Cauchy-product recursion.
 
-        The loop runs on integers, with invert's normalisation: in the layout
-        of coefficients.common_denominator the series is T / D, and
+        The loop runs on integers, normalised by the constant term: in the
+        layout of coefficients.common_denominator the series is T / D, and
         U = conj(T_0) T / g has the positive integer constant term
         N = |T_0|^2 / g, g the gcd of |T_0|^2 and the parts of conj(T_0) T.
         Then Y_n = N^(n+1) (U^(-1))_n is a Gaussian integer, with Y_0 = 1 and

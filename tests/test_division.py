@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from abalg import division
 from abalg.checks import random_bseries_unit, random_element, random_unit
 from abalg.coefficients import GaussianRational
 from abalg.division import (FactoredProduct, divide, divide_linear, factor_homogeneous,
@@ -58,6 +59,41 @@ def test_invert_agrees_with_series_inverse_on_b():
     n = 9
     s = BSeries(n, {0: 2, 1: GaussianRational(Fraction(-1, 2)), 3: 1})
     assert invert(s.to_element()) == s.inverse().to_element()
+
+
+def _bits(n: int) -> int:
+    return abs(n).bit_length()
+
+
+@pytest.mark.parametrize("order", [8, 9, 10])
+def test_invert_numerators_stay_near_the_size_of_the_result(monkeypatch, order):
+    """Each degree of the inverse is carried over its own denominator, so no
+    numerator the loop feeds to _times_b_power is much longer than the
+    largest part (denominator or numerator) of the reduced result; one
+    denominator for all of x' would scale degree d by D^d, about three times
+    the result's size on these units."""
+    r = random.Random(4099 + order)
+
+    def part():
+        return Fraction(r.randrange(2 ** 19, 2 ** 20) * r.choice((1, -1)),
+                        r.randrange(2 ** 9, 2 ** 10))
+
+    keys = [(p, d - p) for d in range(order + 1) for p in range(d + 1)]
+    x = AlgebraElement(order, LEFT, {k: GaussianRational(part(), part()) for k in keys})
+    seen = []
+    original = division._times_b_power
+
+    def spy(q, terms, width):
+        seen.extend(max(_bits(re), _bits(im)) for _, _, re, im in terms)
+        return original(q, terms, width)
+
+    monkeypatch.setattr(division, "_times_b_power", spy)
+    y = invert(x)
+    monkeypatch.undo()
+    result = max([_bits(y.den)] + [max(_bits(re), _bits(im)) for re, im in y.table.values()])
+    assert result > 1000 and seen
+    assert max(seen) <= result + 32
+    assert mul(x, y) == AlgebraElement.one(order)
 
 
 def test_invert_requires_unit():
@@ -146,6 +182,28 @@ def test_divide_product_random_identity():
         z = random_element(r, n, terms=3)
         res2 = divide(x + mul(z, product.expanded()), product)
         assert res2.remainder == res.remainder
+
+
+def test_divide_inverts_each_unit_part_once(monkeypatch):
+    r = rng()
+    n = 8
+    product = FactoredProduct(tuple((GaussianRational(k), random_bseries_unit(r, n))
+                                    for k in range(3)), n)
+    dividends = [random_element(r, n, terms=5) for _ in range(4)]
+    inverted = []
+    original = BSeries.inverse
+
+    def counted(self):
+        inverted.append(self.order)
+        return original(self)
+
+    monkeypatch.setattr(BSeries, "inverse", counted)
+    results = [divide(x, product) for x in dividends]
+    monkeypatch.undo()
+    assert inverted == [n] * 3
+    for x, res in zip(dividends, results):
+        recon = mul(res.quotient.lifted(n), product.expanded()) + res.remainder.to_element(LEFT)
+        assert recon == x
 
 
 def test_divide_needs_enough_order():

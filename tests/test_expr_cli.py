@@ -60,6 +60,26 @@ def test_parse_errors(bad, offset):
     assert err.value.offset == offset
 
 
+@pytest.mark.parametrize("bad, found", [
+    ("a^1/2", "'1/2'"),
+    ("a^6/4", "'6/4'"),
+    ("a 3", "'3'"),
+    ("2 ^ b", "'b'"),
+    ("(a", "end of input"),
+])
+def test_parse_errors_quote_the_literal_text(bad, found):
+    with pytest.raises(ExprError) as err:
+        parse(bad)
+    assert err.value.found == found
+
+
+def test_cli_parse_error_quotes_the_number_as_written(capsys):
+    code, out, err = run_cli(capsys, "normalize", "a^1/2")
+    assert code == 2 and out == ""
+    assert err == ("error: parse error at offset 2: expected natural number exponent, "
+                   "found '1/2'\n")
+
+
 def test_no_implicit_multiplication():
     with pytest.raises(ExprError):
         parse("2a")

@@ -251,6 +251,46 @@ def test_invert_is_a_two_sided_inverse(x):
     assert mul(yl, xl) == one
 
 
+@st.composite
+def graded_units(draw):
+    """A unit of order 0-8 whose degree blocks lie over distinct denominators.
+
+    Some blocks are empty (degree 1 among them, often), so that invert's
+    per-degree scales skip those degrees; the constant term is a Gaussian
+    rational of norm other than 1.
+    """
+    order = draw(st.integers(0, 8))
+    ordering = draw(st.sampled_from([LEFT, RIGHT]))
+    dens = draw(st.lists(st.sampled_from([1, 2, 3, 4, 9, 25, 49] + PRIMES_10_BIT[:6]),
+                         min_size=order + 1, max_size=order + 1, unique=True))
+    empty = draw(st.sets(st.integers(1, max(order, 1))))
+    re, im = draw(st.tuples(st.integers(-5, 5), st.integers(-5, 5))
+                  .filter(lambda c: c[0] ** 2 + c[1] ** 2 > 1))
+    table = {(0, 0): GaussianRational(Fraction(re, dens[0]), Fraction(im, dens[0]))}
+    numerators = st.integers(-30, 30)
+    for d in range(1, order + 1):
+        if d in empty:
+            continue
+        keys = [(p, d - p) for p in range(d + 1)]
+        for k in draw(st.lists(st.sampled_from(keys), min_size=1, unique=True)):
+            table[k] = GaussianRational(Fraction(draw(numerators), dens[d]),
+                                        Fraction(draw(numerators), dens[d]))
+    return AlgebraElement(order, ordering, table)
+
+
+@given(graded_units())
+def test_invert_of_a_unit_with_graded_denominators(x):
+    y = invert(x)
+    assert y.ordering is x.ordering and stored_in_lowest_terms(y)
+    xl, yl = with_ordering(x, LEFT), with_ordering(y, LEFT)
+    n = x.order
+    one = AlgebraElement.one(n)
+    assert mul(xl, yl) == one and mul(yl, xl) == one
+    for r in range(n + 1):
+        f = PolySeries.monomial(r, n + r)
+        assert act(xl, act(yl, f)) == f and act(yl, act(xl, f)) == f
+
+
 @given(orders.flatmap(elements))
 def test_ordering_conversions_are_inverse(x):
     if x.ordering is LEFT:

@@ -202,16 +202,19 @@ def fraction_to_str(x: Fraction) -> str:
     return f"{int_to_str(x.numerator)}/{int_to_str(x.denominator)}"
 
 
+def _is_digits(text: str) -> bool:
+    return text.isascii() and text.isdigit()
+
+
 def fraction_from_str(text: str) -> Fraction:
-    """Parse "num/den" (den optional, defaults to 1).  Raises SchemaError."""
+    """Parse "num/den": an optional "-", ASCII digits, then optionally "/" and
+    ASCII digits (den defaults to 1).  Raises SchemaError on anything else."""
     if not isinstance(text, str):
         raise SchemaError(f"rational must be a string, got {type(text).__name__}")
     num, sep, den = text.partition("/")
+    if not _is_digits(num.removeprefix("-")) or (sep and not _is_digits(den)):
+        raise SchemaError(f"bad rational string {text!r}")
     try:
-        if sep:
-            value = Fraction(int(num), int(den))
-        else:
-            value = Fraction(int(num))
+        return Fraction(int(num), int(den) if sep else 1)
     except (ValueError, ZeroDivisionError) as exc:
         raise SchemaError(f"bad rational string {text!r}") from exc
-    return value

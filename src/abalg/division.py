@@ -8,6 +8,12 @@ division theory here: a single linear form (a - lam*b), and products
 with each S_i a unit of the b-subalgebra.  The quotient of an order-N
 dividend is determined to order N-k and the remainder (a-degree <= k-1)
 to order N; both identities are exact in the truncated algebra.
+
+Both run on the LEFT integer table.  Through the symbol of each degree (see
+divide_linear), division by a - lam*b is one synthetic division per degree;
+a factored division peels the factors from the right, each peel a
+convolution in the b-power by S_i^(-1) and one synthetic division, and
+takes R = x - Q P with P expanded once per product.
 """
 
 from __future__ import annotations
@@ -16,9 +22,9 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .coefficients import GaussianRational, ONE, over
-from .elements import (LEFT, RIGHT, AlgebraElement, _by_degree, _times_b_power, gen_a, gen_b,
-                       mul, scale, shear, with_ordering)
+from .coefficients import GaussianRational, ONE, common_denominator, over
+from .elements import (LEFT, RIGHT, AlgebraElement, _by_degree, _scalar_ints, _times_b_power,
+                       mul, scale, with_ordering)
 from .errors import (NotHomogeneousError, NotMonicError, OrderMismatchError,
                      ZeroConstantTermError, ZeroElementError)
 from .polynomials import Poly, gaussian_roots
@@ -116,28 +122,73 @@ def invert(x: AlgebraElement) -> AlgebraElement:
     return with_ordering(AlgebraElement.from_ints(order, LEFT, e * common, out), x.ordering)
 
 
+def _synthetic_division(x: AlgebraElement, lam: GaussianRational) -> tuple[AlgebraElement, list]:
+    """Q and the remainder parts of x = Q (a - lam*b) + R, for LEFT-ordered x.
+
+    Degree n runs the back-substitution of divide_linear on integers, down
+    to r_n = g_(-1): with x over den, lam = L / e (L a Gaussian integer) and
+    G_k = g_k den e^(n-1-k),
+
+        G_(n-1) = X_(n,0),   G_(k-1) = X_(k,n-k) e^(n-k) - ((k-n+1) e - L) G_k,
+
+    and r_n = G_(-1) / (den e^n).  Degrees where x is zero are skipped.  Q
+    comes back at order N-1 over den e^(N-1); R as [(re, im, den)] per degree.
+    """
+    e, (lr, li) = _scalar_ints(lam)
+    order, den = x.order, x.den
+    top = max(order - 1, 0)
+    powers = [1]
+    for _ in range(order):
+        powers.append(powers[-1] * e)
+    rows = [None] * (order + 1)  # rows[n][p] = X_(p,n-p)
+    for (p, q), c in x.table.items():
+        row = rows[p + q]
+        if row is None:
+            row = rows[p + q] = [(0, 0)] * (p + q + 1)
+        row[p] = c
+    q_table = {}
+    rem = []
+    for n, row in enumerate(rows):
+        if row is None:
+            rem.append((0, 0, 1))
+            continue
+        gr, gi = row[n]
+        cr = -lr  # the real part of (k-n+1) e - L
+        for k in range(n - 1, -1, -1):
+            s = powers[top - n + 1 + k]
+            q_table[(k, n - 1 - k)] = (gr * s, gi * s)
+            xr, xi = row[k]
+            f = powers[n - k]
+            gr, gi = xr * f - cr * gr - li * gi, xi * f - cr * gi + li * gr
+            cr -= e
+        rem.append((gr, gi, den * powers[n]))
+    return AlgebraElement.from_ints(top, LEFT, den * powers[top], q_table), rem
+
+
 def divide_linear(x: AlgebraElement, lam) -> tuple[AlgebraElement, BSeries]:
     """Unique Q, R with  x = Q (a - lam*b) + R,  R a series in b.
 
-    Shear by lam to reduce to division by a, split off the a-free part of
-    the RIGHT form, shear the quotient back.  Q comes back at order N-1
+    In the faithful representation (a multiplies by z, b is the primitive)
+    the degree-n part of a LEFT element has the symbol
+
+        P_n(u) = sum_p x_(p,n-p) u(u-1)...(u-p+1),
+
+    products multiply symbols as R_n(u) = sum_(d+e=n) X_d(u) Y_e(u-d), and
+    a - lam*b has the symbol u - lam.  So degree n of the identity reads
+    P_n(u) = Q_(n-1)(u) (u - c) + r_n with c = n-1+lam, and since
+    (u - c) u(u-1)...(u-k+1) = u(u-1)...(u-k) + (k - c) u(u-1)...(u-k+1),
+    the coefficients g_k of Q_(n-1) follow by back-substitution:
+
+        g_(n-1) = x_(n,0),   g_(k-1) = x_(k,n-k) - (k - c) g_k,
+
+    and r_n = x_(0,n) + c g_0 is the next step, g_(-1).
+
+    That runs on the LEFT integer table (_synthetic_division); a RIGHT x is
+    converted once on entry and Q once on exit.  Q comes back at order N-1
     (that is how far it is determined), R at order N.
     """
-    lam = GaussianRational.coerce(lam)
-    order = x.order
-    sheared = shear(lam, with_ordering(x, RIGHT))
-    den = sheared.den
-    r_table = {}
-    q_table = {}
-    for (p, q), c in sheared.table.items():
-        if p == 0:
-            r_table[q] = over(*c, den)
-        else:
-            q_table[(p - 1, q)] = c
-    remainder = BSeries(order, r_table)
-    quotient = AlgebraElement.from_ints(max(order - 1, 0), RIGHT, den, q_table)
-    quotient = with_ordering(shear(-lam, quotient), x.ordering)
-    return quotient, remainder
+    quotient, rem = _synthetic_division(with_ordering(x, LEFT), GaussianRational.coerce(lam))
+    return with_ordering(quotient, x.ordering), BSeries(x.order, [over(*r) for r in rem])
 
 
 def power_division_closed_form(m: int, lam) -> tuple[AlgebraElement, BSeries]:
@@ -198,17 +249,26 @@ class FactoredProduct:
 
     @functools.cached_property
     def unit_inverses(self) -> tuple:
-        """S_i^(-1) for each factor, at the product's order, computed once."""
-        return tuple(s.inverse() for _, s in self.factors)
+        """S_i^(-1) for each factor, at the product's order, computed once, as
+        (den, [(j, re, im)]) with coefficient (re + im*i) / den at b^j."""
+        out = []
+        for _, s in self.factors:
+            den, table = common_denominator(dict(enumerate(s.inverse().coeffs)))
+            out.append((den, [(j, re, im) for j, (re, im) in table.items() if re or im]))
+        return tuple(out)
+
+    @functools.cached_property
+    def _expansion(self) -> AlgebraElement:
+        out = AlgebraElement.one(self.order)
+        a = AlgebraElement.monomial(1, 0, self.order)
+        b = AlgebraElement.monomial(0, 1, self.order)
+        for lam, s in self.factors:
+            out = mul(mul(out, a - scale(lam, b)), s.to_element(self.order))
+        return out
 
     def expanded(self, order: int | None = None) -> AlgebraElement:
-        order = self.order if order is None else order
-        out = AlgebraElement.one(order)
-        a = AlgebraElement.monomial(1, 0, order)
-        b = AlgebraElement.monomial(0, 1, order)
-        for lam, s in self.factors:
-            out = mul(mul(out, a - scale(lam, b)), s.to_element(order))
-        return out
+        """The product, at an order up to its own (the default); expanded once."""
+        return self._expansion if order in (None, self.order) else self._expansion.truncated(order)
 
 
 @dataclass(frozen=True)
@@ -219,14 +279,37 @@ class DivisionResult:
     remainder: APolynomial      # order N, a-degree <= k-1
 
 
+def _times_series(x: AlgebraElement, den: int, terms: list) -> AlgebraElement:
+    """x S for LEFT x and S = sum (re + im*i) / den b^j over terms [(j, re, im)]
+    in increasing j: a^p b^q b^j = a^p b^(q+j), a convolution in q."""
+    order = x.order
+    out: dict = {}
+    for (p, q), (xr, xi) in x.table.items():
+        room = order - p - q
+        for j, sr, si in terms:
+            if j > room:
+                break
+            key = (p, q + j)
+            re, im = xr * sr - xi * si, xr * si + xi * sr
+            acc = out.get(key)
+            if acc is None:
+                out[key] = [re, im]
+            else:
+                acc[0] += re
+                acc[1] += im
+    return AlgebraElement.from_ints(order, LEFT, x.den * den, out)
+
+
 def divide(x: AlgebraElement, product: FactoredProduct) -> DivisionResult:
     """Division with remainder by a factored product, peeling factors from the right.
 
-    With F_i = (a - lam_i b) S_i and x_k = x, divide x_i S_i^{-1} =
-    x_(i-1) (a - lam_i b) + r_i for i = k..1; then Q = x_0 and
-    R = sum_i r_i S_i P_(i+1) with the running tail P_(i+1) = F_(i+1)...F_k.
-    x_i is carried at order N-(k-i), as far as it is determined; r_i beyond
-    that order meets P_(i+1), of valuation k-i, only above degree N.
+    With x_k = x, x_(i-1) is the quotient of x_i S_i^(-1) by (a - lam_i b)
+    for i = k..1 (divide_linear's synthetic division; the product by
+    S_i^(-1) is a convolution in the b-power of the LEFT table), and Q = x_0.
+    x_i is carried at order N-(k-i), as far as it is determined.  Then
+    R = x - Q P with the product P expanded once per FactoredProduct.  Since
+    the division is unique, R has a-degree <= k-1 exactly when Q is right,
+    so that bound is checked.
     """
     k = len(product)
     if x.order < k:
@@ -235,16 +318,13 @@ def divide(x: AlgebraElement, product: FactoredProduct) -> DivisionResult:
         raise OrderMismatchError(
             f"divisor known only to order {product.order} < dividend order {x.order}")
     order = x.order
-    quotient = with_ordering(x, LEFT)
-    tail = AlgebraElement.one(order)
-    rem = AlgebraElement.zero(order)
-    # The inverse of a truncation is the truncation of the inverse.
-    for (lam, s), s_inv in zip(reversed(product.factors), reversed(product.unit_inverses)):
-        s_inv = s_inv.truncated(quotient.order).to_element()
-        quotient, r = divide_linear(mul(quotient, s_inv), lam)
-        s_tail = mul(s.to_element(order), tail)
-        rem = rem + mul(r.to_element(order), s_tail)
-        tail = mul(gen_a(order) - scale(lam, gen_b(order)), s_tail)
+    left = with_ordering(x, LEFT)
+    quotient = left
+    # _times_series drops the terms above the quotient's order: the inverse
+    # of a truncation is the truncation of the inverse.
+    for (lam, _), (den, terms) in zip(reversed(product.factors), reversed(product.unit_inverses)):
+        quotient, _ = _synthetic_division(_times_series(quotient, den, terms), lam)
+    rem = left - mul(quotient.lifted(order), product.expanded(order))
     remainder = APolynomial.from_element(rem)
     if remainder.a_degree is not None and remainder.a_degree > k - 1:
         raise AssertionError("remainder a-degree exceeded k-1; internal bug")

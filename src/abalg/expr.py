@@ -182,7 +182,7 @@ class _Parser:
         if self.peek().kind == "^":
             self.take()
             tok = self.peek()
-            if tok.kind != "number" or tok.value.denominator != 1 or tok.value < 0:
+            if tok.kind != "number" or "/" in tok.source:  # "^" nat: no "4/2"
                 self.fail(("natural number exponent",))
             if tok.value > MAX_EXPONENT:
                 raise ExprError(tok.offset, (f"an exponent of at most {MAX_EXPONENT}",),

@@ -214,6 +214,8 @@ MAX_LOG_DEPTH = 100
 def xi_from_json(doc) -> XiElement:
     dim = _need(doc, "dim", int)
     depth = _need(doc, "log_depth", int)
+    if dim < 0 or depth < 0:
+        raise SchemaError("dim and log_depth must be nonnegative")
     if depth > MAX_LOG_DEPTH:
         raise SchemaError(f"log_depth must be at most {MAX_LOG_DEPTH}")
     table = {}

@@ -52,3 +52,17 @@ def test_rational_strings():
     for bad in ("", "1/0", "x", "1.5", None):
         with pytest.raises(SchemaError):
             fraction_from_str(bad)
+
+
+@pytest.mark.parametrize("bad", [" 1", "1_0", "+1", "1/ 2", " 1_0 ", "1/-2", "1/", "/2", "-",
+                                 "--1", "\u0661", "1/\u0662"])
+def test_rational_strings_are_decimal_num_slash_den_only(bad):
+    # int() alone would take spaces, underscores, "+" and non-ASCII digits
+    with pytest.raises(SchemaError):
+        fraction_from_str(bad)
+
+
+def test_rational_strings_take_an_optional_minus_and_ascii_digits():
+    assert fraction_from_str("-0/5") == 0
+    assert fraction_from_str("007/010") == Fraction(7, 10)
+    assert fraction_from_str("-12") == -12

@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from abalg import division
-from abalg.checks import random_bseries_unit, random_element, random_unit
+from abalg import division, elements
+from abalg.checks import _divide_by_the_tail, random_bseries_unit, random_element, random_unit
 from abalg.coefficients import GaussianRational
 from abalg.division import (FactoredProduct, divide, divide_linear, factor_homogeneous,
                             invert, power_division_closed_form, remainder_polynomial)
@@ -204,6 +204,69 @@ def test_divide_inverts_each_unit_part_once(monkeypatch):
     for x, res in zip(dividends, results):
         recon = mul(res.quotient.lifted(n), product.expanded()) + res.remainder.to_element(LEFT)
         assert recon == x
+
+
+def test_divide_agrees_with_the_running_tail_formula():
+    # divide forms R = x - Q P, which makes Q P + R = x hold by construction;
+    # the running-tail formula computes R from the peels' own remainders
+    r = rng()
+    for _ in range(40):
+        n = r.randrange(1, 11)
+        k = r.randrange(1, min(n, 4) + 1)
+        above = r.randrange(0, 4)
+        product = FactoredProduct(tuple(
+            (GaussianRational(Fraction(r.randrange(-4, 5), r.choice([1, 2, 3])),
+                              r.randrange(-1, 2)),
+             random_bseries_unit(r, n + above)) for _ in range(k)), n + above)
+        x = random_element(r, n, terms=6, ordering=r.choice([LEFT, RIGHT]))
+        res = divide(x, product)
+        assert (res.quotient, res.remainder) == _divide_by_the_tail(x, product)
+
+
+def test_divide_makes_one_product_and_expands_the_divisor_once(monkeypatch):
+    r = rng()
+    n, k = 8, 3
+    product = FactoredProduct(tuple((GaussianRational(j), random_bseries_unit(r, n))
+                                    for j in range(k)), n)
+    dividends = [random_element(r, order, terms=5, ordering=ordering)
+                 for order, ordering in ((n, LEFT), (n, RIGHT), (n - 1, LEFT), (n, LEFT))]
+    calls = []
+    original = division.mul
+
+    def counted(x, y):
+        calls.append((x.order, y.order))
+        return original(x, y)
+
+    monkeypatch.setattr(division, "mul", counted)
+    results = [divide(dividends[0], product)]
+    assert len(calls) == 2 * k + 1  # the expansion, then Q P
+    for x in dividends[1:]:
+        calls.clear()
+        results.append(divide(x, product))
+        assert calls == [(x.order, x.order)]
+    monkeypatch.undo()
+    for x, res in zip(dividends, results):
+        assert (res.quotient, res.remainder) == _divide_by_the_tail(x, product)
+
+
+def test_divide_linear_on_left_input_makes_no_shear_and_no_reordering(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("divide_linear left the LEFT table")
+
+    for module in (elements, division):
+        for name in ("shear", "to_right", "to_left"):
+            monkeypatch.setattr(module, name, refuse, raising=False)
+    r = rng()
+    n = 9
+    cases = [(random_element(r, n, terms=6), GaussianRational(Fraction(r.randrange(-9, 10), 7),
+                                                              Fraction(1, 3)))
+             for _ in range(10)]
+    results = [divide_linear(x, lam) for x, lam in cases]
+    monkeypatch.undo()
+    a, b = gen_a(n), gen_b(n)
+    for (x, lam), (q, rem) in zip(cases, results):
+        assert q.ordering is LEFT
+        assert mul(q.lifted(n), a - scale(lam, b)) + rem.to_element() == x
 
 
 def test_divide_needs_enough_order():

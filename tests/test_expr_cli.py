@@ -80,6 +80,14 @@ def test_cli_parse_error_quotes_the_number_as_written(capsys):
                    "found '1/2'\n")
 
 
+@pytest.mark.parametrize("text", ["a^4/2", "a^2/1", "(a + b)^0/3"])
+def test_cli_refuses_an_exponent_written_as_a_fraction(capsys, text):
+    # the grammar says "^" nat: a fraction of whole value is not an exponent
+    code, out, err = run_cli(capsys, "normalize", "--pretty", text)
+    assert code == 2 and out == ""
+    assert "expected natural number exponent" in err
+
+
 def test_no_implicit_multiplication():
     with pytest.raises(ExprError):
         parse("2a")
@@ -183,6 +191,22 @@ def test_xi_json_round_trip():
     xi = XiElement(2, 1, 3, {(Fraction(1, 2), 1, 1):
                              (GaussianRational(1), GaussianRational(0, -2))})
     assert xi_from_json(json.loads(json.dumps(xi_to_json(xi)))) == xi
+
+
+@pytest.mark.parametrize("dim, depth", [(-3, -1), (-1, 0), (1, -1)])
+@pytest.mark.parametrize("terms", [[], [{"alpha": "1", "m": 0, "j": 0, "c": []}]])
+def test_cli_xi_act_refuses_a_negative_dim_or_log_depth(capsys, tmp_path, dim, depth, terms):
+    xi = tmp_path / "xi.json"
+    xi.write_text(json.dumps({"dim": dim, "log_depth": depth, "terms": terms}))
+    code, out, err = run_cli(capsys, "xi-act", "--input", str(xi), "--op", "a")
+    assert code == 2 and out == "" and "nonnegative" in err
+
+
+def test_cli_refuses_a_rational_that_int_alone_would_take(capsys, tmp_path):
+    theta = tmp_path / "theta.json"
+    theta.write_text(json.dumps({"k": 1, "entries": [[{"re": " 1_0 ", "im": "0"}]]}))
+    code, out, err = run_cli(capsys, "bernstein", "--matrix", str(theta), "--pretty")
+    assert code == 2 and out == "" and "bad rational string" in err
 
 
 def test_matrix_and_system_json_shapes():

@@ -1,7 +1,8 @@
 """Property tests of the integer kernels: mul, invert, the ordering
-conversions, shear and divide_linear; and of the one-pass module stack:
-remainder_polynomial, factored divide, from_differential_system and
-BSeries.inverse.
+conversions, shear and divide_linear (through the product identity and the
+closed form on powers of a, for lam over large denominators too); and of the
+one-pass module stack: remainder_polynomial, factored divide,
+from_differential_system and BSeries.inverse.
 
 Inputs are dense and sparse elements at orders 0-10 in both orderings,
 with coefficients of three heights: the small values of the invariant
@@ -10,8 +11,9 @@ denominator of an element is large), and integers (common denominator 1).
 The zero element is drawn too.  The oracle `act` referees mul, and
 `act_composed` (composed act_a/act_b on Fractions) referees `act` itself on
 dense, sparse and zero series with degree bounds on both sides of
-deg X + max r; divide_linear referees remainder_polynomial, the product
-identity referees divide, satisfies_system (the module action
+deg X + max r; divide_linear referees remainder_polynomial, the
+running-tail formula (checks._divide_by_the_tail) and the invariance of the
+remainder under x -> x + zP referee divide, satisfies_system (the module action
 substituted back into the system) referees from_differential_system, and
 BSeries.__mul__ and invert referee BSeries.inverse.
 
@@ -45,9 +47,10 @@ pytest.importorskip("hypothesis")
 from hypothesis import given  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from abalg.checks import _divide_by_the_tail  # noqa: E402
 from abalg.coefficients import GaussianRational  # noqa: E402
 from abalg.division import (FactoredProduct, divide, divide_linear, invert,  # noqa: E402
-                            remainder_polynomial)
+                            power_division_closed_form, remainder_polynomial)
 from abalg.elements import (LEFT, RIGHT, AlgebraElement, add,  # noqa: E402
                             anti_automorphism, binomial_pow, gen_a, gen_b, mul, power, scale,
                             shear, to_left, to_right, with_ordering)
@@ -312,15 +315,47 @@ def test_shear_is_multiplicative(s, xy):
     assert shear(s, mul(x, y)) == mul(shear(s, x), shear(s, y))
 
 
-@given(scalars(), orders.flatmap(elements))
-def test_divide_linear_identity(lam, x):
+def large_denominator_scalars():
+    """Gaussian lam over denominators up to 2^40: divide_linear's back-substitution
+    runs on numerators times powers of lam's denominator."""
+    part = st.builds(Fraction, st.integers(-2 ** 40, 2 ** 40), st.integers(1, 2 ** 40))
+    return st.builds(GaussianRational, part, part)
+
+
+def lambdas():
+    return st.one_of(scalars(), large_denominator_scalars())
+
+
+def check_divide_linear_identity(x, lam):
     q, r = divide_linear(x, lam)
     n = x.order
-    assert q.ordering is x.ordering
+    assert q.ordering is x.ordering and q.order == max(n - 1, 0) and r.order == n
     # a - lam*b has degree 1, so it is zero in the order-0 quotient
     divisor = gen_a(n) - scale(lam, gen_b(n)) if n else AlgebraElement.zero(0)
     lhs = mul(with_ordering(q, LEFT).lifted(n), divisor) + r.to_element()
     assert lhs == with_ordering(x, LEFT)
+
+
+@given(lambdas(), orders.flatmap(elements))
+def test_divide_linear_identity(lam, x):
+    check_divide_linear_identity(x, lam)
+
+
+@given(lambdas(), st.integers(0, 1).flatmap(elements))
+def test_divide_linear_identity_at_orders_0_and_1(lam, x):
+    check_divide_linear_identity(x, lam)
+
+
+@given(large_denominator_scalars(), orders.flatmap(lambda n: elements(n, RIGHT)))
+def test_divide_linear_identity_on_right_input_with_large_denominators(lam, x):
+    check_divide_linear_identity(x, lam)
+
+
+@given(st.integers(1, MAX_ORDER), lambdas(), st.sampled_from([LEFT, RIGHT]))
+def test_divide_linear_agrees_with_the_closed_form_on_powers_of_a(m, lam, ordering):
+    qc, rc = power_division_closed_form(m, lam)
+    q, r = divide_linear(with_ordering(power(gen_a(m), m), ordering), lam)
+    assert q == with_ordering(qc, ordering) and r == rc
 
 
 @st.composite
@@ -367,8 +402,8 @@ def test_divide_identity_and_remainder_invariance(case):
     res = divide(x, product)
     assert res.quotient.ordering is RIGHT and res.quotient.order == n - k
     assert res.remainder.a_degree is None or res.remainder.a_degree <= k - 1
+    assert (res.quotient, res.remainder) == _divide_by_the_tail(x, product)
     q = with_ordering(res.quotient, LEFT).lifted(n)
-    assert mul(q, p) + res.remainder.to_element(LEFT) == with_ordering(x, LEFT)
     shifted = divide(with_ordering(with_ordering(x, LEFT) + mul(z, p), RIGHT), product)
     assert shifted.remainder == res.remainder
     assert shifted.quotient == with_ordering(q.truncated(n - k) + z.truncated(n - k), RIGHT)

@@ -15,16 +15,18 @@ import time
 from fractions import Fraction
 
 from .coefficients import GaussianRational, ONE
-from .division import (FactoredProduct, divide, divide_linear, factor_homogeneous,
-                       invert, power_division_closed_form)
+from .division import (FactoredProduct, HomogeneousFactorization, divide, divide_linear,
+                       factor_homogeneous, invert, power_division_closed_form,
+                       remainder_polynomial)
 from .elements import (LEFT, RIGHT, AlgebraElement, anti_automorphism, binomial_pow,
-                       gen_a, gen_b, mul, power, reorder_coeff, scale, shear)
+                       gen_a, gen_b, mul, power, reorder_coeff, scale, shear, with_ordering)
 from .expansions import XiElement, xi_act_a, xi_act_b, xi_check_simple_pole
 from .expr import format_element, parse_element
 from .linalg import QMatrix, evaluate_poly_at_matrix, matrix_power_sequence, solve_dependency
 from .modules import (DifferentialSystem, Fresco, SimplePoleModule, act, bernstein,
                       fresco_act, from_differential_system, satisfies_system, unit_fresco)
 from .oracle import PolySeries, act as oracle_act, act_composed, injectivity_witness, oracle_check_mul
+from .polynomials import gaussian_roots
 from .series import APolynomial, BSeries
 
 CHECKS: dict = {}
@@ -313,18 +315,74 @@ def check_truncation_stability(rng, count=20, order=8, extra=3):
             == res2.remainder.to_element(LEFT).truncated(order)
 
 
+def _factor_by_peeling(x: AlgebraElement) -> HomogeneousFactorization:
+    """factor_homogeneous's factorization, with rho searched again after every peel.
+
+    Strips the left power of b, scales the rest monic, then repeatedly peels
+    (a - lam*b) at the largest root lam under (re, im) of the current core's
+    remainder polynomial, until it has none; x is nonzero and homogeneous.
+    division.factor_homogeneous searches rho once and shifts its roots
+    instead, so this is its referee.
+    """
+    order = x.order
+    right = with_ordering(x, RIGHT)
+    j = min(q for _, q in right.table)
+    stripped = AlgebraElement.from_ints(order, RIGHT, right.den,
+                                        {(p, q - j): c for (p, q), c in right.table.items()})
+    m = stripped.degree
+    lead = stripped.coefficient(m, 0)
+    core = with_ordering(scale(lead.inverse(), stripped), LEFT)
+    lambdas = []
+    while core.degree and core.degree > 0:
+        rho = remainder_polynomial(core)
+        roots = gaussian_roots(rho)
+        if not roots:
+            break
+        lam = max(roots, key=lambda z: (z.re, z.im))
+        q, rem = divide_linear(core, lam)
+        if not rem.is_zero:
+            raise AssertionError("root of the remainder polynomial left a remainder; bug")
+        lambdas.append(lam)
+        core = q.lifted(order)
+    lambdas.reverse()
+    done = core.degree == 0 or core.degree is None
+    return HomogeneousFactorization(
+        scale=lead,
+        b_power=j,
+        lambdas=tuple(lambdas),
+        core=None if done else core,
+        order=order,
+    )
+
+
+# rho of a^2 + c b^2 is lam^2 + lam + c, with no root in Q(i) for these c
+_IRREDUCIBLE_QUADRATICS = [Fraction(7), Fraction(2), Fraction(1, 3)]
+
+
 @check("division/homogeneous-factorization")
 def check_factorization(rng, count=25, order=8):
+    """b^j times a scale, an optional core a^2 + c b^2 whose rho has no root in
+    Q(i), and linear forms, each lam new or its predecessor, or the
+    predecessor minus 1 (which makes a double root of rho)."""
+    a, b = gen_a(order), gen_b(order)
     for _ in range(count):
         j = rng.randrange(0, 3)
-        d = rng.randrange(0, order - j - 1)
-        x = power(gen_b(order), j)
-        x = scale(rng.choice([c for c in _COEFF_POOL if c]), x)
+        core = rng.choice([None, None] + _IRREDUCIBLE_QUADRATICS)
+        d = rng.randrange(0, order - j - (1 if core is None else 2))
+        x = scale(rng.choice([c for c in _COEFF_POOL if c]), power(b, j))
+        if core is not None:
+            x = mul(x, power(a, 2) + scale(core, power(b, 2)))
+        lam = None
         for _ in range(d):
-            lam = GaussianRational(random_rational(rng), random_rational(rng))
-            x = mul(x, gen_a(order) - scale(lam, gen_b(order)))
+            step = rng.choice([None, None, 0, -1])
+            if lam is None or step is None:
+                lam = GaussianRational(random_rational(rng), random_rational(rng))
+            else:
+                lam = lam + step
+            x = mul(x, a - scale(lam, b))
         fact = factor_homogeneous(x)
-        assert fact.complete, "factorization of a split product came back partial"
+        assert fact == _factor_by_peeling(x), "factorization disagrees with peeling"
+        assert fact.complete == (core is None), "a split product came back partial, or not"
         assert fact.expanded() == x, "re-expansion disagrees"
 
 

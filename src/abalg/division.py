@@ -27,7 +27,7 @@ from .elements import (LEFT, RIGHT, AlgebraElement, _by_degree, _scalar_ints, _t
                        mul, scale, with_ordering)
 from .errors import (NotHomogeneousError, NotMonicError, OrderMismatchError,
                      ZeroConstantTermError, ZeroElementError)
-from .polynomials import Poly, gaussian_roots
+from .polynomials import Poly, _roots_with_multiplicity
 from .series import APolynomial, BSeries
 
 
@@ -405,10 +405,8 @@ class HomogeneousFactorization:
         out = AlgebraElement.monomial(0, self.b_power, self.order, self.scale)
         if self.core is not None:
             out = mul(out, self.core)
-        a = AlgebraElement.monomial(1, 0, self.order)
-        b = AlgebraElement.monomial(0, 1, self.order)
-        for lam in self.lambdas:
-            out = mul(out, a - scale(lam, b))
+        for lam in self.lambdas:  # none at order 0, where a and b do not exist
+            out = mul(out, AlgebraElement(self.order, LEFT, {(1, 0): ONE, (0, 1): -lam}))
         return out
 
 
@@ -416,12 +414,26 @@ def factor_homogeneous(x: AlgebraElement) -> HomogeneousFactorization:
     """Factorization of a homogeneous element into linear forms over Q(i).
 
     Strips the maximal left power of b (the smallest q in the RIGHT form),
-    scales the rest monic, then repeatedly peels a right factor
-    (a - lam*b) at a root lam of the remainder polynomial.  The root search
-    is complete in Q(i): the unfactored monic core is returned exactly when
-    its remainder polynomial has no root there.  Factorizations are not
-    unique; the deterministic choice here is the largest root under (re, im)
-    ordering.
+    scales the rest monic, then peels right factors (a - lam*b) at roots
+    lam of the remainder polynomial.  The root search is complete in Q(i):
+    the unfactored monic core is returned exactly when its remainder
+    polynomial has no root there.  Factorizations are not unique; the
+    deterministic choice here is to peel, each time, the largest root of
+    the current core's remainder polynomial under (re, im) ordering.
+
+    One root search serves every peel.  A homogeneous x of degree m has the
+    symbol P_x(u) (see divide_linear) and rho_x(lam) = P_x(lam + m - 1).
+    For x = q (a - lam_0 b) the product rule gives
+    P_x(u) = P_q(u) (u - lam_0 - m + 1), so
+
+        rho_x(lam) = (lam - lam_0) rho_q(lam + 1):
+
+    the roots of rho_q are the other roots of rho_x, each plus 1, counted
+    with multiplicity.  With the roots of the monic core's rho sorted by
+    (re, im) descending, r_0 >= r_1 >= ..., step t peels lam_t = r_t + t;
+    a real integer shift keeps the (re, im) order, so that is the largest
+    root at every step.  divide_linear's remainder must vanish at each
+    peel, which checks the rule exactly.
     """
     if x.is_zero:
         raise ZeroElementError("cannot factor the zero element")
@@ -435,24 +447,21 @@ def factor_homogeneous(x: AlgebraElement) -> HomogeneousFactorization:
     m = stripped.degree
     lead = stripped.coefficient(m, 0)
     core = with_ordering(scale(lead.inverse(), stripped), LEFT)
+    roots = _roots_with_multiplicity(remainder_polynomial(core)) if m else []
+    roots.sort(key=lambda z: (z.re, z.im), reverse=True)
     lambdas = []
-    while core.degree and core.degree > 0:
-        rho = remainder_polynomial(core)
-        roots = gaussian_roots(rho)
-        if not roots:
-            break
-        lam = max(roots, key=lambda z: (z.re, z.im))
+    for t, r in enumerate(roots):
+        lam = r + t
         q, rem = divide_linear(core, lam)
         if not rem.is_zero:
             raise AssertionError("root of the remainder polynomial left a remainder; bug")
         lambdas.append(lam)
         core = q.lifted(order)
     lambdas.reverse()
-    done = core.degree == 0 or core.degree is None
     return HomogeneousFactorization(
         scale=lead,
         b_power=j,
         lambdas=tuple(lambdas),
-        core=None if done else core,
+        core=core if core.degree else None,
         order=order,
     )

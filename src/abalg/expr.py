@@ -39,6 +39,7 @@ from .errors import ExprError
 
 _SYMBOLS = {"+", "-", "*", "^", "(", ")"}
 _LETTERS = {"a", "b", "i"}
+_DIGITS = frozenset("0123456789")  # str.isdigit would take any Unicode digit
 
 
 class _Token:
@@ -71,9 +72,9 @@ def _tokenize(text: str) -> list[_Token]:
             out.append(_Token("letter", ch, pos, ch))
             pos += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             start = pos
-            while pos < n and text[pos].isdigit():
+            while pos < n and text[pos] in _DIGITS:
                 pos += 1
             num = _int_literal(text, start, pos)
             den = 1
@@ -81,7 +82,7 @@ def _tokenize(text: str) -> list[_Token]:
                 slash = pos
                 pos += 1
                 dstart = pos
-                while pos < n and text[pos].isdigit():
+                while pos < n and text[pos] in _DIGITS:
                     pos += 1
                 if dstart == pos:
                     raise ExprError(slash + 1, ("digit",), _describe(text, pos))

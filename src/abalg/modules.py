@@ -35,7 +35,7 @@ from .elements import LEFT, RIGHT, AlgebraElement, mul, with_ordering
 from .errors import AbalgError, OrderingMismatchError, OrderMismatchError
 from .linalg import (QMatrix, _int_identity, _int_matmul, _join, _split,
                      characteristic_polynomial, minimal_polynomial)
-from .polynomials import Poly, _cleared, _deflated, rational_roots
+from .polynomials import Poly, _roots_with_multiplicity
 from .series import APolynomial, BSeries
 
 
@@ -216,20 +216,14 @@ class SpectrumCheck:
 def is_geometric_spectrum(module: SimplePoleModule) -> SpectrumCheck:
     """True iff every eigenvalue of theta is a positive rational.
 
-    Decided exactly: one root search finds the rational roots of the
-    characteristic polynomial, and synthetic division on its Gaussian-integer
-    numerators takes out each as often as it divides; anything left means the
-    spectrum does not split over Q and the check fails with a diagnostic
-    rather than attempting algebraic numbers.
+    Decided exactly: one root search finds the roots in Q(i) of the
+    characteristic polynomial with their multiplicities; fewer real ones
+    than its degree means the spectrum does not split over Q, and the check
+    fails with a diagnostic rather than attempting algebraic numbers.
     """
-    eigen = []
     g = characteristic_polynomial(module.theta)
-    cs = _cleared(g)[1]
-    for r in rational_roots(g):  # ascending
-        while len(cs) > 1 and (h := _deflated(cs, r.numerator, r.denominator)) is not None:
-            cs = h
-            eigen.append(r)
-    if len(cs) > 1:
+    eigen = [z.re for z in _roots_with_multiplicity(g) if not z.im]  # ascending
+    if len(eigen) < g.degree:
         return SpectrumCheck(False, None, "characteristic polynomial does not split over Q")
     bad = [r for r in eigen if r <= 0]
     if bad:

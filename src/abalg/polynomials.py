@@ -6,7 +6,8 @@ Lagrange interpolation, and one exact root search, complete for roots in
 Q(i).  It lifts the roots of a monic Gaussian-integer form mod p to a
 p-adic precision past a Cauchy bound B on them, and keeps a candidate only
 if it vanishes exactly; it factors no integer and has no budget.  Roots
-come real ones first, ascending, then the others by (re, im).
+come real ones first, ascending, then the others by (re, im); the private
+_roots_with_multiplicity repeats each as often as it divides.
 """
 
 from __future__ import annotations
@@ -171,20 +172,6 @@ def _cleared(f: Poly) -> tuple[int, list]:
     return den, list(table.values())
 
 
-def _deflated(cs: list, p: int, q: int):
-    """The Gaussian-integer quotient of sum c_j x^j by q x - p, or None if
-    q x - p does not divide it (synthetic division from the top: by Gauss's
-    lemma, every step of a true division is an exact division by q)."""
-    h = [None] * (len(cs) - 1)
-    cr, ci = cs[-1]
-    for j in range(len(cs) - 2, -1, -1):
-        if cr % q or ci % q:
-            return None
-        h[j] = (cr // q, ci // q)
-        cr, ci = cs[j][0] + p * h[j][0], cs[j][1] + p * h[j][1]
-    return h if not cr and not ci else None
-
-
 def _gmul(a: tuple, b: tuple) -> tuple:
     return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
 
@@ -343,3 +330,36 @@ def rational_roots(f: Poly) -> list[Fraction]:
     """All rational roots of f, each listed once, ascending: the real ones
     of gaussian_roots(f)."""
     return [z.re for z in gaussian_roots(f) if not z.im]
+
+
+def _roots_with_multiplicity(f: Poly) -> list[GaussianRational]:
+    """The roots of f in Q(i) in the order of gaussian_roots, each repeated
+    as often as it divides f.
+
+    When gaussian_roots finds deg f roots, they are all simple.  Otherwise
+    each root z is taken out of the monic g of gaussian_roots as often as
+    x - w divides it, with w = c_n z = u + vi a Gaussian integer (so the
+    divisions that give u and v are exact).  g is monic, so synthetic
+    division by x - w stays on Gaussian integers and only its remainder
+    g_0 + w h_0 is tested.
+    """
+    roots = gaussian_roots(f)
+    if len(roots) == f.degree:
+        return roots
+    _, cs = _cleared(f)
+    g, (lr, li) = _monic(cs), cs[-1]
+    out = []
+    for z in roots:
+        (x, d), (y, e) = z.re.as_integer_ratio(), z.im.as_integer_ratio()
+        u, v = (x * e * lr - y * d * li) // (d * e), (x * e * li + y * d * lr) // (d * e)
+        while len(g) > 1:
+            h = [None] * (len(g) - 1)
+            cr, ci = g[-1]
+            for j in range(len(g) - 2, -1, -1):
+                h[j] = (cr, ci)
+                cr, ci = g[j][0] + cr * u - ci * v, g[j][1] + cr * v + ci * u
+            if cr or ci:
+                break
+            g = h
+            out.append(z)
+    return out

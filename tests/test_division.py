@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from abalg import division, elements
+from abalg import division, elements, polynomials
 from abalg.checks import _divide_by_the_tail, random_bseries_unit, random_element, random_unit
 from abalg.coefficients import GaussianRational
 from abalg.division import (FactoredProduct, divide, divide_linear, factor_homogeneous,
@@ -12,7 +12,7 @@ from abalg.elements import (LEFT, RIGHT, AlgebraElement, gen_a, gen_b, mul, powe
 from abalg.errors import (NotHomogeneousError, NotMonicError, OrderMismatchError,
                           ZeroConstantTermError, ZeroElementError)
 from abalg.oracle import oracle_check_mul
-from abalg.polynomials import Poly, rational_roots
+from abalg.polynomials import Poly, gaussian_roots, rational_roots
 from abalg.series import APolynomial, BSeries
 
 
@@ -363,16 +363,57 @@ def test_factor_gaussian_lambdas():
 
 
 def test_factor_partial_when_roots_are_irrational():
-    # rho of a^2 - b^2/2 ... pick one with non-square discriminant:
-    n = 4
+    # rho of a^2 + c b^2 is lam^2 + lam + c, whose discriminant 1 - 4c is 7/3
+    # or -27: not a square in Q(i), so no linear form splits off that core
+    n = 6
     a, b = gen_a(n), gen_b(n)
-    x = power(a, 2) - scale(Fraction(1, 3), power(b, 2))
+    half = GaussianRational(Fraction(1, 2), Fraction(-1, 2))
+    for c in (Fraction(-1, 3), 7):
+        for lambdas in ((), (1, Fraction(-1, 2)), (half,)):
+            x = power(a, 2) + scale(c, power(b, 2))
+            for lam in lambdas:
+                x = mul(x, a - scale(lam, b))
+            f = factor_homogeneous(x)
+            assert not f.complete and f.core.degree == 2 and len(f.lambdas) == len(lambdas)
+            assert f.expanded() == x
+            assert gaussian_roots(remainder_polynomial(f.core)) == []
+
+
+def test_factor_re_expands_at_order_0():
+    x = AlgebraElement.scalar(GaussianRational(2, -1), 0)
     f = factor_homogeneous(x)
-    if not f.complete:
-        assert f.core is not None and f.core.degree >= 1
-        assert mul(f.expanded(), AlgebraElement.one(n)) == f.expanded()
-    else:
+    assert f.complete and f.lambdas == () and f.expanded() == x
+
+
+def test_factor_makes_one_root_search(monkeypatch):
+    calls = {"roots": 0, "rho": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(polynomials, "gaussian_roots", counted("roots", polynomials.gaussian_roots))
+    monkeypatch.setattr(division, "remainder_polynomial",
+                        counted("rho", division.remainder_polynomial))
+    n = 9
+    a, b = gen_a(n), gen_b(n)
+    half = GaussianRational(Fraction(1, 2), Fraction(-1, 2))
+    cases = [
+        power(a, 2),
+        mul(a - b, a - scale(2, b)),
+        mul(mul(a - scale(2, b), a - b), a - b),   # a double and a simple root of rho
+        mul(power(b, 2), mul(a - scale(half, b), a + scale(half, b))),
+        mul(power(a, 2) + scale(7, power(b, 2)), a - b),   # partial
+        power(a, 2) + scale(7, power(b, 2)),
+        power(a - scale(half, b), 6),
+    ]
+    for x in cases:
+        calls.update(roots=0, rho=0)
+        f = factor_homogeneous(x)
         assert f.expanded() == x
+        assert calls == {"roots": 1, "rho": 1}
 
 
 def test_factor_random_split_products():

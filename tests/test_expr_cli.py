@@ -88,6 +88,19 @@ def test_cli_refuses_an_exponent_written_as_a_fraction(capsys, text):
     assert "expected natural number exponent" in err
 
 
+@pytest.mark.parametrize("text, offset, found", [
+    ("a^١", 2, "'١'"),   # ARABIC-INDIC DIGIT ONE
+    ("²", 0, "'²'"),     # SUPERSCRIPT TWO
+    ("1/٣", 2, "'٣'"),
+])
+def test_cli_refuses_a_non_ascii_digit(capsys, text, offset, found):
+    # numbers are ASCII digits; str.isdigit would read these as numbers
+    code, out, err = run_cli(capsys, "normalize", "--pretty", text)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: parse error at offset {offset}: expected ")
+    assert err.endswith(f", found {found}\n")
+
+
 def test_no_implicit_multiplication():
     with pytest.raises(ExprError):
         parse("2a")

@@ -1,7 +1,7 @@
 """Property tests of the integer kernels: mul, invert, the ordering
 conversions, shear and divide_linear (through the product identity and the
 closed form on powers of a, for lam over large denominators too); and of the
-one-pass module stack: remainder_polynomial, factored divide,
+one-pass module stack: remainder_polynomial, factor_homogeneous, factored divide,
 from_differential_system and BSeries.inverse.
 
 Inputs are dense and sparse elements at orders 0-10 in both orderings,
@@ -13,7 +13,9 @@ The zero element is drawn too.  The oracle `act` referees mul, and
 dense, sparse and zero series with degree bounds on both sides of
 deg X + max r; divide_linear referees remainder_polynomial, the
 running-tail formula (checks._divide_by_the_tail) and the invariance of the
-remainder under x -> x + zP referee divide, satisfies_system (the module action
+remainder under x -> x + zP referee divide, the peel loop that searches rho
+again after every peel (checks._factor_by_peeling) referees
+factor_homogeneous, satisfies_system (the module action
 substituted back into the system) referees from_differential_system, and
 BSeries.__mul__ and invert referee BSeries.inverse.
 
@@ -23,7 +25,9 @@ and the first solve_dependency among the flattened powers,
 characteristic_polynomial by Cayley-Hamilton and a cofactor-expansion
 determinant, rational_roots by Poly.__call__ on the rational-root-theorem
 candidates, gaussian_roots by the Gaussian-rational roots planted in
-products with an integer quadratic and an integer scale, and modules.act by
+products with an integer quadratic and an integer scale (and, counted with
+multiplicity, by exact division by the product of their linear factors),
+and modules.act by
 the basis law summed over RIGHT monomials.
 Matrices are 1x1 to 6x6: dense or sparse over distinct denominators, zero,
 scalar and nilpotent.
@@ -38,6 +42,7 @@ import json
 import math
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -47,10 +52,11 @@ pytest.importorskip("hypothesis")
 from hypothesis import given  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from abalg.checks import _divide_by_the_tail  # noqa: E402
+from abalg.checks import _divide_by_the_tail, _factor_by_peeling  # noqa: E402
 from abalg.coefficients import GaussianRational  # noqa: E402
-from abalg.division import (FactoredProduct, divide, divide_linear, invert,  # noqa: E402
-                            power_division_closed_form, remainder_polynomial)
+from abalg.division import (FactoredProduct, divide, divide_linear,  # noqa: E402
+                            factor_homogeneous, invert, power_division_closed_form,
+                            remainder_polynomial)
 from abalg.elements import (LEFT, RIGHT, AlgebraElement, add,  # noqa: E402
                             anti_automorphism, binomial_pow, gen_a, gen_b, mul, power, scale,
                             shear, to_left, to_right, with_ordering)
@@ -63,7 +69,8 @@ from abalg import modules  # noqa: E402
 from abalg.modules import (DifferentialSystem, SimplePoleModule,  # noqa: E402
                            from_differential_system, satisfies_system)
 from abalg.oracle import PolySeries, act, act_composed  # noqa: E402
-from abalg.polynomials import Poly, gaussian_roots, rational_roots  # noqa: E402
+from abalg.polynomials import (Poly, _roots_with_multiplicity, gaussian_roots,  # noqa: E402
+                               rational_roots)
 from abalg.series import BSeries  # noqa: E402
 
 MAX_ORDER = 10
@@ -620,6 +627,49 @@ def test_gaussian_roots_include_every_planted_root(case):
     assert all(not f(z) for z in found)
     assert len(set(found)) == len(found)
     assert rational_roots(f) == [z.re for z in found if not z.im]
+
+
+@given(planted_roots())
+def test_roots_with_multiplicity_take_out_each_root_as_often_as_it_divides(case):
+    roots, f = case
+    found = _roots_with_multiplicity(f)
+    assert list(dict.fromkeys(found)) == gaussian_roots(f)
+    assert Counter(roots) <= Counter(found)
+    quotient, rem = f.divmod(Poly.from_roots(found))
+    assert rem.is_zero and all(quotient(z) for z in found)
+
+
+@st.composite
+def homogeneous_products(draw):
+    """s b^j C prod_t (a - lam_t b): C is 1 or a^2 + c b^2 (rho of C is
+    lam^2 + lam + c; c = 7 has no root in Q(i), a drawn c may or may not),
+    each lam_t new, (1 - i)/2, or lam_(t-1), lam_(t-1) - 1 (a double root of rho)."""
+    order = draw(st.integers(2, 9))
+    a, b = gen_a(order), gen_b(order)
+    j = draw(st.integers(0, 2))
+    x = scale(draw(scalars().filter(bool)), power(b, j))
+    room = order - j
+    if room >= 2 and draw(st.booleans()):
+        c = draw(st.one_of(st.just(GaussianRational(7)),
+                           st.builds(GaussianRational, small_fractions, small_fractions)))
+        x = mul(x, power(a, 2) + scale(c, power(b, 2)))
+        room -= 2
+    lam = GaussianRational(Fraction(1, 2), Fraction(-1, 2))
+    for _ in range(draw(st.integers(0, room))):
+        lam = draw(st.sampled_from([
+            lam, lam - 1, GaussianRational(Fraction(1, 2), Fraction(-1, 2)),
+            GaussianRational(draw(small_fractions), draw(small_fractions))]))
+        x = mul(x, a - scale(lam, b))
+    return with_ordering(x, draw(st.sampled_from([LEFT, RIGHT])))
+
+
+@given(st.one_of(homogeneous_products(),
+                 st.tuples(scalars().filter(bool), monic_homogeneous()).map(lambda s: scale(*s))))
+def test_factor_homogeneous_agrees_with_peeling(x):
+    """One root search, shifted, peels what a fresh search after each peel does."""
+    f = factor_homogeneous(x)
+    assert f == _factor_by_peeling(x)
+    assert f.expanded() == with_ordering(x, LEFT)
 
 
 I = GaussianRational(0, 1)

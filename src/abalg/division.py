@@ -13,7 +13,10 @@ Both run on the LEFT integer table.  Through the symbol of each degree (see
 divide_linear), division by a - lam*b is one synthetic division per degree;
 a factored division peels the factors from the right, each peel a
 convolution in the b-power by S_i^(-1) and one synthetic division, and
-takes R = x - Q P with P expanded once per product.
+takes R = x - Q P with P expanded once per product.  The b-series and
+a-polynomials taken and given (unit parts, their cached inverses, the
+remainders) are views of elements (see series), so no coefficient is split
+into integers or rebuilt as a fraction at either end.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .coefficients import GaussianRational, ONE, common_denominator, over
+from .coefficients import GaussianRational, ONE, over
 from .elements import (LEFT, RIGHT, AlgebraElement, _by_degree, _scalar_ints, _times_b_power,
                        mul, scale, with_ordering)
 from .errors import (NotHomogeneousError, NotMonicError, OrderMismatchError,
@@ -122,8 +125,9 @@ def invert(x: AlgebraElement) -> AlgebraElement:
     return with_ordering(AlgebraElement.from_ints(order, LEFT, e * common, out), x.ordering)
 
 
-def _synthetic_division(x: AlgebraElement, lam: GaussianRational) -> tuple[AlgebraElement, list]:
-    """Q and the remainder parts of x = Q (a - lam*b) + R, for LEFT-ordered x.
+def _synthetic_division(x: AlgebraElement, lam: GaussianRational
+                         ) -> tuple[AlgebraElement, AlgebraElement]:
+    """Q and R of x = Q (a - lam*b) + R, for LEFT-ordered x.
 
     Degree n runs the back-substitution of divide_linear on integers, down
     to r_n = g_(-1): with x over den, lam = L / e (L a Gaussian integer) and
@@ -132,7 +136,7 @@ def _synthetic_division(x: AlgebraElement, lam: GaussianRational) -> tuple[Algeb
         G_(n-1) = X_(n,0),   G_(k-1) = X_(k,n-k) e^(n-k) - ((k-n+1) e - L) G_k,
 
     and r_n = G_(-1) / (den e^n).  Degrees where x is zero are skipped.  Q
-    comes back at order N-1 over den e^(N-1); R as [(re, im, den)] per degree.
+    comes back at order N-1 over den e^(N-1), R at order N over den e^N.
     """
     e, (lr, li) = _scalar_ints(lam)
     order, den = x.order, x.den
@@ -147,10 +151,9 @@ def _synthetic_division(x: AlgebraElement, lam: GaussianRational) -> tuple[Algeb
             row = rows[p + q] = [(0, 0)] * (p + q + 1)
         row[p] = c
     q_table = {}
-    rem = []
+    r_table = {}
     for n, row in enumerate(rows):
         if row is None:
-            rem.append((0, 0, 1))
             continue
         gr, gi = row[n]
         cr = -lr  # the real part of (k-n+1) e - L
@@ -161,8 +164,10 @@ def _synthetic_division(x: AlgebraElement, lam: GaussianRational) -> tuple[Algeb
             f = powers[n - k]
             gr, gi = xr * f - cr * gr - li * gi, xi * f - cr * gi + li * gr
             cr -= e
-        rem.append((gr, gi, den * powers[n]))
-    return AlgebraElement.from_ints(top, LEFT, den * powers[top], q_table), rem
+        s = powers[order - n]
+        r_table[(0, n)] = (gr * s, gi * s)
+    return (AlgebraElement.from_ints(top, LEFT, den * powers[top], q_table),
+            AlgebraElement.from_ints(order, LEFT, den * powers[order], r_table))
 
 
 def divide_linear(x: AlgebraElement, lam) -> tuple[AlgebraElement, BSeries]:
@@ -188,7 +193,7 @@ def divide_linear(x: AlgebraElement, lam) -> tuple[AlgebraElement, BSeries]:
     (that is how far it is determined), R at order N.
     """
     quotient, rem = _synthetic_division(with_ordering(x, LEFT), GaussianRational.coerce(lam))
-    return with_ordering(quotient, x.ordering), BSeries(x.order, [over(*r) for r in rem])
+    return with_ordering(quotient, x.ordering), BSeries.from_element(rem)
 
 
 def power_division_closed_form(m: int, lam) -> tuple[AlgebraElement, BSeries]:
@@ -250,12 +255,8 @@ class FactoredProduct:
     @functools.cached_property
     def unit_inverses(self) -> tuple:
         """S_i^(-1) for each factor, at the product's order, computed once, as
-        (den, [(j, re, im)]) with coefficient (re + im*i) / den at b^j."""
-        out = []
-        for _, s in self.factors:
-            den, table = common_denominator(dict(enumerate(s.inverse().coeffs)))
-            out.append((den, [(j, re, im) for j, (re, im) in table.items() if re or im]))
-        return tuple(out)
+        the AlgebraElement that BSeries stores."""
+        return tuple(s.inverse().element for _, s in self.factors)
 
     @functools.cached_property
     def _expansion(self) -> AlgebraElement:
@@ -279,16 +280,16 @@ class DivisionResult:
     remainder: APolynomial      # order N, a-degree <= k-1
 
 
-def _times_series(x: AlgebraElement, den: int, terms: list) -> AlgebraElement:
-    """x S for LEFT x and S = sum (re + im*i) / den b^j over terms [(j, re, im)]
-    in increasing j: a^p b^q b^j = a^p b^(q+j), a convolution in q."""
+def _times_series(x: AlgebraElement, s: AlgebraElement) -> AlgebraElement:
+    """x S for LEFT x and the element S of a b-series (keys (0, j)):
+    a^p b^q b^j = a^p b^(q+j), a convolution in q."""
     order = x.order
     out: dict = {}
     for (p, q), (xr, xi) in x.table.items():
         room = order - p - q
-        for j, sr, si in terms:
+        for (_, j), (sr, si) in s.table.items():
             if j > room:
-                break
+                continue
             key = (p, q + j)
             re, im = xr * sr - xi * si, xr * si + xi * sr
             acc = out.get(key)
@@ -297,7 +298,7 @@ def _times_series(x: AlgebraElement, den: int, terms: list) -> AlgebraElement:
             else:
                 acc[0] += re
                 acc[1] += im
-    return AlgebraElement.from_ints(order, LEFT, x.den * den, out)
+    return AlgebraElement.from_ints(order, LEFT, x.den * s.den, out)
 
 
 def divide(x: AlgebraElement, product: FactoredProduct) -> DivisionResult:
@@ -322,10 +323,10 @@ def divide(x: AlgebraElement, product: FactoredProduct) -> DivisionResult:
     quotient = left
     # _times_series drops the terms above the quotient's order: the inverse
     # of a truncation is the truncation of the inverse.
-    for (lam, _), (den, terms) in zip(reversed(product.factors), reversed(product.unit_inverses)):
-        quotient, _ = _synthetic_division(_times_series(quotient, den, terms), lam)
-    rem = left - mul(quotient.lifted(order), product.expanded(order))
-    remainder = APolynomial.from_element(rem)
+    for (lam, _), s in zip(reversed(product.factors), reversed(product.unit_inverses)):
+        quotient, _ = _synthetic_division(_times_series(quotient, s), lam)
+    remainder = APolynomial.from_element(left - mul(quotient.lifted(order),
+                                                    product.expanded(order)))
     if remainder.a_degree is not None and remainder.a_degree > k - 1:
         raise AssertionError("remainder a-degree exceeded k-1; internal bug")
     return DivisionResult(with_ordering(quotient, x.ordering), remainder)

@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .coefficients import common_denominator, over
+from .coefficients import common_denominator
 from .division import FactoredProduct, divide
 from .elements import LEFT, RIGHT, AlgebraElement, mul, with_ordering
 from .errors import AbalgError, OrderingMismatchError, OrderMismatchError
@@ -189,11 +189,16 @@ def act(x: AlgebraElement, v: ModuleElement, module: SimplePoleModule) -> Module
             w = with_ordering(mul(left, series.to_element(x.order)), RIGHT)
             parts.append(((i,), w.den, w.table))
     common, den, z = _z_numerators(parts, module)
-    k = module.rank
-    sums = [[(sum(zj[i][l][0] for i in range(k)), sum(zj[i][l][1] for i in range(k)))
-             for l in range(k)] for zj in z]
-    return module.element([[over(*sums[j][l], common * den ** j) for j in range(len(z))]
-                           for l in range(k)])
+    n, k = module.order, module.rank
+    # b^j is over common D^j; entry l is brought over common D^n
+    tables = [{} for _ in range(k)]
+    for j, zj in enumerate(z):
+        s = den ** (n - j)
+        for l in range(k):
+            tables[l][(0, j)] = (s * sum(zj[i][l][0] for i in range(k)),
+                                 s * sum(zj[i][l][1] for i in range(k)))
+    return module.element([BSeries.from_element(AlgebraElement.from_ints(
+        n, LEFT, common * den ** n, t)) for t in tables])
 
 
 def bernstein(module: SimplePoleModule) -> Poly:

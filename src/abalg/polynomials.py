@@ -1,7 +1,7 @@
 """Dense univariate polynomials over the Gaussian rationals.
 
 Small exact toolkit backing the remainder-root machinery, Bernstein
-polynomials and spectrum checks: ring operations, division, gcd/lcm,
+polynomials and spectrum checks: ring operations, division,
 Lagrange interpolation, and one exact root search, complete for roots in
 Q(i).  It lifts the roots of a monic Gaussian-integer form mod p to a
 p-adic precision past a Cauchy bound B on them, and keeps a candidate only
@@ -97,12 +97,6 @@ class Poly:
 
     __rmul__ = __mul__
 
-    def monic(self) -> Poly:
-        if self.is_zero:
-            return self
-        inv = self.leading.inverse()
-        return Poly([inv * c for c in self.coeffs])
-
     def divmod(self, other) -> tuple[Poly, Poly]:
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
@@ -131,19 +125,6 @@ class Poly:
     def __repr__(self):
         body = " + ".join(f"({c})x^{k}" for k, c in enumerate(self.coeffs) if c) or "0"
         return f"<Poly {body}>"
-
-
-def poly_gcd(f: Poly, g: Poly) -> Poly:
-    """Monic gcd by the Euclidean algorithm."""
-    while not g.is_zero:
-        f, g = g, f.divmod(g)[1]
-    return f.monic() if not f.is_zero else f
-
-def poly_lcm(f: Poly, g: Poly) -> Poly:
-    if f.is_zero or g.is_zero:
-        return Poly()
-    d = poly_gcd(f, g)
-    return (f * g).divmod(d)[0].monic()
 
 
 def interpolate(points) -> Poly:

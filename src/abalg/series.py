@@ -1,46 +1,51 @@
 """The commutative subalgebra of series in b, and polynomials in a over it.
 
-BSeries is a dense truncated series c_0 + c_1 b + ... + c_N b^N.  These are
-the scalars of every module structure in the package, so they carry their
-own arithmetic (including unit inversion and the derivative, which is what
-the commutation rule a S(b) = S(b) a + b^2 S'(b) consumes).
+Both are views of one AlgebraElement, stored as `element`.
 
-APolynomial is a list of BSeries left coefficients S_0..S_k representing
-sum_j S_j(b) a^j, i.e. a RIGHT-ordered element grouped by a-degree.  Its
-`order` is the ambient total-degree truncation, so S_j is only meaningful
-up to b^(order-j).
+BSeries is a truncated series c_0 + c_1 b + ... + c_N b^N, stored as an
+order-N LEFT element whose keys are all (0, q).  These are the scalars of
+every module structure in the package.  Sums, scaling, truncation and
+comparison are the element's; shifted, derivative and inverse (unit
+inversion, and the derivative that the commutation rule
+a S(b) = S(b) a + b^2 S'(b) consumes) read its integer table.  `coeffs`
+and `coefficient` are built on each call.  `__mul__` stays a
+GaussianRational Cauchy product over `coeffs`: it referees `inverse`.
+
+APolynomial is sum_j S_j(b) a^j, stored as the order-N RIGHT element.
+`parts` gives back S_0..S_k, S_j at b-order N-j, as far as the
+total-degree truncation determines it.
 """
 
 from __future__ import annotations
 
 import math
 
-from .coefficients import GaussianRational, ONE, common_denominator, over
-from .elements import LEFT, RIGHT, AlgebraElement, Ordering
+from .coefficients import GaussianRational, ONE, ZERO
+from .elements import LEFT, RIGHT, AlgebraElement, Ordering, _make, scale, with_ordering
 from .errors import OrderMismatchError, ZeroConstantTermError
+
+
+def _wrap(cls, x: AlgebraElement):
+    """The cls view of x, which must already have cls's storage form."""
+    out = object.__new__(cls)
+    object.__setattr__(out, "element", x)
+    return out
 
 
 class BSeries:
     """A series in b alone, truncated at b^order.  Immutable."""
 
-    __slots__ = ("order", "coeffs")
+    __slots__ = ("element",)
 
     def __init__(self, order: int, coeffs=()):
-        if order < 0:
-            raise ValueError("truncation order must be nonnegative")
-        table = list(coeffs[:order + 1]) if not isinstance(coeffs, dict) else None
-        if table is None:
-            table = [GaussianRational()] * (order + 1)
-            for q, c in coeffs.items():
-                if q < 0:
-                    raise ValueError("negative exponent")
-                if q <= order:
-                    table[q] = GaussianRational.coerce(c)
-        else:
-            table = [GaussianRational.coerce(c) for c in table]
-            table += [GaussianRational()] * (order + 1 - len(table))
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", tuple(table))
+        items = coeffs.items() if isinstance(coeffs, dict) else enumerate(coeffs[:order + 1])
+        table = {}
+        for q, c in items:
+            if q < 0:
+                raise ValueError("negative exponent")
+            if q <= order:
+                table[(0, q)] = c
+        object.__setattr__(self, "element", AlgebraElement(order, LEFT, table))
 
     def __setattr__(self, name, value):
         raise AttributeError("BSeries is immutable")
@@ -49,11 +54,11 @@ class BSeries:
 
     @staticmethod
     def zero(order: int) -> BSeries:
-        return BSeries(order)
+        return _wrap(BSeries, AlgebraElement.zero(order))
 
     @staticmethod
     def one(order: int) -> BSeries:
-        return BSeries(order, [ONE])
+        return _wrap(BSeries, AlgebraElement.one(order))
 
     @staticmethod
     def monomial(q: int, order: int, coeff=ONE) -> BSeries:
@@ -61,61 +66,62 @@ class BSeries:
 
     @staticmethod
     def from_element(x: AlgebraElement) -> BSeries:
-        """Read off an AlgebraElement all of whose terms have p = 0."""
-        table = {}
-        for (p, q), c in x.table.items():
+        """The series of an AlgebraElement all of whose terms have p = 0."""
+        for p, q in x.table:
             if p != 0:
                 raise ValueError(f"element has an a-power term {(p, q)}; not a b-series")
-            table[q] = over(*c, x.den)
-        return BSeries(x.order, table)
+        # b^q a^0 and a^0 b^q coincide, so the table reads the same in either ordering.
+        return _wrap(BSeries, x if x.ordering is LEFT else _make(x.order, LEFT, x.den, x.table))
 
     def to_element(self, order: int | None = None, ordering: Ordering = LEFT) -> AlgebraElement:
-        # b^q a^0 and a^0 b^q coincide, so either ordering tag is faithful.
-        order = self.order if order is None else order
-        table = {(0, q): c for q, c in enumerate(self.coeffs) if c and q <= order}
-        return AlgebraElement(order, ordering, table)
+        x = self.element
+        if order is not None and order != x.order:
+            x = x.truncated(order) if order < x.order else x.lifted(order)
+        return x if ordering is LEFT else _make(x.order, RIGHT, x.den, x.table)
 
     # -- structure ----------------------------------------------------------
 
     @property
+    def order(self) -> int:
+        return self.element.order
+
+    @property
+    def coeffs(self) -> tuple:
+        """(c_0, ..., c_N) as GaussianRationals, built on each call."""
+        out = [ZERO] * (self.order + 1)
+        for (_, q), c in self.element.coeffs.items():
+            out[q] = c
+        return tuple(out)
+
+    @property
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return self.element.is_zero
 
     @property
     def constant_term(self) -> GaussianRational:
-        return self.coeffs[0]
+        return self.element.constant_term
 
     @property
     def is_unit(self) -> bool:
-        return bool(self.coeffs[0])
+        return (0, 0) in self.element.table
 
     @property
     def valuation(self):
-        for q, c in enumerate(self.coeffs):
-            if c:
-                return q
-        return None
+        return self.element.valuation
 
     def coefficient(self, q: int) -> GaussianRational:
-        return self.coeffs[q] if 0 <= q <= self.order else GaussianRational()
+        return self.element.coefficient(0, q)
 
     def truncated(self, order: int) -> BSeries:
-        if order > self.order:
-            raise OrderMismatchError(f"cannot truncate order {self.order} up to {order}")
-        return BSeries(order, self.coeffs[:order + 1])
+        return _wrap(BSeries, self.element.truncated(order))
 
     def lifted(self, order: int) -> BSeries:
-        if order < self.order:
-            raise OrderMismatchError(f"cannot lift order {self.order} down to {order}")
-        return BSeries(order, self.coeffs)
+        return _wrap(BSeries, self.element.lifted(order))
 
     def __eq__(self, other):
         if not isinstance(other, BSeries):
             return NotImplemented
-        if self.order != other.order:
-            raise OrderMismatchError(
-                f"comparing b-series of different truncation orders ({self.order} vs {other.order})")
-        return self.coeffs == other.coeffs
+        return self.element == other.element
 
     __hash__ = None
 
@@ -124,73 +130,80 @@ class BSeries:
     def __add__(self, other):
         if not isinstance(other, BSeries):
             return NotImplemented
-        order = min(self.order, other.order)
-        return BSeries(order, [self.coeffs[q] + other.coeffs[q] for q in range(order + 1)])
+        return _wrap(BSeries, self.element + other.element)
 
     def __sub__(self, other):
         if not isinstance(other, BSeries):
             return NotImplemented
-        order = min(self.order, other.order)
-        return BSeries(order, [self.coeffs[q] - other.coeffs[q] for q in range(order + 1)])
+        return _wrap(BSeries, self.element - other.element)
 
     def __neg__(self):
-        return BSeries(self.order, [-c for c in self.coeffs])
+        return _wrap(BSeries, -self.element)
 
     def scaled(self, c) -> BSeries:
-        c = GaussianRational.coerce(c)
-        return BSeries(self.order, [c * v for v in self.coeffs])
+        return _wrap(BSeries, scale(c, self.element))
 
     def __mul__(self, other):
         if not isinstance(other, BSeries):
             return NotImplemented
         order = min(self.order, other.order)
+        left, right = self.coeffs, other.coeffs
         out = [GaussianRational()] * (order + 1)
-        for i, c in enumerate(self.coeffs):
+        for i, c in enumerate(left):
             if not c or i > order:
                 continue
             for j in range(order - i + 1):
-                d = other.coeffs[j]
+                d = right[j]
                 if d:
                     out[i + j] = out[i + j] + c * d
         return BSeries(order, out)
 
     def shifted(self, k: int) -> BSeries:
-        """Multiplication by b^k (same truncation order)."""
-        return BSeries(self.order, [GaussianRational()] * k + list(self.coeffs))
+        """Multiplication by b^k, k >= 0 (same truncation order)."""
+        if k < 0:
+            raise ValueError("b-series can only be shifted by b^k with k >= 0")
+        x = self.element
+        return _wrap(BSeries, AlgebraElement.from_ints(
+            x.order, LEFT, x.den, {(0, q + k): c for (_, q), c in x.table.items()
+                                   if q + k <= x.order}))
 
     def derivative(self) -> BSeries:
         """d/db, truncated at order-1."""
-        n = max(self.order - 1, 0)
-        return BSeries(n, [self.coeffs[q + 1] * (q + 1) for q in range(min(n + 1, self.order))])
+        x = self.element
+        return _wrap(BSeries, AlgebraElement.from_ints(
+            max(x.order - 1, 0), LEFT, x.den,
+            {(0, q - 1): (re * q, im * q) for (_, q), (re, im) in x.table.items() if q}))
 
     def inverse(self) -> BSeries:
         """The multiplicative inverse of a unit, by the Cauchy-product recursion.
 
-        The loop runs on integers, normalised by the constant term: in the
-        layout of coefficients.common_denominator the series is T / D, and
+        The loop runs on the stored integers: the series is T / D, and
         U = conj(T_0) T / g has the positive integer constant term
         N = |T_0|^2 / g, g the gcd of |T_0|^2 and the parts of conj(T_0) T.
         Then Y_n = N^(n+1) (U^(-1))_n is a Gaussian integer, with Y_0 = 1 and
 
             Y_n = - sum_(i=1..n) U_i Y_(n-i) N^(i-1),
 
-        and the inverse has the b^n coefficient D conj(T_0) Y_n / (g N^(n+1)):
-        one division per coefficient, at the end.
+        and the inverse has the b^n coefficient D conj(T_0) Y_n / (g N^(n+1)),
+        brought over g N^(order+1) at the end.
         """
-        if not self.coeffs[0]:
+        x = self.element
+        order = x.order
+        if (0, 0) not in x.table:
             raise ZeroConstantTermError("b-series with zero constant term has no inverse")
-        den, table = common_denominator(dict(enumerate(self.coeffs)))
-        cr, ci = table[0]
+        cr, ci = x.table[(0, 0)]
         norm = cr * cr + ci * ci
-        u = [(re * cr + im * ci, im * cr - re * ci) for re, im in table.values()]
+        u = [(0, 0)] * (order + 1)
+        for (_, q), (re, im) in x.table.items():
+            u[q] = (re * cr + im * ci, im * cr - re * ci)
         g = math.gcd(norm, *(part for c in u for part in c))
         norm //= g
         u = [(re // g, im // g) for re, im in u]
-        powers = [1]  # N^(i-1) for i = 1..order
-        for _ in range(self.order - 1):
+        powers = [1]  # N^i for i = 0..order
+        for _ in range(order):
             powers.append(powers[-1] * norm)
         y = [(1, 0)]
-        for n in range(1, self.order + 1):
+        for n in range(1, order + 1):
             re = im = 0
             for i in range(1, n + 1):
                 ur, ui = u[i]
@@ -200,11 +213,12 @@ class BSeries:
                     re += (ur * yr - ui * yi) * p
                     im += (ur * yi + ui * yr) * p
             y.append((-re, -im))
-        scale, out = g, []
-        for yr, yi in y:
-            scale *= norm
-            out.append(over(den * (yr * cr + yi * ci), den * (yi * cr - yr * ci), scale))
-        return BSeries(self.order, out)
+        table = {}
+        for n, (yr, yi) in enumerate(y):
+            s = x.den * powers[order - n]
+            table[(0, n)] = ((yr * cr + yi * ci) * s, (yi * cr - yr * ci) * s)
+        return _wrap(BSeries, AlgebraElement.from_ints(order, LEFT, g * norm * powers[order],
+                                                       table))
 
     def __repr__(self):
         terms = " + ".join(f"({c})b^{q}" for q, c in enumerate(self.coeffs) if c) or "0"
@@ -214,96 +228,89 @@ class BSeries:
 class APolynomial:
     """sum_j S_j(b) a^j with BSeries left coefficients, inside the order-N quotient.
 
-    Stored coefficients respect the total-degree truncation: S_j is carried
-    at b-order N-j.  The empty coefficient list is the zero polynomial.
+    Stored as the order-N RIGHT element, so S_j is carried at b-order N-j.
+    The empty coefficient list is the zero polynomial.
     """
 
-    __slots__ = ("order", "parts")
+    __slots__ = ("element",)
 
     def __init__(self, order: int, parts):
-        cleaned = []
+        parts = list(parts)
         for j, s in enumerate(parts):
             if j > order:
                 raise OrderMismatchError(f"a-degree {j} exceeds truncation order {order}")
             if not isinstance(s, BSeries):
                 raise TypeError("APolynomial coefficients must be BSeries")
-            cleaned.append(s.truncated(order - j) if s.order > order - j else s.lifted(order - j))
-        while cleaned and cleaned[-1].is_zero:
-            cleaned.pop()
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "parts", tuple(cleaned))
+        den = math.lcm(*(s.element.den for s in parts))
+        table = {}
+        for j, s in enumerate(parts):
+            f = den // s.element.den
+            for (_, q), (re, im) in s.element.table.items():
+                if j + q <= order:
+                    table[(j, q)] = (re * f, im * f)
+        object.__setattr__(self, "element", AlgebraElement.from_ints(order, RIGHT, den, table))
 
     def __setattr__(self, name, value):
         raise AttributeError("APolynomial is immutable")
 
     @staticmethod
     def zero(order: int) -> APolynomial:
-        return APolynomial(order, [])
+        return _wrap(APolynomial, AlgebraElement.zero(order, RIGHT))
 
     @staticmethod
     def one(order: int) -> APolynomial:
-        return APolynomial(order, [BSeries.one(order)])
+        return _wrap(APolynomial, AlgebraElement.one(order, RIGHT))
+
+    @property
+    def order(self) -> int:
+        return self.element.order
 
     @property
     def is_zero(self) -> bool:
-        return not self.parts
+        return self.element.is_zero
 
     @property
     def a_degree(self):
-        return len(self.parts) - 1 if self.parts else None
+        return max((p for p, _ in self.element.table), default=None)
+
+    @property
+    def parts(self) -> tuple:
+        """(S_0, ..., S_k), k the a-degree, built on each call; () for zero."""
+        top = self.a_degree
+        return () if top is None else tuple(self.coefficient(j) for j in range(top + 1))
 
     def coefficient(self, j: int) -> BSeries:
-        if 0 <= j < len(self.parts):
-            return self.parts[j]
-        return BSeries.zero(max(self.order - j, 0))
+        x = self.element
+        return _wrap(BSeries, AlgebraElement.from_ints(
+            max(x.order - j, 0), LEFT, x.den, {(0, q): c for (p, q), c in x.table.items()
+                                               if p == j}))
 
     def __eq__(self, other):
         if not isinstance(other, APolynomial):
             return NotImplemented
-        if self.order != other.order:
-            raise OrderMismatchError(
-                f"comparing a-polynomials of different orders ({self.order} vs {other.order})")
-        return self.parts == other.parts
+        return self.element == other.element
 
     __hash__ = None
 
     def __add__(self, other):
         if not isinstance(other, APolynomial):
             return NotImplemented
-        order = min(self.order, other.order)
-        n = max(len(self.parts), len(other.parts))
-        parts = []
-        for j in range(min(n, order + 1)):
-            s = self.coefficient(j).truncated(min(order - j, self.coefficient(j).order))
-            t = other.coefficient(j).truncated(min(order - j, other.coefficient(j).order))
-            parts.append(s.lifted(order - j) + t.lifted(order - j))
-        return APolynomial(order, parts)
+        return _wrap(APolynomial, self.element + other.element)
 
     def __neg__(self):
-        return APolynomial(self.order, [-s for s in self.parts])
+        return _wrap(APolynomial, -self.element)
 
     def __sub__(self, other):
         if not isinstance(other, APolynomial):
             return NotImplemented
-        return self + (-other)
+        return _wrap(APolynomial, self.element - other.element)
 
     def to_element(self, ordering: Ordering = RIGHT) -> AlgebraElement:
-        table = {}
-        for j, s in enumerate(self.parts):
-            for q, c in enumerate(s.coeffs):
-                if c:
-                    table[(j, q)] = c
-        x = AlgebraElement(self.order, RIGHT, table)
-        return x.with_ordering(ordering)
+        return with_ordering(self.element, ordering)
 
     @staticmethod
     def from_element(x: AlgebraElement) -> APolynomial:
-        right = x.with_ordering(RIGHT)
-        k = max((p for p, _ in right.table), default=0)
-        parts = [{} for _ in range(k + 1)]
-        for (p, q), c in right.table.items():
-            parts[p][q] = over(*c, right.den)
-        return APolynomial(x.order, [BSeries(x.order - j, t) for j, t in enumerate(parts)])
+        return _wrap(APolynomial, with_ordering(x, RIGHT))
 
     def __repr__(self):
         body = " + ".join(f"[{s!r}]a^{j}" for j, s in enumerate(self.parts)) or "0"

@@ -1,4 +1,4 @@
-"""Malformed JSON input files never make the CLI exit 4.
+"""Malformed JSON input files and generated expressions never make the CLI exit 4.
 
 Every subcommand that reads a JSON file (`div`, `fresco-act`, `act`,
 `bernstein`, `geometric`, `ode2ab`, `xi-act`) gets two kinds of document:
@@ -7,6 +7,14 @@ deleted and values replaced by values of the wrong type, of the wrong sign
 or size, or by malformed rational strings.  `cli.main` runs in-process; an
 arbitrary value must be rejected (exit 2 or 3), and a near miss may also be
 accepted (exit 0), but no document may end in exit 4, the internal error.
+
+Every subcommand that reads an expression (`normalize`, `mul`, `inv`,
+`div-linear`, `tau`, `anti-f`, `factor`) gets text from the README grammar
+and near misses of it, with `--order` 0-100 (and just outside), `--form`,
+`--lambda`, `--x` and `--pretty` drawn.  Exponents stay small, so that
+each call ends at once.  No invocation exits 4, text that is certainly off
+the grammar exits 2, and text that `normalize` accepts re-parses from its
+printed form to the same element.
 """
 
 import contextlib
@@ -21,7 +29,9 @@ pytest.importorskip("hypothesis")
 from hypothesis import given  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from abalg.cli import main  # noqa: E402
+from abalg.cli import _FORMS, main  # noqa: E402
+from abalg.expr import format_element, parse_element  # noqa: E402
+from abalg.jsonio import element_from_json  # noqa: E402
 
 
 def _c(re, im="0"):
@@ -158,3 +168,106 @@ def _with(doc, *path_and_value):
 ])
 def test_the_documents_that_once_exited_4(doc_path, case, doc, code):
     assert _run(doc_path, case, doc) == code
+
+
+# -- expressions on the command line ------------------------------------------------
+
+EXPRESSION_COMMANDS = ("normalize", "mul", "inv", "div-linear", "tau", "anti-f", "factor")
+FORMS = {"normalize", "mul", "tau", "anti-f"}
+
+rationals = st.builds(lambda n, d: f"{n}" if d is None else f"{n}/{d}",
+                      st.integers(0, 12), st.none() | st.integers(1, 9))
+atoms = st.sampled_from(["a", "b", "i"]) | rationals
+small_exponents = st.integers(0, 3)
+
+
+def _joined(ops, terms):
+    return terms[0] + "".join(op + t for op, t in zip(ops, terms[1:]))
+
+
+# The README grammar: sums, products, unary minus, powers of an atom or of a
+# parenthesised expression, with short sums and products and small exponents.
+expressions = st.recursive(
+    atoms | st.builds(lambda x, n: f"{x}^{n}", atoms, small_exponents),
+    lambda inner: st.one_of(
+        st.builds(lambda x: f"-{x}", inner),
+        st.builds(lambda x, n: f"({x})^{n}", inner, small_exponents),
+        st.builds(lambda xs: "*".join(xs), st.lists(inner, min_size=2, max_size=3)),
+        st.builds(_joined, st.lists(st.sampled_from(["+", "-", " + ", " - "]), min_size=2,
+                                    max_size=2), st.lists(inner, min_size=3, max_size=3)),
+        st.builds(lambda x, y: f"{x}-{y}", inner, inner),
+        st.builds(lambda x: f"({x})", inner)),
+    max_leaves=6)
+
+# Inserted anywhere, each of these leaves text outside the grammar: "_" is no
+# token, "(" leaves a parenthesis open, and "^" takes only a natural number.
+OFF_GRAMMAR = ["_", "(", "^-1", "^1/2", "^a", "^(2)"]
+# These may or may not leave the grammar: a stray "/" or operator, a space
+# inside a number, a doubled token, a non-ASCII digit.
+NEAR = ["/", " ", "1 ", "+", "*", "-", ")", "^", "^2", "0", "/0", "a", "١", "²", "."]
+
+
+@st.composite
+def near_miss_expressions(draw, pieces):
+    text = draw(expressions)
+    at = draw(st.integers(0, len(text)))
+    return text[:at] + draw(st.sampled_from(pieces)) + text[at:]
+
+
+scalar_texts = rationals | st.sampled_from(["-1/2", "i", "1 + i", "2/3 - 5/7*i", "0", "a",
+                                            "1/0", "x", ""])
+
+
+@st.composite
+def invocations(draw, text):
+    """argv for one of EXPRESSION_COMMANDS on text, with its flags drawn."""
+    cmd = draw(st.sampled_from(EXPRESSION_COMMANDS))
+    argv = [cmd, "--order", str(draw(st.integers(-1, 101)))]  # 0-100, and just outside
+    if cmd != "factor" and draw(st.booleans()):
+        argv.append("--pretty")
+    if cmd in FORMS and draw(st.booleans()):
+        argv += ["--form", draw(st.sampled_from(["left", "right"]))]
+    if cmd == "div-linear":
+        argv += ["--lambda", draw(scalar_texts)]
+    if cmd == "tau":
+        argv += ["--x", draw(scalar_texts)]
+    argv += ["--", text]  # so that "-a" is an expression, not an option
+    if cmd == "mul":
+        argv.append(draw(expressions))
+    return argv
+
+
+def _cli(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3) and "internal error" not in err.getvalue(), (argv, err.getvalue())
+    return code, out.getvalue()
+
+
+@given(data=st.data())
+def test_an_invocation_on_grammar_text_never_exits_4(data):
+    _cli(data.draw(invocations(data.draw(expressions))))
+
+
+@given(data=st.data())
+def test_an_invocation_on_near_miss_text_never_exits_4(data):
+    _cli(data.draw(invocations(data.draw(near_miss_expressions(NEAR)))))
+
+
+@given(data=st.data())
+def test_off_grammar_text_exits_2(data):
+    argv = data.draw(invocations(data.draw(near_miss_expressions(OFF_GRAMMAR))))
+    assert _cli(argv)[0] == 2
+
+
+@given(expressions, st.integers(0, 100), st.sampled_from(["left", "right"]), st.booleans())
+def test_accepted_text_re_parses_from_its_printed_form(text, order, form, pretty):
+    argv = ["normalize", "--order", str(order), "--form", form] + ["--pretty"] * pretty
+    code, out = _cli(argv + ["--", text])
+    if code == 0:
+        x = parse_element(text, order, _FORMS[form])
+        printed = parse_element(out, order, _FORMS[form]) if pretty else element_from_json(
+            json.loads(out))
+        assert printed == x
+        assert _cli(argv + ["--", format_element(x)]) == (0, out)

@@ -1,8 +1,9 @@
 """Source hygiene: no module of the package imports a name it never uses,
-the package exports a fixed set of names, the oracle and the
-GaussianRational routes of linalg and polynomials stay independent referees
-of the integer kernels, and every span of the traced benchmark names a
-function or method that exists.
+the package exports a fixed set of names, the oracle, the
+GaussianRational routes of linalg and polynomials and BSeries.__mul__ stay
+independent referees of the integer kernels, BSeries and APolynomial keep
+one storage, and every span of the traced benchmark names a function or
+method that exists.
 """
 
 import ast
@@ -110,7 +111,17 @@ REFEREE_DIGESTS = {
     "linalg.evaluate_poly_at_matrix":
         "c346cec144b72d043799e5b039a4e8117d4b8728f9717c5eeab6d3c7f50ab040",
     "polynomials.Poly.__call__": "ed90ecf0fe4e4d230c9372002a2224c4c1b1ae809754319eb8d755763ec8412d",
+    # the GaussianRational Cauchy product over `coeffs` referees BSeries.inverse
+    "series.BSeries.__mul__":
+        "81a8af515df4527bf94d7322ba138042963cca681f99be394826d18b52ff29c0",
 }
+
+
+def test_series_and_a_polynomials_keep_one_storage():
+    """BSeries and APolynomial are views of an AlgebraElement and store nothing else."""
+    from abalg.series import APolynomial, BSeries
+    assert BSeries.__slots__ == ("element",)
+    assert APolynomial.__slots__ == ("element",)
 
 
 def private_imports(source: str) -> list[str]:

@@ -1,9 +1,10 @@
 """Named invariant suites, shared by the `selftest` subcommand and the tests.
 
 Each check takes a seeded Random and raises AssertionError with a helpful
-message on the first violation.  Counts here are sized for a fast smoke
-run; the acceptance test suite re-runs the load-bearing ones at the full
-prescribed volumes.
+message on the first violation.  The default volumes are sized for a fast
+`selftest`; tests/test_acceptance.py runs every suite in-process, each
+acceptance criterion at its prescribed volume through the keyword arguments,
+so each invariant is written once, here.
 """
 
 from __future__ import annotations
@@ -67,6 +68,10 @@ def random_element(rng, order, terms=5, ordering=LEFT, max_degree=None) -> Algeb
     return AlgebraElement(order, ordering, table)
 
 
+def random_gaussian(rng) -> GaussianRational:
+    return GaussianRational(random_rational(rng), rng.randrange(-1, 2))
+
+
 def random_unit(rng, order, terms=5) -> AlgebraElement:
     x = random_element(rng, order, terms)
     table = dict(x.coeffs)
@@ -107,9 +112,9 @@ def check_ring_axioms(rng, triples=30, order=12):
 @check("core-algebra/ordering-round-trip")
 def check_ordering_round_trip(rng, count=100, order=10):
     for _ in range(count):
-        x = random_element(rng, order, terms=6)
+        x = random_element(rng, order, terms=rng.randrange(0, 8))
         assert x.to_right().to_left() == x, "to_left(to_right(x)) != x"
-        y = random_element(rng, order, terms=6, ordering=RIGHT)
+        y = random_element(rng, order, terms=rng.randrange(0, 8), ordering=RIGHT)
         assert y.to_left().to_right() == y, "to_right(to_left(y)) != y"
 
 
@@ -129,6 +134,19 @@ def check_reorder_recursions(rng, bound=30):
         assert reorder_coeff(p, 0, 0) == 1
         for j in range(1, p + 1):
             assert reorder_coeff(p, 0, j) == 0
+    # the expansion of a^p b^q acts on z^r as its RIGHT terms b^qq a^pp do:
+    # shift by pp, then integrate qq times
+    for p in range(7):
+        for q in range(7):
+            mono = AlgebraElement.monomial(p, q, p + q)
+            for r in range(7):
+                top = r + p + q
+                expect = PolySeries(top)
+                for (pp, qq), c in mono.to_right().coeffs.items():
+                    kernel = Fraction(1, math.perm(qq + r + pp, qq))
+                    expect = expect + PolySeries(top, {r + pp + qq: c * kernel})
+                assert oracle_act(mono, PolySeries.monomial(r, top)) == expect, \
+                    f"the expansion of a^{p} b^{q} acts wrongly on z^{r}"
 
 
 @check("core-algebra/anti-automorphism")
@@ -143,17 +161,21 @@ def check_anti_automorphism(rng, count=40, order=8):
 
 
 @check("core-algebra/shifted-power-exercise")
-def check_exercise_identity(rng, order=12):
-    # (a + x b)^p b^q = b^q (a + (x+q) b)^p
+def check_exercise_identity(rng, order=12, draws=1):
+    # (a + x b)^p b^q = b^q (a + (x+q) b)^p, for up to `draws` distinct x per (p, q)
     for p in range(0, 7):
         for q in range(0, 7):
             if p + q > order:
                 continue
-            x = random_rational(rng)
             bq = power(gen_b(order), q)
-            lhs = mul(binomial_pow(x, p, order).to_left(), bq)
-            rhs = mul(bq, binomial_pow(x + q, p, order).to_left())
-            assert lhs == rhs, f"exercise identity fails at p={p}, q={q}, x={x}"
+            for x in {random_rational(rng) for _ in range(draws)}:
+                lhs = mul(binomial_pow(x, p, order).to_left(), bq)
+                rhs = mul(bq, binomial_pow(x + q, p, order).to_left())
+                assert lhs == rhs, f"exercise identity fails at p={p}, q={q}, x={x}"
+    # x = -1 collapses: (a - b)^p = a^p - p b a^(p-1)
+    for p in range(2, 11):
+        assert binomial_pow(-1, p, p) == AlgebraElement(p, RIGHT, {(p, 0): 1, (p - 1, 1): -p}), \
+            f"(a - b)^{p} does not collapse"
 
 
 @check("core-algebra/integer-shift-identity")
@@ -214,6 +236,7 @@ def check_shear_laws(rng, count=25, order=8):
         assert shear(x, shear(-x, u)) == u, "shear not invertible"
         bq = power(gen_b(order), rng.randrange(0, order + 1))
         assert shear(x, bq) == bq, "shear moved a b-power"
+        assert shear(x, AlgebraElement.one(order)) == AlgebraElement.one(order), "shear moved 1"
 
 
 # -- division --------------------------------------------------------------------
@@ -223,7 +246,7 @@ def check_shear_laws(rng, count=25, order=8):
 def check_inverse(rng, count=40, order=10):
     one = AlgebraElement.one(order)
     for _ in range(count):
-        x = random_unit(rng, order)
+        x = random_unit(rng, order, terms=rng.randrange(4, 6))
         y = invert(x)
         assert mul(x, y) == one, "right inverse failed"
         assert mul(y, x) == one, "left inverse failed"
@@ -236,13 +259,15 @@ def check_divide_linear(rng, count=40, order=10):
     a, b = gen_a(order), gen_b(order)
     for _ in range(count):
         x = random_element(rng, order, terms=5)
-        lam = random_rational(rng)
+        lam = random_gaussian(rng)
+        linear = a - scale(lam, b)
         q, r = divide_linear(x, lam)
-        recon = mul(q.lifted(order), a - scale(lam, b)) + r.to_element()
-        assert recon == x, "division identity failed"
-        # uniqueness: the difference of two alleged solutions must vanish
-        q2, r2 = divide_linear(recon, lam)
-        assert q2 == q and r2 == r, "division result not reproducible"
+        assert mul(q.lifted(order), linear) + r.to_element() == x, "division identity failed"
+        # uniqueness: the difference of two solutions is 0, so shifting x by
+        # d (a - lam b) shifts Q by exactly d and leaves R alone
+        d = random_element(rng, order - 1, terms=3)
+        q2, r2 = divide_linear(x + mul(d.lifted(order), linear), lam)
+        assert q2 == q + d and r2 == r, "division not unique"
 
 
 @check("division/closed-form-powers")
@@ -286,7 +311,10 @@ def check_divide_product(rng, count=25, order=10):
         product = FactoredProduct(factors, order + above)
         x = random_element(rng, order, terms=5, ordering=rng.choice([LEFT, RIGHT]))
         res = divide(x, product)
+        assert res.quotient.order == order - k, "quotient not at order N - k"
         assert res.remainder.a_degree is None or res.remainder.a_degree <= k - 1
+        qp = mul(res.quotient.lifted(order).with_ordering(LEFT), product.expanded(order))
+        assert qp + res.remainder.to_element(LEFT) == x.with_ordering(LEFT), "QP + R != x"
         quotient, remainder = _divide_by_the_tail(x, product)
         assert res.quotient == quotient and res.remainder == remainder, \
             "factored division disagrees with the running-tail formula"
@@ -513,23 +541,25 @@ def check_differential_systems(rng, count=15, order=6):
 
 
 @check("abmod/xi-representation")
-def check_xi(rng, count=40):
-    alphas = [Fraction(1), Fraction(1, 2), Fraction(2, 3), Fraction(1, 4), Fraction(3, 5)]
+def check_xi(rng, count=40, poles=20):
+    alphas = [Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(2, 3), Fraction(1, 4),
+              Fraction(3, 4), Fraction(3, 5)]
     for _ in range(count):
-        dim = rng.randrange(1, 3)
+        dim = rng.randrange(1, 4)
         depth = rng.randrange(0, 4)
         bound = rng.randrange(2, 5)
         terms = {}
-        for _ in range(rng.randrange(1, 5)):
+        for _ in range(rng.randrange(1, 6)):
             key = (rng.choice(alphas), rng.randrange(0, bound + 1), rng.randrange(0, depth + 1))
-            terms[key] = tuple(random_coeff(rng) for _ in range(dim))
+            terms[key] = tuple(rng.choice((random_coeff, random_gaussian))(rng)
+                               for _ in range(dim))
         xi = XiElement(dim, depth, bound, terms)
         ab = xi_act_a(xi_act_b(xi))
         ba = xi_act_b(xi_act_a(xi))
         assert ab - ba == xi_act_b(xi_act_b(xi)), "ab - ba != b^2 on expansions"
-    for _ in range(20):
+    for _ in range(poles):
         alpha = rng.choice(alphas)
-        m = rng.randrange(0, 6)
+        m = rng.randrange(0, 8)
         assert xi_check_simple_pole(alpha, m) == alpha + m + 1
 
 
@@ -549,12 +579,12 @@ def check_round_trip(rng, count=500, order=8):
 @check("cli/deterministic-output")
 def check_determinism(rng, count=40, order=8):
     from .jsonio import element_from_json, element_to_json
-    import json
     for _ in range(count):
         x = random_element(rng, order, terms=5, ordering=rng.choice([LEFT, RIGHT]))
         s1 = json.dumps(element_to_json(x), indent=2)
         y = element_from_json(json.loads(s1))
         s2 = json.dumps(element_to_json(y), indent=2)
+        assert y == x, "JSON did not round-trip"
         assert s1 == s2 and format_element(x) == format_element(y)
 
 

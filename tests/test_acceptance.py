@@ -1,263 +1,140 @@
 """Acceptance criteria, one test per criterion, at the full prescribed volumes.
 
-All arithmetic is exact over the Gaussian rationals, so every comparison
-below is equality with zero tolerance.  Each test prints a PASS line so a
-plain `pytest -s tests/test_acceptance.py` reads as a checklist.
+Criteria 1-11 are rows of TABLE: each runs a suite of `abalg.checks` in-process
+with the criterion's seed and its volume keywords, so every invariant is
+written once, in the suite.  The suites that no criterion names run here too,
+at their `selftest` volume or above.  All arithmetic is exact over the
+Gaussian rationals.  Each criterion prints a PASS line so a plain
+`pytest -s tests/test_acceptance.py` reads as a checklist.
 """
 
-import json
-import math
 import random
 import subprocess
 import sys
-from fractions import Fraction
 
-from abalg.checks import (random_bseries_unit, random_coeff, random_element,
-                          random_matrix, random_rational, random_unit)
+import pytest
+
+from abalg.checks import CHECKS
 from abalg.cli import main as cli_main
-from abalg.coefficients import GaussianRational
-from abalg.division import (FactoredProduct, divide, divide_linear, invert,
-                            power_division_closed_form)
-from abalg.elements import (LEFT, RIGHT, AlgebraElement, anti_automorphism, binomial_pow,
-                            gen_a, gen_b, mul, power, reorder_coeff, scale, shear)
-from abalg.expansions import XiElement, xi_act_a, xi_act_b, xi_check_simple_pole
-from abalg.linalg import (QMatrix, evaluate_poly_at_matrix, matrix_power_sequence,
-                          solve_dependency)
-from abalg.modules import (DifferentialSystem, SimplePoleModule, act, bernstein,
-                           fresco_act, from_differential_system, satisfies_system,
-                           unit_fresco)
-from abalg.oracle import PolySeries, act as oracle_act, oracle_check_mul
-from abalg.series import BSeries
+
+# (criterion, suite, seed, volume); criterion None is a suite no criterion names
+TABLE = [
+    (1, "core-algebra/defining-relation-and-ring-axioms", 101, dict(triples=200, order=12)),
+    (2, "core-algebra/reorder-coeff-recursions", 102, dict(bound=30)),
+    (3, "core-algebra/ordering-round-trip", 103, dict(count=500, order=10)),
+    (4, "oracle/representation-property", 104, dict(count=200, order=8, bound=24)),
+    (5, "core-algebra/shifted-power-exercise", 105, dict(order=12, draws=20)),
+    (5, "core-algebra/integer-shift-identity", 105, dict(order=12)),
+    (5, "core-algebra/double-power-formula", 105, dict(top=6)),
+    (5, "core-algebra/binomial-sum-identity", 105, dict(bound=20)),
+    (6, "division/two-sided-inverse", 106, dict(count=200, order=10)),
+    (7, "division/closed-form-powers", 107, dict(count=200, top=10)),
+    (7, "division/factored-products", 107, dict(count=100, order=10)),
+    (8, "core-algebra/shear-group-law", 108, dict(count=100, order=8)),
+    (8, "core-algebra/anti-automorphism", 108, dict(count=100, order=8)),
+    (9, "abmod/module-law", 109, dict(count=30, order=8)),
+    (9, "abmod/simple-pole-containment", 109, dict(count=30, order=8)),
+    (9, "abmod/bernstein", 109, dict(count=30, order=8)),
+    (9, "abmod/fresco", 109, dict(count=30, order=8)),
+    (10, "abmod/differential-systems", 110, dict(count=50, order=6)),
+    (11, "abmod/xi-representation", 111, dict(count=200, poles=50)),
+    (None, "core-algebra/grading", 112, {}),
+    (None, "division/linear-identity-and-uniqueness", 113, {}),
+    (None, "division/truncation-stability", 114, {}),
+    (None, "division/homogeneous-factorization", 115, {}),
+    (None, "oracle/kernel-vs-composed", 116, {}),
+    (None, "oracle/faithfulness-witness", 117, {}),
+    (None, "cli/print-parse-round-trip", 118, {}),
+    (None, "cli/deterministic-output", 119, dict(count=50)),
+]
+
+CRITERIA = {
+    1: "ab - ba = b^2; associativity and distributivity, 200 triples at N=12, exact",
+    2: "closed form matches both recursions (p,q <= 30) and the expansion acts "
+       "correctly on monomials (p,q <= 6)",
+    3: "to_left and to_right are mutually inverse on 500 random elements at N=10",
+    4: "act(mul(X,Y)) = act(X) o act(Y) on z^r, r <= 8, for 200 pairs at N=8, D=24",
+    5: "collapsed binomial powers, the shift identities, the double-power "
+       "formula and the binomial sum identity all hold exactly",
+    6: "two-sided inverses for 200 random units at N=10; geometric series closed form",
+    7: "closed-form agreement (m <= 10), X = QP + R with deg_a R <= k-1 for "
+       "100 instances, remainder invariant under X -> X + ZP",
+    8: "shears are unit-preserving homomorphisms with inverse shear(-x); the "
+       "anti-automorphism reverses products and is involutive",
+    9: "module action associative (k <= 3); a E inside b E; Bernstein polynomial "
+       "= minimal annihilator of -theta; the unit fresco satisfies a.e = b.e",
+    10: "X(0) = M(0) and ae = M(a)be holds mod b^6 after substitution for 50 "
+        "random systems (k <= 2, degree <= 2); constant systems return X = M(0)",
+    11: "ab - ba = b^2 on 200 random expansions; a[s^(alpha+m)] = "
+        "(alpha+m+1) b[s^(alpha+m)] for 50 random (alpha, m)",
+}
 
 
-def _pass(n, text):
-    print(f"[PASS] criterion {n}: {text}")
+def run_row(row):
+    _, name, seed, volume = row
+    CHECKS[name](random.Random(seed), **volume)
+
+
+def criterion(n):
+    for row in TABLE:
+        if row[0] == n:
+            run_row(row)
+    print(f"[PASS] criterion {n}: {CRITERIA[n]}")
+
+
+def test_the_table_runs_every_suite_once():
+    names = [name for _, name, _, _ in TABLE]
+    assert sorted(names) == sorted(CHECKS)
+    assert sorted({n for n, *_ in TABLE if n is not None}) == sorted(CRITERIA)
 
 
 def test_criterion_1_relation_and_ring_axioms():
-    rng = random.Random(101)
-    n = 12
-    a, b = gen_a(n), gen_b(n)
-    assert mul(a, b) - mul(b, a) == mul(b, b)
-    for _ in range(200):
-        x = random_element(rng, n, terms=4)
-        y = random_element(rng, n, terms=4)
-        z = random_element(rng, n, terms=4)
-        assert mul(mul(x, y), z) == mul(x, mul(y, z))
-        assert mul(x, y + z) == mul(x, y) + mul(x, z)
-        assert mul(x + y, z) == mul(x, z) + mul(y, z)
-    _pass(1, "ab - ba = b^2; associativity and distributivity, 200 triples at N=12, exact")
+    criterion(1)
 
 
 def test_criterion_2_reordering_table():
-    for p in range(31):
-        for q in range(31):
-            for j in range(0, p + 2):
-                closed = reorder_coeff(p + 1, q, j)
-                assert closed == reorder_coeff(p, q, j) + (q + j - 1) * reorder_coeff(p, q, j - 1)
-                assert closed == reorder_coeff(p, q, j) + q * reorder_coeff(p, q + 1, j - 1)
-    # the expansion itself, verified through the operator representation
-    for p in range(7):
-        for q in range(7):
-            mono = AlgebraElement.monomial(p, q, p + q)
-            right = mono.to_right()
-            for r in range(7):
-                f = PolySeries.monomial(r, r + p + q)
-                lhs = oracle_act(mono, f)
-                rhs = PolySeries(r + p + q)
-                for (pp, qq), c in right.coeffs.items():
-                    # act with b^qq a^pp on z^r: shift by pp, then integrate qq times
-                    kernel = Fraction(1, math.perm(qq + r + pp, qq))
-                    rhs = rhs + PolySeries(r + p + q, {r + pp + qq: c * kernel})
-                assert lhs == rhs
-    _pass(2, "closed form matches both recursions (p,q <= 30) and the expansion acts "
-             "correctly on monomials (p,q <= 6)")
+    criterion(2)
 
 
 def test_criterion_3_ordering_round_trip():
-    rng = random.Random(103)
-    n = 10
-    for _ in range(500):
-        x = random_element(rng, n, terms=rng.randrange(0, 8))
-        assert x.to_right().to_left() == x
-        y = random_element(rng, n, terms=rng.randrange(0, 8), ordering=RIGHT)
-        assert y.to_left().to_right() == y
-    _pass(3, "to_left and to_right are mutually inverse on 500 random elements at N=10")
+    criterion(3)
 
 
 def test_criterion_4_oracle_equivalence():
-    rng = random.Random(104)
-    for _ in range(200):
-        x = random_element(rng, 8, terms=4)
-        y = random_element(rng, 8, terms=4)
-        assert oracle_check_mul(x, y, 24)
-    _pass(4, "act(mul(X,Y)) = act(X) o act(Y) on z^r, r <= 8, for 200 pairs at N=8, D=24")
+    criterion(4)
 
 
 def test_criterion_5_classical_identities():
-    # (a - b)^p = a^p - p b a^(p-1)
-    for p in range(2, 11):
-        assert binomial_pow(-1, p, p) == AlgebraElement(
-            p, RIGHT, {(p, 0): 1, (p - 1, 1): -p})
-    # (a + x b)^p b^q = b^q (a + (x+q) b)^p, 20 random rational x per (p, q)
-    rng = random.Random(105)
-    n = 12
-    for p in range(7):
-        for q in range(7):
-            if p + q > n:
-                continue
-            for x in {random_rational(rng) for _ in range(20)}:
-                bq = power(gen_b(n), q)
-                lhs = mul(binomial_pow(x, p, n).to_left(), bq)
-                rhs = mul(bq, binomial_pow(x + q, p, n).to_left())
-                assert lhs == rhs
-    # b^q (a + q b)^p = a^p b^q
-    for p in range(7):
-        for q in range(7):
-            bq = power(gen_b(n), q)
-            assert mul(bq, binomial_pow(q, p, n).to_left()) == mul(power(gen_a(n), p), bq)
-    # n! b^(2n) = sum_j (-1)^j C(n,j) b^j a^n b^(n-j) for n <= 6
-    for m in range(1, 7):
-        order = 2 * m
-        b, am = gen_b(order), power(gen_a(order), m)
-        total = AlgebraElement.zero(order)
-        for j in range(m + 1):
-            sign = GaussianRational((-1) ** j * math.comb(m, j))
-            total = total + scale(sign, mul(mul(power(b, j), am), power(b, m - j)))
-        assert total == scale(math.factorial(m), power(b, 2 * m))
-    # sum_j C(x+j, j) = C(x+y+1, x+1) for x, y <= 20
-    for x in range(21):
-        for y in range(21):
-            assert sum(math.comb(x + j, j) for j in range(y + 1)) == math.comb(x + y + 1, x + 1)
-    _pass(5, "collapsed binomial powers, the shift identities, the double-power "
-             "formula and the binomial sum identity all hold exactly")
+    criterion(5)
 
 
 def test_criterion_6_inversion():
-    rng = random.Random(106)
-    n = 10
-    one = AlgebraElement.one(n)
-    for _ in range(200):
-        x = random_unit(rng, n, terms=4)
-        y = invert(x)
-        assert mul(x, y) == one
-        assert mul(y, x) == one
-    assert invert(one - gen_b(n)) == AlgebraElement(
-        n, LEFT, {(0, q): 1 for q in range(n + 1)})
-    _pass(6, "two-sided inverses for 200 random units at N=10; geometric series closed form")
+    criterion(6)
 
 
 def test_criterion_7_division():
-    rng = random.Random(107)
-    # closed form for m <= 10 and 20 random lambdas
-    for m in range(1, 11):
-        for _ in range(20):
-            lam = random_rational(rng)
-            assert divide_linear(power(gen_a(m), m), lam) == \
-                power_division_closed_form(m, lam)
-    # factored division: 100 random instances, k <= 4
-    n = 10
-    for _ in range(100):
-        k = rng.randrange(1, 5)
-        product = FactoredProduct(tuple(
-            (GaussianRational(random_rational(rng)), random_bseries_unit(rng, n))
-            for _ in range(k)), n)
-        x = random_element(rng, n, terms=5)
-        res = divide(x, product)
-        assert res.remainder.a_degree is None or res.remainder.a_degree <= k - 1
-        assert mul(res.quotient.lifted(n), product.expanded()) \
-            + res.remainder.to_element(LEFT) == x
-        z = random_element(rng, n, terms=3)
-        assert divide(x + mul(z, product.expanded()), product).remainder == res.remainder
-    _pass(7, "closed-form agreement (m <= 10), X = QP + R with deg_a R <= k-1 for "
-             "100 instances, remainder invariant under X -> X + ZP")
+    criterion(7)
 
 
 def test_criterion_8_automorphisms():
-    rng = random.Random(108)
-    n = 8
-    xs = [random_rational(rng) for _ in range(10)]
-    for _ in range(100):
-        u = random_element(rng, n, terms=4)
-        x = rng.choice(xs)
-        assert shear(x, shear(-x, u)) == u
-        v = random_element(rng, n, terms=4)
-        assert shear(x, mul(u, v)) == mul(shear(x, u), shear(x, v))
-        assert shear(x, AlgebraElement.one(n)) == AlgebraElement.one(n)
-        assert anti_automorphism(mul(u, v), LEFT) == mul(
-            anti_automorphism(v, LEFT), anti_automorphism(u, LEFT))
-        assert anti_automorphism(anti_automorphism(u)) == u
-    _pass(8, "shears are unit-preserving homomorphisms with inverse shear(-x); the "
-             "anti-automorphism reverses products and is involutive")
+    criterion(8)
 
 
 def test_criterion_9_modules():
-    rng = random.Random(109)
-    n = 8
-    a = gen_a(n).to_right()
-    for _ in range(30):
-        k = rng.randrange(1, 4)
-        module = SimplePoleModule(random_matrix(rng, k), n)
-        v = module.element([BSeries(n, {rng.randrange(0, n + 1): random_coeff(rng)})
-                            for _ in range(k)])
-        x = random_element(rng, n, terms=3, ordering=RIGHT)
-        y = random_element(rng, n, terms=3, ordering=RIGHT)
-        prod = mul(x.to_left(), y.to_left()).to_right()
-        assert act(prod, v, module).entries == act(x, act(y, v, module), module).entries
-        av = act(a, v, module)
-        assert av.b_valuation is None or av.b_valuation >= 1
-        # Bernstein: annihilation plus no smaller monic annihilator
-        theta = module.theta
-        p = bernstein(module)
-        assert p.is_monic
-        assert evaluate_poly_at_matrix(p, -theta).is_zero
-        powers = matrix_power_sequence(-theta, p.degree)
-        flat = [tuple(c for row in m.rows for c in row) for m in powers]
-        for d in range(1, p.degree):
-            assert solve_dependency(flat[:d + 1]) is None
-    e1 = unit_fresco(n)
-    assert fresco_act(gen_a(n), e1.generator(), e1).to_element(LEFT) == gen_b(n)
-    _pass(9, "module action associative (k <= 3); a E inside b E; Bernstein polynomial "
-             "= minimal annihilator of -theta; the unit fresco satisfies a.e = b.e")
+    criterion(9)
 
 
 def test_criterion_10_differential_systems():
-    rng = random.Random(110)
-    n = 6
-    for _ in range(50):
-        k = rng.randrange(1, 3)
-        deg = rng.randrange(0, 3)
-        system = DifferentialSystem(tuple(
-            random_matrix(rng, k, rational_only=True) for _ in range(deg + 1)))
-        module, coeffs = from_differential_system(system, n)
-        assert module.x_at_zero() == system.residue
-        assert satisfies_system(module, system)
-        if deg == 0:
-            assert all(m.is_zero for m in coeffs[1:])
-    _pass(10, "X(0) = M(0) and ae = M(a)be holds mod b^6 after substitution for 50 "
-              "random systems (k <= 2, degree <= 2); constant systems return X = M(0)")
+    criterion(10)
 
 
 def test_criterion_11_expansions():
-    rng = random.Random(111)
-    alphas = [Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(2, 3), Fraction(3, 4)]
-    for _ in range(200):
-        dim = rng.randrange(1, 3)
-        depth = rng.randrange(0, 4)
-        bound = rng.randrange(2, 5)
-        terms = {}
-        for _ in range(rng.randrange(1, 5)):
-            key = (rng.choice(alphas), rng.randrange(0, bound + 1),
-                   rng.randrange(0, depth + 1))
-            terms[key] = tuple(random_coeff(rng) for _ in range(dim))
-        xi = XiElement(dim, depth, bound, terms)
-        assert xi_act_a(xi_act_b(xi)) - xi_act_b(xi_act_a(xi)) == xi_act_b(xi_act_b(xi))
-    for _ in range(50):
-        alpha = rng.choice(alphas)
-        m = rng.randrange(0, 8)
-        assert xi_check_simple_pole(alpha, m) == alpha + m + 1
-    _pass(11, "ab - ba = b^2 on 200 random expansions; a[s^(alpha+m)] = "
-              "(alpha+m+1) b[s^(alpha+m)] for 50 random (alpha, m)")
+    criterion(11)
+
+
+@pytest.mark.parametrize("row", [row for row in TABLE if row[0] is None], ids=lambda row: row[1])
+def test_suite_without_a_criterion(row):
+    run_row(row)
 
 
 def test_criterion_12_cli(capsys):
@@ -282,5 +159,5 @@ def test_criterion_12_cli(capsys):
                             capture_output=True, text=True)
     assert result.returncode == 0, result.stdout + result.stderr
     assert "FAIL" not in result.stdout
-    _pass(12, "documented CLI outputs byte-identical; selftest exits 0; parse and "
-              "domain errors use exit codes 2 and 3")
+    print(f"[PASS] criterion 12: documented CLI outputs byte-identical; selftest exits 0; "
+          "parse and domain errors use exit codes 2 and 3")

@@ -61,15 +61,6 @@ def test_to_left_examples():
     assert to_left(b2a2) == AlgebraElement(n, LEFT, {(2, 2): 1, (1, 3): -4, (0, 4): 6})
 
 
-def test_round_trip_random():
-    r = rng()
-    for _ in range(60):
-        x = random_element(r, 10, terms=6)
-        assert to_left(to_right(x)) == x
-        y = random_element(r, 10, terms=6, ordering=RIGHT)
-        assert to_right(to_left(y)) == y
-
-
 def test_eq3_against_oracle():
     # b^2 a^2 and its LEFT form must act identically; on 1 both give z^4/12
     n = 6
@@ -159,16 +150,6 @@ def test_anti_automorphism_examples():
     assert anti_automorphism(mul(a, b), LEFT) == -mul(a, b) + mul(b, b)
 
 
-def test_anti_automorphism_reverses_and_involutes():
-    r = rng()
-    for _ in range(30):
-        x = random_element(r, 8, terms=4)
-        y = random_element(r, 8, terms=4)
-        assert anti_automorphism(mul(x, y), LEFT) == mul(
-            anti_automorphism(y, LEFT), anti_automorphism(x, LEFT))
-        assert anti_automorphism(anti_automorphism(x)) == x
-
-
 # -- binomial powers and shears -------------------------------------------------------
 
 def test_binomial_pow_examples():
@@ -187,13 +168,6 @@ def test_binomial_pow_equals_iterated_product():
             assert binomial_pow(x, p, n).to_left() == power(base, p)
 
 
-def test_negative_one_collapse():
-    # (a-b)^p = a^p - p b a^(p-1)
-    for p in range(2, 11):
-        expect = AlgebraElement(p, RIGHT, {(p, 0): 1, (p - 1, 1): -p})
-        assert binomial_pow(-1, p, p) == expect
-
-
 def test_shear_examples():
     n = 6
     a, b = gen_a(n), gen_b(n)
@@ -203,15 +177,6 @@ def test_shear_examples():
         assert shear(x, power(b, q)) == power(b, q)
     assert shear(1, power(a, 2)).to_right() == AlgebraElement(
         n, RIGHT, {(2, 0): 1, (1, 1): 2, (0, 2): 2})
-
-
-def test_shear_group_law_and_homomorphism():
-    r = rng()
-    for _ in range(20):
-        x, y = Fraction(r.randrange(-4, 5), r.choice([1, 2])), Fraction(r.randrange(-4, 5))
-        u, v = random_element(r, 8, terms=4), random_element(r, 8, terms=4)
-        assert shear(x, shear(y, u)) == shear(x + y, u)
-        assert shear(x, mul(u, v)) == mul(shear(x, u), shear(x, v))
 
 
 # -- diagnostics ------------------------------------------------------------------------

@@ -1,4 +1,3 @@
-import random
 from fractions import Fraction
 
 import pytest
@@ -29,26 +28,6 @@ def test_multiplication_by_s():
     # truncation drops the overflow silently
     top = XiElement.symbol(Fraction(2, 3), 3, 0, m_bound=3)
     assert xi_act_a(top).is_zero
-
-
-def test_relation_on_random_elements():
-    rng = random.Random(77)
-    alphas = [Fraction(1), Fraction(1, 2), Fraction(2, 3), Fraction(1, 4)]
-    for _ in range(60):
-        dim = rng.randrange(1, 4)
-        depth = rng.randrange(0, 4)
-        bound = rng.randrange(2, 5)
-        terms = {}
-        for _ in range(rng.randrange(1, 6)):
-            key = (rng.choice(alphas), rng.randrange(0, bound + 1),
-                   rng.randrange(0, depth + 1))
-            terms[key] = tuple(GaussianRational(
-                Fraction(rng.randrange(-3, 4), rng.choice([1, 2])),
-                rng.randrange(-1, 2)) for _ in range(dim))
-        xi = XiElement(dim, depth, bound, terms)
-        ab = xi_act_a(xi_act_b(xi))
-        ba = xi_act_b(xi_act_a(xi))
-        assert ab - ba == xi_act_b(xi_act_b(xi))
 
 
 def test_simple_pole_scalars():

@@ -23,12 +23,11 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 from .coefficients import GaussianRational, ONE, over
 from .elements import (LEFT, RIGHT, AlgebraElement, _by_degree, _scalar_ints, _times_b_power,
                        mul, scale, with_ordering)
-from .errors import (NotHomogeneousError, NotMonicError, OrderMismatchError,
+from .errors import (Frozen, NotHomogeneousError, NotMonicError, OrderMismatchError,
                      ZeroConstantTermError, ZeroElementError)
 from .polynomials import Poly, _roots_with_multiplicity
 from .series import APolynomial, BSeries
@@ -219,26 +218,27 @@ def power_division_closed_form(m: int, lam) -> tuple[AlgebraElement, BSeries]:
     return quotient, remainder
 
 
-@dataclass(frozen=True)
-class FactoredProduct:
+class FactoredProduct(Frozen):
     """An ordered product of factors (a - lam_i b) S_i with unit S_i."""
 
-    factors: tuple  # of (GaussianRational, BSeries)
-    order: int
+    # factors: tuple of (GaussianRational, BSeries); the last two slots cache
+    # unit_inverses and the expansion, filled on first use
+    __slots__ = ("factors", "order", "_unit_inverses", "_expansion")
 
-    def __post_init__(self):
-        if not self.factors:
+    def __init__(self, factors: tuple, order: int):
+        if not factors:
             raise ValueError("a factored product needs at least one factor")
         checked = []
-        for lam, s in self.factors:
+        for lam, s in factors:
             lam = GaussianRational.coerce(lam)
             if not isinstance(s, BSeries):
                 raise TypeError("unit parts must be BSeries")
-            s = s.truncated(self.order) if s.order > self.order else s.lifted(self.order)
+            s = s.truncated(order) if s.order > order else s.lifted(order)
             if not s.is_unit:
                 raise ZeroConstantTermError("unit part has zero constant term")
             checked.append((lam, s))
-        object.__setattr__(self, "factors", tuple(checked))
+        super().__init__(factors=tuple(checked), order=order, _unit_inverses=None,
+                         _expansion=None)
 
     @staticmethod
     def linear(lam, order: int) -> FactoredProduct:
@@ -252,32 +252,37 @@ class FactoredProduct:
     def __len__(self):
         return len(self.factors)
 
-    @functools.cached_property
+    @property
     def unit_inverses(self) -> tuple:
         """S_i^(-1) for each factor, at the product's order, computed once, as
         the AlgebraElement that BSeries stores."""
-        return tuple(s.inverse().element for _, s in self.factors)
-
-    @functools.cached_property
-    def _expansion(self) -> AlgebraElement:
-        out = AlgebraElement.one(self.order)
-        a = AlgebraElement.monomial(1, 0, self.order)
-        b = AlgebraElement.monomial(0, 1, self.order)
-        for lam, s in self.factors:
-            out = mul(mul(out, a - scale(lam, b)), s.to_element(self.order))
-        return out
+        if self._unit_inverses is None:
+            object.__setattr__(self, "_unit_inverses",
+                               tuple(s.inverse().element for _, s in self.factors))
+        return self._unit_inverses
 
     def expanded(self, order: int | None = None) -> AlgebraElement:
         """The product, at an order up to its own (the default); expanded once."""
-        return self._expansion if order in (None, self.order) else self._expansion.truncated(order)
+        if self._expansion is None:
+            out = AlgebraElement.one(self.order)
+            a = AlgebraElement.monomial(1, 0, self.order)
+            b = AlgebraElement.monomial(0, 1, self.order)
+            for lam, s in self.factors:
+                out = mul(mul(out, a - scale(lam, b)), s.to_element(self.order))
+            object.__setattr__(self, "_expansion", out)
+        if order in (None, self.order):
+            return self._expansion
+        return self._expansion.truncated(order)
 
 
-@dataclass(frozen=True)
-class DivisionResult:
+class DivisionResult(Frozen):
     """x = quotient * P + remainder, exactly modulo total degree > order."""
 
-    quotient: AlgebraElement    # order N - k
-    remainder: APolynomial      # order N, a-degree <= k-1
+    __slots__ = ("quotient", "remainder")
+
+    def __init__(self, quotient: AlgebraElement, remainder: APolynomial):
+        # quotient at order N - k, remainder at order N with a-degree <= k-1
+        super().__init__(quotient=quotient, remainder=remainder)
 
 
 def _times_series(x: AlgebraElement, s: AlgebraElement) -> AlgebraElement:
@@ -382,8 +387,7 @@ def remainder_polynomial(x: AlgebraElement) -> Poly:
     return Poly([over(re, im, den) for re, im in zip(rho_re, rho_im)])
 
 
-@dataclass(frozen=True)
-class HomogeneousFactorization:
+class HomogeneousFactorization(Frozen):
     """scale * b^b_power * core * prod_i (a - lambdas[i] * b), re-expandable.
 
     `complete` means core is absent and the lambdas account for the whole
@@ -392,11 +396,11 @@ class HomogeneousFactorization:
     with lam in Q(i) divides it.
     """
 
-    scale: GaussianRational
-    b_power: int
-    lambdas: tuple
-    core: AlgebraElement | None
-    order: int
+    __slots__ = ("scale", "b_power", "lambdas", "core", "order")
+
+    def __init__(self, scale: GaussianRational, b_power: int, lambdas: tuple,
+                 core: AlgebraElement | None, order: int):
+        super().__init__(scale=scale, b_power=b_power, lambdas=lambdas, core=core, order=order)
 
     @property
     def complete(self) -> bool:

@@ -345,19 +345,21 @@ def _scalar_ints(c: GaussianRational) -> tuple[int, tuple[int, int]]:
     return e, ints[0]
 
 
-def _binomial_rows(s: GaussianRational, top: int) -> tuple[int, list]:
+def _binomial_rows(s: GaussianRational, top: int, sign: int = 1) -> tuple[int, list]:
     """(e, rows) with (a + s*b)^p = sum_j rows[p][j] / e^top * b^j a^(p-j), p <= top.
 
     rows[p][j] = C(p, j) R_j e^(top-j), where the rising product
     s(s+1)...(s+j-1) is R_j / e^j with R_j a Gaussian integer, e = den(s).
+    With sign = -1 the product is the falling one s(s-1)...(s-j+1), and the
+    rows give (a + s*b)^p = sum_j rows[p][j] / e^top * a^(p-j) b^j instead.
     """
     e, (sr, si) = _scalar_ints(s)
-    rising = [(1, 0)]
+    products = [(1, 0)]
     for t in range(top):
-        re, im = rising[-1]
-        fr = sr + t * e
-        rising.append((re * fr - im * si, re * si + im * fr))
-    scaled = [(re * e ** (top - j), im * e ** (top - j)) for j, (re, im) in enumerate(rising)]
+        re, im = products[-1]
+        fr = sr + sign * t * e
+        products.append((re * fr - im * si, re * si + im * fr))
+    scaled = [(re * e ** (top - j), im * e ** (top - j)) for j, (re, im) in enumerate(products)]
     return e, [[(math.comb(p, j) * re, math.comb(p, j) * im)
                 for j, (re, im) in enumerate(scaled[:p + 1])] for p in range(top + 1)]
 
@@ -519,17 +521,18 @@ def binomial_pow(x, p: int, order: int) -> AlgebraElement:
 def shear(x, X: AlgebraElement) -> AlgebraElement:
     """The unitary automorphism a -> a + x*b, b -> b, applied to X.
 
-    Computed on the RIGHT form termwise: b^q a^p -> b^q (a + x*b)^p, the
-    b^q prefix simply shifting the RIGHT keys.  Multiplicative, fixes the
-    b-subalgebra, and shear(x, shear(y, X)) = shear(x+y, X).  The result
-    comes back in X's ordering.  The loop runs over the denominator
-    D * e^P, with D that of X, e that of x and P the largest a-power of X
-    (see _binomial_rows).
+    Computed termwise in X's own ordering: the key (p, q) goes to
+    (p - j, q + j) times C(p, j) and, on the RIGHT form (b^q a^p ->
+    b^q (a + x*b)^p), the rising x(x+1)...(x+j-1), on the LEFT form
+    (a^p b^q -> (a + x*b)^p b^q) the falling x(x-1)...(x-j+1); on the
+    symbol of the LEFT table that is P_d(u) -> P_d(u + x).  Multiplicative,
+    fixes the b-subalgebra, and shear(x, shear(y, X)) = shear(x+y, X).  The
+    loop runs over the denominator D * e^P, with D that of X, e that of x
+    and P the largest a-power of X (see _binomial_rows).
     """
-    src = with_ordering(X, RIGHT)
-    table = src.table
+    table = X.table
     top = max((p for p, _ in table), default=0)
-    e, rows = _binomial_rows(GaussianRational.coerce(x), top)
+    e, rows = _binomial_rows(GaussianRational.coerce(x), top, 1 if X.ordering is RIGHT else -1)
     out: dict = {}
     for (p, q), (cr, ci) in table.items():
         for j, (sr, si) in enumerate(rows[p]):
@@ -541,8 +544,7 @@ def shear(x, X: AlgebraElement) -> AlgebraElement:
             else:
                 acc[0] += re
                 acc[1] += im
-    result = AlgebraElement.from_ints(X.order, RIGHT, src.den * e ** top, out)
-    return with_ordering(result, X.ordering)
+    return AlgebraElement.from_ints(X.order, X.ordering, X.den * e ** top, out)
 
 
 def coefficient_profile(x: AlgebraElement) -> list[Fraction]:

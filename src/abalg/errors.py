@@ -1,9 +1,48 @@
-"""Exception hierarchy shared by the whole package.
+"""Exception hierarchy and the immutable value base shared by the whole package.
 
 Domain errors (bad but expected inputs) all derive from AbalgError so the
 CLI can map them to a single exit code.  Anything else escaping an
 operation is a bug.
 """
+
+
+class Frozen:
+    """An immutable value compared, hashed, shown and copied by its fields, as
+    a frozen dataclass is.  The fields are the subclass's __slots__ that do
+    not start with "_" (those are caches); the subclass's __init__ takes them
+    in that order, checks them and passes them on to Frozen.__init__ by name.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, **fields):
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__ if name[0] != "_")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={getattr(self, name)!r}"
+                          for name in self.__slots__ if name[0] != "_")
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._fields()
 
 
 class AbalgError(Exception):

@@ -16,11 +16,11 @@ both sides of any identity, so ab - ba = b^2 survives truncation exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
 from .coefficients import GaussianRational
+from .errors import Frozen
 
 
 def _check_alpha(alpha: Fraction) -> Fraction:
@@ -30,31 +30,27 @@ def _check_alpha(alpha: Fraction) -> Fraction:
     return alpha
 
 
-@dataclass(frozen=True)
-class XiElement:
+class XiElement(Frozen):
     """Sparse table (alpha, m, j) -> coefficient vector of length dim."""
 
-    dim: int
-    log_depth: int
-    m_bound: int
-    terms: dict
+    __slots__ = ("dim", "log_depth", "m_bound", "terms")
 
-    def __post_init__(self):
+    def __init__(self, dim: int, log_depth: int, m_bound: int, terms: dict):
         table = {}
-        for (alpha, m, j), vec in self.terms.items():
+        for (alpha, m, j), vec in terms.items():
             alpha = _check_alpha(alpha)
-            if m < 0 or m > self.m_bound:
+            if m < 0 or m > m_bound:
                 if m < 0:
                     raise ValueError("negative shift m")
                 continue
-            if not 0 <= j <= self.log_depth:
-                raise ValueError(f"log depth {j} outside [0, {self.log_depth}]")
+            if not 0 <= j <= log_depth:
+                raise ValueError(f"log depth {j} outside [0, {log_depth}]")
             vec = tuple(GaussianRational.coerce(c) for c in vec)
-            if len(vec) != self.dim:
+            if len(vec) != dim:
                 raise ValueError("coefficient vector has the wrong dimension")
             if any(vec):
                 table[(alpha, m, j)] = vec
-        object.__setattr__(self, "terms", table)
+        super().__init__(dim=dim, log_depth=log_depth, m_bound=m_bound, terms=table)
 
     @staticmethod
     def zero(dim: int, log_depth: int, m_bound: int) -> XiElement:

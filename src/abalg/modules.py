@@ -27,12 +27,11 @@ entries known mod b^(N+1) is exact mod b^(N+1).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .coefficients import common_denominator
 from .division import FactoredProduct, divide
 from .elements import LEFT, RIGHT, AlgebraElement, mul, with_ordering
-from .errors import AbalgError, OrderingMismatchError, OrderMismatchError
+from .errors import AbalgError, Frozen, OrderingMismatchError, OrderMismatchError
 from .linalg import (QMatrix, _int_identity, _int_matmul, _join, _split,
                      characteristic_polynomial, minimal_polynomial)
 from .polynomials import Poly, _roots_with_multiplicity
@@ -42,16 +41,15 @@ from .series import APolynomial, BSeries
 # -- simple pole modules E(theta) ------------------------------------------
 
 
-@dataclass(frozen=True)
-class SimplePoleModule:
+class SimplePoleModule(Frozen):
     """Free rank-k module with a e = theta b e, entries truncated at b^order."""
 
-    theta: QMatrix
-    order: int
+    __slots__ = ("theta", "order")
 
-    def __post_init__(self):
-        if not self.theta.is_square:
+    def __init__(self, theta: QMatrix, order: int):
+        if not theta.is_square:
             raise ValueError("theta must be square")
+        super().__init__(theta=theta, order=order)
 
     @property
     def rank(self) -> int:
@@ -70,22 +68,20 @@ class SimplePoleModule:
             s if isinstance(s, BSeries) else BSeries(self.order, s) for s in entries))
 
 
-@dataclass(frozen=True)
-class ModuleElement:
+class ModuleElement(Frozen):
     """Coordinates over the b-series basis e_1..e_k of the parent module."""
 
-    module: SimplePoleModule
-    entries: tuple  # of BSeries, length k
+    __slots__ = ("module", "entries")
 
-    def __post_init__(self):
-        if len(self.entries) != self.module.rank:
+    def __init__(self, module: SimplePoleModule, entries: tuple):
+        # entries: one BSeries per basis vector, brought to the module's order
+        if len(entries) != module.rank:
             raise ValueError("entry count does not match the module rank")
         fixed = tuple(
-            s if s.order == self.module.order else
-            (s.truncated(self.module.order) if s.order > self.module.order
-             else s.lifted(self.module.order))
-            for s in self.entries)
-        object.__setattr__(self, "entries", fixed)
+            s if s.order == module.order else
+            (s.truncated(module.order) if s.order > module.order else s.lifted(module.order))
+            for s in entries)
+        super().__init__(module=module, entries=fixed)
 
     @property
     def is_zero(self) -> bool:
@@ -206,13 +202,15 @@ def bernstein(module: SimplePoleModule) -> Poly:
     return minimal_polynomial(-module.theta)
 
 
-@dataclass(frozen=True)
-class SpectrumCheck:
+class SpectrumCheck(Frozen):
     """Outcome of the geometric-spectrum test; falsy when not geometric."""
 
-    is_geometric: bool
-    eigenvalues: tuple | None   # Fractions with multiplicity, when split over Q
-    diagnostic: str | None
+    __slots__ = ("is_geometric", "eigenvalues", "diagnostic")
+
+    def __init__(self, is_geometric: bool, eigenvalues: tuple | None, diagnostic: str | None):
+        # eigenvalues: Fractions with multiplicity, when split over Q
+        super().__init__(is_geometric=is_geometric, eigenvalues=eigenvalues,
+                         diagnostic=diagnostic)
 
     def __bool__(self):
         return self.is_geometric
@@ -240,15 +238,17 @@ def is_geometric_spectrum(module: SimplePoleModule) -> SpectrumCheck:
 # -- frescos ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Fresco:
+class Fresco(Frozen):
     """The cyclic quotient by the left ideal generated by a factored product.
 
     Free over the b-series with basis 1, a, ..., a^(k-1); elements are the
     canonical remainders.
     """
 
-    product: FactoredProduct
+    __slots__ = ("product",)
+
+    def __init__(self, product: FactoredProduct):
+        super().__init__(product=product)
 
     @property
     def rank(self) -> int:
@@ -283,19 +283,20 @@ def unit_fresco(order: int) -> Fresco:
 # -- differential systems -> series structure matrices ----------------------------
 
 
-@dataclass(frozen=True)
-class DifferentialSystem:
+class DifferentialSystem(Frozen):
     """s dF/ds = M(s) F with M a matrix polynomial M_0 + M_1 s + ... ."""
 
-    coeffs: tuple  # of QMatrix
+    __slots__ = ("coeffs",)
 
-    def __post_init__(self):
-        if not self.coeffs:
+    def __init__(self, coeffs: tuple):
+        # coeffs: the QMatrix M_d of s^d, for d = 0, 1, ...
+        if not coeffs:
             raise ValueError("need at least the constant matrix M(0)")
-        k = self.coeffs[0].shape[0]
-        for m in self.coeffs:
+        k = coeffs[0].shape[0]
+        for m in coeffs:
             if not m.is_square or m.shape[0] != k:
                 raise ValueError("all coefficient matrices must be square of one size")
+        super().__init__(coeffs=coeffs)
 
     @property
     def rank(self) -> int:
@@ -306,12 +307,14 @@ class DifferentialSystem:
         return self.coeffs[0]
 
 
-@dataclass(frozen=True)
-class SeriesPoleModule:
+class SeriesPoleModule(Frozen):
     """a e = X(b) b e with X a matrix of b-series: x_coeffs[t] holds the b^t matrices."""
 
-    x_coeffs: tuple  # of QMatrix, length order+1
-    order: int
+    __slots__ = ("x_coeffs", "order")
+
+    def __init__(self, x_coeffs: tuple, order: int):
+        # x_coeffs: order + 1 QMatrix, the one of b^t at index t
+        super().__init__(x_coeffs=x_coeffs, order=order)
 
     @property
     def rank(self) -> int:

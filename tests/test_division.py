@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from abalg import division, elements, polynomials
-from abalg.checks import _divide_by_the_tail, random_bseries_unit, random_element, random_unit
+from abalg.checks import (_divide_by_the_tail, random_bseries_unit, random_element, random_gaussian,
+                          random_unit)
 from abalg.coefficients import GaussianRational
 from abalg.division import (FactoredProduct, divide, divide_linear, factor_homogeneous,
                             invert, power_division_closed_form, remainder_polynomial)
@@ -53,6 +54,9 @@ def test_invert_is_two_sided_and_respects_scaling():
         y = invert(x)
         assert mul(x, y) == one
         assert mul(y, x) == one
+        c = random_gaussian(r)
+        if c:
+            assert invert(scale(c, x)) == scale(c.inverse(), y)
 
 
 def test_invert_agrees_with_series_inverse_on_b():

@@ -30,16 +30,6 @@ def test_reorder_coeff_values():
     assert reorder_coeff(3, 2, 4) == 0
 
 
-def test_reorder_coeff_recursions_small():
-    for p in range(12):
-        for q in range(12):
-            for j in range(1, p + 2):
-                assert reorder_coeff(p + 1, q, j) == (
-                    reorder_coeff(p, q, j) + (q + j - 1) * reorder_coeff(p, q, j - 1))
-                assert reorder_coeff(p + 1, q, j) == (
-                    reorder_coeff(p, q, j) + q * reorder_coeff(p, q + 1, j - 1))
-
-
 # -- ordering conversions --------------------------------------------------------
 
 def test_to_right_examples():

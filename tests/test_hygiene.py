@@ -1,5 +1,6 @@
-"""Source hygiene: no module of the package imports a name it never uses,
-the package exports a fixed set of names, the oracle, the
+"""Source hygiene: no module of the package imports a name it never uses or
+`dataclasses`, the package exports a fixed set of names, the value classes
+behave as frozen dataclasses on __slots__, the oracle, the
 GaussianRational routes of linalg and polynomials and BSeries.__mul__ stay
 independent referees of the integer kernels, BSeries and APolynomial keep
 one storage, and every span of the traced benchmark names a function or
@@ -44,6 +45,24 @@ def test_the_scan_sees_unused_and_used_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_no_module_imports_dataclasses():
+    """The value classes are __slots__ classes on errors.Frozen: `dataclasses`
+    imports `inspect`, `ast` and `dis`, about 10 ms of every CLI request's
+    start-up, and each decorated class costs about 1 ms more."""
+    found = []
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}" for name in names
+                      if name.split(".")[0] == "dataclasses"]
+    assert found == []
 
 
 # -- the public names of the package -------------------------------------------------
@@ -122,6 +141,106 @@ def test_series_and_a_polynomials_keep_one_storage():
     from abalg.series import APolynomial, BSeries
     assert BSeries.__slots__ == ("element",)
     assert APolynomial.__slots__ == ("element",)
+
+
+# -- the value classes --------------------------------------------------------------
+
+def _value_cases():
+    """(make, __slots__, hashable, repr of make(0)) per value class; make(0) and
+    make(0) are equal, make(1) differs from them in one field."""
+    from fractions import Fraction
+    from abalg.coefficients import GaussianRational
+    from abalg.division import DivisionResult, FactoredProduct, HomogeneousFactorization
+    from abalg.elements import AlgebraElement
+    from abalg.expansions import XiElement
+    from abalg.linalg import QMatrix
+    from abalg.modules import (DifferentialSystem, Fresco, ModuleElement, SeriesPoleModule,
+                               SimplePoleModule, SpectrumCheck)
+    from abalg.series import APolynomial
+
+    module = SimplePoleModule(QMatrix([[Fraction(1, 2)]]), 1)
+    two = GaussianRational(2)
+    return {
+        "FactoredProduct": (
+            lambda v: FactoredProduct.from_lambdas([2 + v], 1),
+            ("factors", "order", "_unit_inverses", "_expansion"), False,
+            "FactoredProduct(factors=((GaussianRational(Fraction(2, 1), Fraction(0, 1)), "
+            "<BSeries order=1 (1)b^0>),), order=1)"),
+        "DivisionResult": (
+            lambda v: DivisionResult(AlgebraElement.monomial(v, 0, 1), APolynomial.one(1)),
+            ("quotient", "remainder"), False,
+            "DivisionResult(quotient=<AlgebraElement order=1 left {(0, 0): 1}>, "
+            "remainder=<APolynomial order=1 [<BSeries order=1 (1)b^0>]a^0>)"),
+        "HomogeneousFactorization": (
+            lambda v: HomogeneousFactorization(scale=two, b_power=v, lambdas=(two,), core=None,
+                                               order=1),
+            ("scale", "b_power", "lambdas", "core", "order"), True,
+            "HomogeneousFactorization(scale=GaussianRational(Fraction(2, 1), Fraction(0, 1)), "
+            "b_power=0, lambdas=(GaussianRational(Fraction(2, 1), Fraction(0, 1)),), core=None, "
+            "order=1)"),
+        "SimplePoleModule": (
+            lambda v: SimplePoleModule(QMatrix([[Fraction(1, 2) + v]]), 1),
+            ("theta", "order"), False, "SimplePoleModule(theta=<QMatrix 1x1 [1/2]>, order=1)"),
+        "ModuleElement": (
+            lambda v: module.zero() if v else module.basis_vector(0),
+            ("module", "entries"), False,
+            "ModuleElement(module=SimplePoleModule(theta=<QMatrix 1x1 [1/2]>, order=1), "
+            "entries=(<BSeries order=1 (1)b^0>,))"),
+        "SpectrumCheck": (
+            lambda v: SpectrumCheck(True, (Fraction(1, 2),), None) if v else
+            SpectrumCheck(False, None, "characteristic polynomial does not split over Q"),
+            ("is_geometric", "eigenvalues", "diagnostic"), True,
+            "SpectrumCheck(is_geometric=False, eigenvalues=None, "
+            "diagnostic='characteristic polynomial does not split over Q')"),
+        "Fresco": (
+            lambda v: Fresco(FactoredProduct.linear(2 + v, 1)), ("product",), False,
+            "Fresco(product=FactoredProduct(factors=((GaussianRational(Fraction(2, 1), "
+            "Fraction(0, 1)), <BSeries order=1 (1)b^0>),), order=1))"),
+        "DifferentialSystem": (
+            lambda v: DifferentialSystem((QMatrix([[1 + v]]),)), ("coeffs",), False,
+            "DifferentialSystem(coeffs=(<QMatrix 1x1 [1]>,))"),
+        "SeriesPoleModule": (
+            lambda v: SeriesPoleModule((QMatrix([[1]]), QMatrix([[v]])), 1),
+            ("x_coeffs", "order"), False,
+            "SeriesPoleModule(x_coeffs=(<QMatrix 1x1 [1]>, <QMatrix 1x1 [0]>), order=1)"),
+        "XiElement": (
+            lambda v: XiElement(1, 0, 2, {(Fraction(1, 2), 0, 0): (1 + v,)}),
+            ("dim", "log_depth", "m_bound", "terms"), False,
+            "<XiElement s^1/2 (x) (GaussianRational(Fraction(1, 1), Fraction(0, 1)),)>"),
+    }
+
+
+@pytest.mark.parametrize("name", list(_value_cases()))
+def test_the_value_classes_behave_as_frozen_dataclasses(name):
+    """By-field ==, hash where the fields allow one, the dataclass repr, no
+    assignment, copies equal to the original, and exactly the listed slots."""
+    import copy
+    make, slots, hashable, text = _value_cases()[name]
+    x, same, other = make(0), make(0), make(1)
+    assert type(x).__name__ == name and type(x).__slots__ == slots
+    assert x == same and not x != same and x != other and not x == other
+    assert x.__eq__(object()) is NotImplemented and copy.copy(x) == x
+    assert repr(x) == text
+    if hashable:
+        assert hash(x) == hash(same)
+    else:
+        with pytest.raises(TypeError):
+            hash(x)
+    with pytest.raises(AttributeError):
+        setattr(x, slots[0], getattr(other, slots[0]))
+    with pytest.raises(AttributeError):
+        delattr(x, slots[0])
+    with pytest.raises(AttributeError):
+        x.extra = 1
+    assert x == same and not hasattr(x, "__dict__")
+
+
+def test_a_factored_product_compares_without_its_caches():
+    from abalg.division import FactoredProduct
+    used, fresh = FactoredProduct.from_lambdas([1, 2], 3), FactoredProduct.from_lambdas([1, 2], 3)
+    expansion, inverses = used.expanded(), used.unit_inverses
+    assert used.expanded() is expansion and used.unit_inverses is inverses
+    assert used == fresh and repr(used) == repr(fresh) and fresh.expanded() == expansion
 
 
 def private_imports(source: str) -> list[str]:

@@ -322,6 +322,17 @@ def test_shear_is_multiplicative(s, xy):
     assert shear(s, mul(x, y)) == mul(shear(s, x), shear(s, y))
 
 
+@given(scalars(), pairs(LEFT))
+def test_shear_on_the_left_form_agrees_with_the_right_form(s, xy):
+    """shear runs on its input's own table, with falling products on the LEFT
+    form and rising ones on the RIGHT form; the RIGHT path is multiplicative
+    through mul as well."""
+    x, y = xy
+    assert shear(s, x) == to_left(shear(s, to_right(x)))
+    product = to_left(shear(s, to_right(mul(x, y))))
+    assert product == mul(to_left(shear(s, to_right(x))), to_left(shear(s, to_right(y))))
+
+
 def large_denominator_scalars():
     """Gaussian lam over denominators up to 2^40: divide_linear's back-substitution
     runs on numerators times powers of lam's denominator."""

@@ -5,10 +5,10 @@ Three carriers:
   * SimplePoleModule E(theta): a free rank-k module over the b-series with
     basis e and law  a e = theta * (b e).  The whole algebra acts through
 
-        a^p e = (theta + (p-1)I) ... (theta + I) theta b^p e,
+        a^p e = M_p b^p e,  M_p = (theta + (p-1)I) ... (theta + I) theta,
 
-    so a RIGHT-ordered element sum x_{p,q} b^q a^p sends e to
-    sum_j z_j b^j e with z_j = sum_{p+q=j} x_{p,q} * that matrix product.
+    so b^q a^p e = M_p b^(p+q) e.  act forms x V(b) on the RIGHT form,
+    b^q a^p b^r = sum_j G(p, r, j) b^(q+r+j) a^(p-j), with no generic mul.
 
   * Fresco: the cyclic quotient by a left ideal generated by a factored
     product P with k factors; elements are canonical remainders of
@@ -30,7 +30,7 @@ import math
 
 from .coefficients import common_denominator
 from .division import FactoredProduct, divide
-from .elements import LEFT, RIGHT, AlgebraElement, mul, with_ordering
+from .elements import LEFT, RIGHT, AlgebraElement, _row, mul, with_ordering
 from .errors import AbalgError, Frozen, OrderingMismatchError, OrderMismatchError
 from .linalg import (QMatrix, _int_identity, _int_matmul, _join, _split,
                      characteristic_polynomial, minimal_polynomial)
@@ -123,78 +123,70 @@ def _shift_factors(theta: QMatrix, top: int) -> tuple[int, list]:
     return den, out
 
 
-def _z_numerators(parts, module: SimplePoleModule) -> tuple[int, int, list]:
-    """(E, D, z) with z[j][i][l] / (E D^j) the b^j coefficient of Z(b)[i][l], summed over parts.
-
-    Each part (rows, e, table) is a RIGHT-ordered element sum table[p, q] / e
-    b^q a^p whose rows `rows` of Z are wanted; the shift factors are built
-    once for all of them.  On b^j the term (p, q) adds x_(p,q) M_p, which is
-    its numerator times F_p D^q over e D^j, so with E = lcm(e) the degree
-    j has the one denominator E D^j.
-    """
-    n, k = module.order, module.rank
-    common = math.lcm(*(e for _, e, _ in parts))
-    top = max((p for _, _, table in parts for p, q in table if p + q <= n), default=0)
-    den, factors = _shift_factors(module.theta, top)
-    z = [[[(0, 0)] * k for _ in range(k)] for _ in range(n + 1)]
-    for rows, e, table in parts:
-        for (p, q), (re, im) in table.items():
-            if p + q > n:
-                continue
-            s = common // e * den ** q
-            re, im = re * s, im * s
-            for i in rows:
-                acc = z[p + q][i]
-                for l, (fr, fi) in enumerate(factors[p][i]):
-                    ar, ai = acc[l]
-                    acc[l] = (ar + re * fr - im * fi, ai + re * fi + im * fr)
-    return common, den, z
-
-
 def act_on_basis(x: AlgebraElement, module: SimplePoleModule) -> list[QMatrix]:
     """The series matrix Z(b) with x e = Z(b) e, as matrices [z_0 .. z_N].
 
     x must be RIGHT-ordered with truncation order >= the module's b-order;
-    z_j collects the terms of total degree j.
+    row i of Z is act(x, e_i), and z_j collects the terms of total degree j.
     """
     if x.ordering is not RIGHT:
         raise OrderingMismatchError("act_on_basis expects a RIGHT-ordered element")
-    if x.order < module.order:
-        raise OrderMismatchError(
-            f"element order {x.order} below module b-order {module.order}")
-    common, den, z = _z_numerators([(range(module.rank), x.den, x.table)], module)
-    return [_join(common * den ** j, zj) for j, zj in enumerate(z)]
+    rows = [act(x, module.basis_vector(i), module).entries for i in range(module.rank)]
+    return [QMatrix([[s.coefficient(j) for s in r] for r in rows])
+            for j in range(module.order + 1)]
 
 
 def act(x: AlgebraElement, v: ModuleElement, module: SimplePoleModule) -> ModuleElement:
-    """x . (sum_i V_i e_i) = sum_i (x V_i) e_i, each product acting on e_i.
+    """x . (sum_i V_i e_i) = sum_i (x V_i) e_i, built on the RIGHT form of each product.
 
-    x is expected RIGHT-ordered (the natural input for the basis law) but
-    the multiplication itself runs in LEFT form internally.  Only row i of
-    the Z matrix of x V_i is accumulated, on integers.
+    With V_i = sum_r v_r b^r, a RIGHT term b^q a^p of x gives
+    b^q a^p b^r = sum_j G(p, r, j) b^(q+r+j) a^(p-j), G = reorder_coeff (a
+    LEFT term gives a^p b^(q+r), the row G(p, q+r, j) on the same keys).  All
+    have total degree t = p+q+r, so a pair with t above the b-order is never
+    formed.  The key b^(t-P) a^P of x V_i sends e_i to M_P b^t e: its
+    coefficient times row i of F_P is added into the length-k row of b^t,
+    on integers over x.den * lcm(den V_i) * D^N.  x may be in either ordering.
     """
     if v.module != module:
         raise ValueError("element does not belong to the module")
-    if x.order < module.order:
-        raise OrderMismatchError(
-            f"element order {x.order} below module b-order {module.order}")
-    left = with_ordering(x, LEFT)
-    parts = []
-    for i, series in enumerate(v.entries):
-        if not series.is_zero:
-            w = with_ordering(mul(left, series.to_element(x.order)), RIGHT)
-            parts.append(((i,), w.den, w.table))
-    common, den, z = _z_numerators(parts, module)
     n, k = module.order, module.rank
-    # b^j is over common D^j; entry l is brought over common D^n
-    tables = [{} for _ in range(k)]
-    for j, zj in enumerate(z):
-        s = den ** (n - j)
-        for l in range(k):
-            tables[l][(0, j)] = (s * sum(zj[i][l][0] for i in range(k)),
-                                 s * sum(zj[i][l][1] for i in range(k)))
+    if x.order < n:
+        raise OrderMismatchError(f"element order {x.order} below module b-order {n}")
+    parts = [(i, s.element) for i, s in enumerate(v.entries) if not s.is_zero]
+    common = math.lcm(*(e.den for _, e in parts))
+    left = x.ordering is LEFT
+    products = []  # (i, {(P, t): numerator of b^(t-P) a^P in x V_i})
+    for i, e in parts:
+        s = common // e.den
+        terms = [(r, vr * s, vi * s) for (_, r), (vr, vi) in e.table.items()]
+        out: dict = {}
+        for (p, q), (xr, xi) in x.table.items():
+            for r, vr, vi in terms:
+                t = p + q + r
+                if t > n:
+                    continue
+                cr, ci = xr * vr - xi * vi, xr * vi + xi * vr
+                for j, g in enumerate(_row(p, q + r if left else r, 1)):
+                    acc = out.get((p - j, t))
+                    if acc is None:
+                        out[p - j, t] = [g * cr, g * ci]
+                    else:
+                        acc[0] += g * cr
+                        acc[1] += g * ci
+        products.append((i, out))
+    top = max((p for _, out in products for p, _ in out), default=0)
+    den, factors = _shift_factors(module.theta, top)
+    scales = [den ** (n - p) for p in range(top + 1)]  # M_p = F_p / D^p, over D^N
+    rows = [[[0, 0] for _ in range(k)] for _ in range(n + 1)]
+    for i, out in products:
+        for (p, t), (cr, ci) in out.items():
+            cr, ci, row = cr * scales[p], ci * scales[p], rows[t]
+            for acc, (fr, fi) in zip(row, factors[p][i]):
+                acc[0] += cr * fr - ci * fi
+                acc[1] += cr * fi + ci * fr
+    whole = x.den * common * den ** n
     return module.element([BSeries.from_element(AlgebraElement.from_ints(
-        n, LEFT, common * den ** n, t)) for t in tables])
+        n, LEFT, whole, {(0, t): row[l] for t, row in enumerate(rows)})) for l in range(k)])
 
 
 def bernstein(module: SimplePoleModule) -> Poly:
@@ -376,7 +368,7 @@ def from_differential_system(system: DifferentialSystem, order: int
     coefficient at a time, as in BSeries.inverse.
 
     The recurrence runs on Gaussian-integer matrices: with one common
-    denominator D of all M_d (coefficients.common_denominator) and
+    denominator D of M_0..M_order (coefficients.common_denominator) and
     M~_d = D M_d, the matrices W~_d[n] = D^(n-1) W_d[n] and X~_t = D^(t+1) X_t
     are integral, since
 
@@ -388,8 +380,9 @@ def from_differential_system(system: DifferentialSystem, order: int
     the module and the coefficient matrices of X.
     """
     k = system.rank
-    top = len(system.coeffs) - 1
-    den, table = common_denominator({(d, i, j): c for d, m in enumerate(system.coeffs)
+    coeffs = system.coeffs[:order + 1]  # W_d[t+1] = 0 for d > t, so M_d, d > order, is unused
+    top = len(coeffs) - 1
+    den, table = common_denominator({(d, i, j): c for d, m in enumerate(coeffs)
                                      for i, r in enumerate(m.rows) for j, c in enumerate(r)})
     mt = [[[table[d, i, j] for j in range(k)] for i in range(k)] for d in range(top + 1)]
     zero = [[(0, 0)] * k for _ in range(k)]

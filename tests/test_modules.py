@@ -1,12 +1,15 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
-from abalg.checks import random_element, random_matrix
-from abalg.coefficients import GaussianRational
+from abalg import elements, modules
+from abalg.checks import random_element, random_gaussian, random_matrix
+from abalg.coefficients import ZERO, GaussianRational
 from abalg.division import FactoredProduct
 from abalg.elements import LEFT, RIGHT, AlgebraElement, gen_a, gen_b, mul, power, scale
+from abalg.errors import OrderMismatchError
 from abalg.linalg import (QMatrix, evaluate_poly_at_matrix, matrix_power_sequence,
                           minimal_polynomial, solve_dependency)
 from abalg.modules import (DifferentialSystem, Fresco, SimplePoleModule, act,
@@ -69,6 +72,92 @@ def test_module_law_and_simple_pole():
         assert act(prod, v, module).entries == act(x, act(y, v, module), module).entries
         av = act(gen_a(n).to_right(), v, module)
         assert av.b_valuation is None or av.b_valuation >= 1
+
+
+def _act_by_the_left_route(x, v, module):
+    """x.v on GaussianRationals: w = x V_i by mul in LEFT form, then sum over the
+    RIGHT monomials of w of b^q a^p e_i = M_p b^(p+q) e_i."""
+    n, k = module.order, module.rank
+    shift = [QMatrix.identity(k)]
+    for s in range(n):
+        shift.append((module.theta + QMatrix.identity(k).scaled(s)) @ shift[-1])
+    out = [[ZERO] * (n + 1) for _ in range(k)]
+    for i, series in enumerate(v.entries):
+        w = mul(x.with_ordering(LEFT), series.to_element(x.order)).to_right()
+        for (p, q), c in w.coeffs.items():
+            if p + q <= n:
+                for l in range(k):
+                    out[l][p + q] = out[l][p + q] + c * shift[p].entry(i, l)
+    return module.element(out)
+
+
+def _sparse_vector(r, module, terms=3):
+    n = module.order
+    return module.element([BSeries(n, {r.randrange(0, n + 1): random_gaussian(r)
+                                       for _ in range(terms)}) for _ in range(module.rank)])
+
+
+def _act_cases():
+    """(x, v, module): zero parts, both orderings, x above the b-order, Gaussian
+    theta over denominators, rank 1, and the largest module-stack shape."""
+    r = rng()
+    n = 6
+    module = SimplePoleModule(_theta(), n)
+    v = module.element([BSeries(n, {1: 2, 3: Fraction(1, 3)}), BSeries.zero(n)])
+    x = random_element(r, n, terms=5, ordering=RIGHT)
+    # terms of total degree above n, and pairs (p, q), r that pass it
+    high = AlgebraElement(n + 3, RIGHT, {(2, 1): 1, (4, n - 1): 3, (1, n + 1): Fraction(1, 2),
+                                         (0, 0): GaussianRational(0, 1), (3, 2): -2})
+    gaussian = SimplePoleModule(QMatrix([
+        [GaussianRational(Fraction(1, 2), Fraction(1, 3)), Fraction(2, 5)],
+        [GaussianRational(0, -1), Fraction(-3, 7)]]), n)
+    rank_one = SimplePoleModule(QMatrix([[Fraction(5, 3)]]), n)
+    largest = SimplePoleModule(random_matrix(r, 4), 12)
+    return [
+        (x, v, module),
+        (x, module.zero(), module),
+        (AlgebraElement.zero(n, RIGHT), v, module),
+        (random_element(r, n, terms=5, ordering=LEFT), v, module),
+        (high, v, module),
+        (high.to_left(), _sparse_vector(r, module), module),
+        (x, _sparse_vector(r, gaussian), gaussian),
+        (random_element(r, n, terms=4, ordering=LEFT), _sparse_vector(r, gaussian), gaussian),
+        (x, _sparse_vector(r, rank_one, terms=4), rank_one),
+        (random_element(r, 12, terms=4, ordering=RIGHT), _sparse_vector(r, largest), largest),
+        (random_element(r, 12, terms=4, ordering=LEFT), _sparse_vector(r, largest), largest),
+    ]
+
+
+def test_act_edge_cases_against_the_left_route():
+    for x, v, module in _act_cases():
+        assert act(x, v, module) == _act_by_the_left_route(x, v, module)
+    module = SimplePoleModule(_theta(), 6)
+    assert act(gen_a(9), module.zero(), module).is_zero
+    assert act(AlgebraElement.zero(6, RIGHT), module.basis_vector(1), module).is_zero
+
+
+def test_act_errors():
+    n = 6
+    module = SimplePoleModule(_theta(), n)
+    with pytest.raises(OrderMismatchError):
+        act(AlgebraElement.one(n - 1, RIGHT), module.basis_vector(0), module)
+    other = SimplePoleModule(QMatrix.identity(2), n)
+    with pytest.raises(ValueError):
+        act(AlgebraElement.one(n, RIGHT), other.basis_vector(0), module)
+
+
+def test_act_makes_no_product_and_no_reordering(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("act left the RIGHT form")
+
+    cases = _act_cases()
+    for module in (elements, modules):
+        for name in ("mul", "to_right", "to_left"):
+            monkeypatch.setattr(module, name, refuse, raising=False)
+    results = [act(x, v, module) for x, v, module in cases]
+    monkeypatch.undo()
+    for (x, v, module), res in zip(cases, results):
+        assert res == _act_by_the_left_route(x, v, module)
 
 
 # -- Bernstein polynomials --------------------------------------------------------
@@ -212,3 +301,17 @@ def test_satisfies_system_is_a_real_check():
     module, _ = from_differential_system(system, 4)
     wrong = DifferentialSystem((theta, QMatrix([[Fraction(2)]])))
     assert not satisfies_system(module, wrong)
+
+
+def test_ode2ab_drops_the_matrices_above_the_order():
+    """M_d with d > order never reaches X; their denominators must not enter D."""
+    r = rng()
+    k, order = 5, 7
+    used = tuple(random_matrix(r, k, rational_only=True) for _ in range(order + 1))
+    unused = tuple(QMatrix([[Fraction(r.getrandbits(40), r.getrandbits(40) | 1)
+                             for _ in range(k)] for _ in range(k)]) for _ in range(8))
+    start = time.perf_counter()
+    _, coeffs = from_differential_system(DifferentialSystem(used + unused), order)
+    elapsed = time.perf_counter() - start
+    assert coeffs == from_differential_system(DifferentialSystem(used), order)[1]
+    assert elapsed < 1.0, f"ode2ab took {elapsed:.2f} s on matrices it does not use"

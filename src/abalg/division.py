@@ -24,7 +24,7 @@ from __future__ import annotations
 import functools
 import math
 
-from .coefficients import GaussianRational, ONE, over
+from .coefficients import GaussianRational, ONE
 from .elements import (LEFT, RIGHT, AlgebraElement, _by_degree, _scalar_ints, _times_b_power,
                        mul, scale, with_ordering)
 from .errors import (Frozen, NotHomogeneousError, NotMonicError, OrderMismatchError,
@@ -384,7 +384,7 @@ def remainder_polynomial(x: AlgebraElement) -> Poly:
             for k, s in enumerate(row):
                 rho_re[k] += re * s
                 rho_im[k] += im * s
-    return Poly([over(re, im, den) for re, im in zip(rho_re, rho_im)])
+    return Poly.from_ints(den, zip(rho_re, rho_im))
 
 
 class HomogeneousFactorization(Frozen):

@@ -342,31 +342,24 @@ def _coeff_str(c: GaussianRational, monomial: str):
     return sign, f"{body}*{monomial}" if monomial else body
 
 
-def format_element(x: AlgebraElement) -> str:
-    """Human-readable sum, sorted by (total degree, b-power); re-parseable."""
-    if x.is_zero:
-        return "0"
+def _signed_sum(terms) -> str:
+    """The (sign, body) pairs of _coeff_str joined as "a - b + c"; "0" for none."""
     bits = []
-    for (p, q), c in sorted(x.coeffs.items(), key=lambda kv: (kv[0][0] + kv[0][1], kv[0][1])):
-        sign, body = _coeff_str(c, _monomial_str(p, q, x.ordering))
-        if not bits:
-            bits.append(body if sign > 0 else f"-{body}")
-        else:
-            bits.append(f"{'+' if sign > 0 else '-'} {body}")
-    return " ".join(bits)
-
-
-def format_poly(coeffs, var: str = "x") -> str:
-    """Pretty form of a univariate polynomial, highest power first."""
-    bits = []
-    for k in range(len(coeffs) - 1, -1, -1):
-        c = coeffs[k]
-        if not c:
-            continue
-        mono = "" if k == 0 else (var if k == 1 else f"{var}^{k}")
-        sign, body = _coeff_str(c, mono)
+    for sign, body in terms:
         if not bits:
             bits.append(body if sign > 0 else f"-{body}")
         else:
             bits.append(f"{'+' if sign > 0 else '-'} {body}")
     return " ".join(bits) or "0"
+
+
+def format_element(x: AlgebraElement) -> str:
+    """Human-readable sum, sorted by (total degree, b-power); re-parseable."""
+    return _signed_sum(_coeff_str(c, _monomial_str(p, q, x.ordering)) for (p, q), c in
+                       sorted(x.coeffs.items(), key=lambda kv: (kv[0][0] + kv[0][1], kv[0][1])))
+
+
+def format_poly(coeffs, var: str = "x") -> str:
+    """Pretty form of a univariate polynomial, highest power first."""
+    return _signed_sum(_coeff_str(coeffs[k], "" if k == 0 else (var if k == 1 else f"{var}^{k}"))
+                       for k in range(len(coeffs) - 1, -1, -1) if coeffs[k])

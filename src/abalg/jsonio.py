@@ -174,10 +174,6 @@ def matrix_from_json(doc) -> QMatrix:
         raise SchemaError(str(exc)) from exc
 
 
-def system_to_json(sys: DifferentialSystem) -> dict:
-    return {"k": sys.rank, "coeffs": [matrix_to_json(m) for m in sys.coeffs]}
-
-
 def system_from_json(doc) -> DifferentialSystem:
     from .modules import DifferentialSystem
     k = _need(doc, "k", int)

@@ -5,14 +5,12 @@ minimal polynomial as the first linear dependency among the powers of a
 matrix, and the characteristic polynomial by Faddeev-LeVerrier.  Everything
 exact, no pivot-size heuristics needed.
 
-Entries are stored as GaussianRationals, but `@`, `apply`, the minimal and
-the characteristic polynomial never add or multiply Fractions in their loops:
-as in the element kernels, coefficients.common_denominator writes a matrix
-as one positive denominator D and a table of Gaussian-integer numerators
-(re, im), the loops run on Python ints, and coefficients.over divides once
-per part at exit.  matrix_power_sequence, solve_dependency and
-evaluate_poly_at_matrix stay on GaussianRational arithmetic, as the
-independent referees of those kernels.
+A QMatrix is stored as an AlgebraElement is: one positive denominator `den`
+and rows of Gaussian-integer numerators (re, im), `table`, in lowest terms.
+`@`, the minimal and the characteristic polynomial run on these tables;
+`rows` and `entry` are built on each call.  matrix_power_sequence,
+solve_dependency and evaluate_poly_at_matrix stay on GaussianRational
+arithmetic over `rows`, as the independent referees of those kernels.
 """
 
 from __future__ import annotations
@@ -24,55 +22,59 @@ from .polynomials import Poly
 
 
 class QMatrix:
-    """A square or rectangular matrix with GaussianRational entries; immutable."""
+    """A nonempty rectangular matrix over the Gaussian rationals; immutable."""
 
-    __slots__ = ("rows",)
+    __slots__ = ("den", "table")
 
     def __init__(self, rows):
-        rows = tuple(tuple(GaussianRational.coerce(c) for c in row) for row in rows)
+        rows = [[GaussianRational.coerce(c) for c in row] for row in rows]
         if not rows or not rows[0]:
             raise ValueError("matrix must be nonempty")
         width = len(rows[0])
         if any(len(r) != width for r in rows):
             raise ValueError("ragged rows")
-        object.__setattr__(self, "rows", rows)
+        den, table = common_denominator(dict(enumerate(c for r in rows for c in r)))
+        flat = tuple(table.values())
+        _fill(self, den, [flat[i:i + width] for i in range(0, len(flat), width)])
 
     def __setattr__(self, name, value):
         raise AttributeError("QMatrix is immutable")
 
     @staticmethod
+    def from_ints(den: int, table) -> QMatrix:
+        """Entry (i, j) is (re + im*i) / den for table[i][j] == (re, im); den >= 1."""
+        return _fill(object.__new__(QMatrix), den, table)
+
+    @staticmethod
     def identity(k: int) -> QMatrix:
-        return QMatrix([[ONE if i == j else ZERO for j in range(k)] for i in range(k)])
+        return QMatrix.from_ints(1, _int_identity(k))
 
     @staticmethod
     def zeros(k: int, m: int | None = None) -> QMatrix:
-        m = k if m is None else m
-        return QMatrix([[ZERO] * m for _ in range(k)])
+        return QMatrix.from_ints(1, [[(0, 0)] * (k if m is None else m)] * k)
 
     @property
     def shape(self) -> tuple[int, int]:
-        return len(self.rows), len(self.rows[0])
+        return len(self.table), len(self.table[0])
 
     @property
     def is_square(self) -> bool:
         n, m = self.shape
         return n == m
 
+    @property
+    def rows(self) -> tuple:
+        """The entries as GaussianRationals, row by row, built on each call."""
+        den = self.den
+        return tuple(tuple(over(re, im, den) for re, im in r) for r in self.table)
+
     def entry(self, i: int, j: int) -> GaussianRational:
-        return self.rows[i][j]
-
-    def row(self, i: int) -> tuple:
-        return self.rows[i]
-
-    def column(self, j: int) -> tuple:
-        return tuple(r[j] for r in self.rows)
+        return over(*self.table[i][j], self.den)
 
     def __eq__(self, other):
         if not isinstance(other, QMatrix):
             return NotImplemented
-        return self.rows == other.rows
-
-    __hash__ = None
+        return self.den == other.den and self.table == other.table
 
     def __add__(self, other):
         if not isinstance(other, QMatrix):
@@ -91,7 +93,7 @@ class QMatrix:
                         for r1, r2 in zip(self.rows, other.rows)])
 
     def __neg__(self):
-        return QMatrix([[-a for a in r] for r in self.rows])
+        return QMatrix.from_ints(self.den, [[(-re, -im) for re, im in r] for r in self.table])
 
     def scaled(self, c) -> QMatrix:
         c = GaussianRational.coerce(c)
@@ -102,29 +104,11 @@ class QMatrix:
             return NotImplemented
         if self.shape[1] != other.shape[0]:
             raise ValueError("shape mismatch")
-        d1, x = _split(self)
-        d2, y = _split(other)
-        return _join(d1 * d2, _int_matmul(x, y))
-
-    def apply(self, vec) -> tuple:
-        """Matrix times column vector (a sequence of coefficients)."""
-        vec = tuple(vec)
-        if len(vec) != self.shape[1]:
-            raise ValueError("length mismatch")
-        column = QMatrix([[c] for c in vec])
-        return (self @ column).column(0)
-
-    def trace(self) -> GaussianRational:
-        if not self.is_square:
-            raise ValueError("trace of a non-square matrix")
-        out = ZERO
-        for i in range(self.shape[0]):
-            out = out + self.rows[i][i]
-        return out
+        return QMatrix.from_ints(self.den * other.den, _int_matmul(self.table, other.table))
 
     @property
     def is_zero(self) -> bool:
-        return all(not c for r in self.rows for c in r)
+        return all(z == (0, 0) for r in self.table for z in r)
 
     def __repr__(self):
         body = "; ".join(" ".join(str(c) for c in r) for r in self.rows)
@@ -133,18 +117,14 @@ class QMatrix:
 
 # -- the integer layout (see the module docstring) ------------------------------
 
-def _split(a: QMatrix) -> tuple[int, list]:
-    """(D, rows) with a[i][j] == (re + im*i) / D for rows[i][j] == (re, im)."""
-    m = a.shape[1]
-    den, table = common_denominator({(i, j): c for i, r in enumerate(a.rows)
-                                     for j, c in enumerate(r)})
-    flat = list(table.values())
-    return den, [flat[i:i + m] for i in range(0, len(flat), m)]
-
-
-def _join(den: int, rows) -> QMatrix:
-    """The matrix with entries (re + im*i) / den: one division per part."""
-    return QMatrix([[over(re, im, den) for re, im in r] for r in rows])
+def _fill(a: QMatrix, den: int, table: list) -> QMatrix:
+    """a storing den and table in lowest terms."""
+    g = math.gcd(den, *(v for r in table for z in r for v in z))
+    if g > 1:
+        den, table = den // g, [[(re // g, im // g) for re, im in r] for r in table]
+    object.__setattr__(a, "den", den)
+    object.__setattr__(a, "table", tuple(map(tuple, table)))
+    return a
 
 
 def _int_matmul(x, y) -> list:
@@ -272,7 +252,7 @@ def minimal_polynomial(a: QMatrix) -> Poly:
     if not a.is_square:
         raise ValueError("minimal polynomial of a non-square matrix")
     k = a.shape[0]
-    den, abar = _split(a)
+    den, abar = a.den, a.table
     basis = []
     power = _int_identity(k)
     for d in range(k + 1):
@@ -282,8 +262,8 @@ def minimal_polynomial(a: QMatrix) -> Poly:
         _divide_content(vec, comb)
         piv = next((t for t, (re, im) in enumerate(vec) if re or im), None)
         if piv is None:
-            top = comb[d][0]
-            return Poly([over(re, im, top * den ** (d - j)) for j, (re, im) in enumerate(comb)])
+            return Poly.from_ints(comb[d][0] * den ** d,
+                                  [(re * den ** j, im * den ** j) for j, (re, im) in enumerate(comb)])
         pr, pi = vec[piv]
         vec = [(re * pr + im * pi, im * pr - re * pi) for re, im in vec]
         comb = [(re * pr + im * pi, im * pr - re * pi) for re, im in comb]
@@ -304,7 +284,7 @@ def characteristic_polynomial(a: QMatrix) -> Poly:
     if not a.is_square:
         raise ValueError("characteristic polynomial of a non-square matrix")
     k = a.shape[0]
-    den, abar = _split(a)
+    den, abar = a.den, a.table
     coeffs = [(0, 0)] * (k + 1)
     coeffs[k] = (1, 0)
     am = [[(0, 0)] * k for _ in range(k)]  # A @ M for the previous step
@@ -316,4 +296,5 @@ def characteristic_polynomial(a: QMatrix) -> Poly:
         tr_re = sum(am[i][i][0] for i in range(k))
         tr_im = sum(am[i][i][1] for i in range(k))
         coeffs[k - step] = (-tr_re // step, -tr_im // step)
-    return Poly([over(re, im, den ** (k - j)) for j, (re, im) in enumerate(coeffs)])
+    return Poly.from_ints(den ** k, [(re * den ** j, im * den ** j)
+                                     for j, (re, im) in enumerate(coeffs)])

@@ -28,12 +28,11 @@ from __future__ import annotations
 
 import math
 
-from .coefficients import common_denominator
 from .division import FactoredProduct, divide
 from .elements import LEFT, RIGHT, AlgebraElement, _row, mul, with_ordering
 from .errors import AbalgError, Frozen, OrderingMismatchError, OrderMismatchError
-from .linalg import (QMatrix, _int_identity, _int_matmul, _join, _split,
-                     characteristic_polynomial, minimal_polynomial)
+from .linalg import (QMatrix, _int_identity, _int_matmul, characteristic_polynomial,
+                     minimal_polynomial)
 from .polynomials import Poly, _roots_with_multiplicity
 from .series import APolynomial, BSeries
 
@@ -111,10 +110,10 @@ class ModuleElement(Frozen):
 def _shift_factors(theta: QMatrix, top: int) -> tuple[int, list]:
     """(D, [F_0..F_top]) with M_p = (theta + (p-1)I) ... (theta + I) theta = F_p / D^p.
 
-    D is the common denominator of theta and each F_p a Gaussian-integer
-    matrix, rows of (re, im): F_p = (T + (p-1) D I) F_(p-1) with T = D theta.
+    D is theta's denominator and each F_p a Gaussian-integer matrix, rows of
+    (re, im): F_p = (T + (p-1) D I) F_(p-1) with T = D theta, theta's table.
     """
-    den, t = _split(theta)
+    den, t = theta.den, theta.table
     out = [_int_identity(len(t))]
     for p in range(1, top + 1):
         shifted = [[(re + (p - 1) * den, im) if i == l else (re, im)
@@ -367,24 +366,23 @@ def from_differential_system(system: DifferentialSystem, order: int
     X_0..X_(t-1): X_t = [t = 0] M_0 + sum_(d>=1) M_d W_d[t+1] comes one
     coefficient at a time, as in BSeries.inverse.
 
-    The recurrence runs on Gaussian-integer matrices: with one common
-    denominator D of M_0..M_order (coefficients.common_denominator) and
-    M~_d = D M_d, the matrices W~_d[n] = D^(n-1) W_d[n] and X~_t = D^(t+1) X_t
-    are integral, since
+    The recurrence runs on Gaussian-integer matrices: with D the lcm of the
+    denominators of M_0..M_order and M~_d = D M_d, the matrices
+    W~_d[n] = D^(n-1) W_d[n] and X~_t = D^(t+1) X_t are integral, since
 
         W~_d[t+1] = t D W~_(d-1)[t] + sum_(s=d..t) W~_(d-1)[s] X~_(t-s)
         X~_t = [t = 0] M~_0 + sum_(d>=1) M~_d W~_d[t+1]
 
     and each sum is one product of a row of blocks by a column of blocks.
-    X_t = X~_t / D^(t+1) is divided out once per entry at the end.  Returns
-    the module and the coefficient matrices of X.
+    X_t is X~_t over D^(t+1).  Returns the module and the coefficient
+    matrices of X.
     """
     k = system.rank
     coeffs = system.coeffs[:order + 1]  # W_d[t+1] = 0 for d > t, so M_d, d > order, is unused
     top = len(coeffs) - 1
-    den, table = common_denominator({(d, i, j): c for d, m in enumerate(coeffs)
-                                     for i, r in enumerate(m.rows) for j, c in enumerate(r)})
-    mt = [[[table[d, i, j] for j in range(k)] for i in range(k)] for d in range(top + 1)]
+    den = math.lcm(*(m.den for m in coeffs))
+    mt = [[[(re * (den // m.den), im * (den // m.den)) for re, im in r] for r in m.table]
+          for m in coeffs]
     zero = [[(0, 0)] * k for _ in range(k)]
     # M~_1 .. M~_top side by side, for the sum over d
     m_row = [[z for d in range(1, top + 1) for z in mt[d][i]] for i in range(k)]
@@ -405,7 +403,8 @@ def from_differential_system(system: DifferentialSystem, order: int
                                  [r for d in range(1, top_t + 1) for r in w[d][t + 1]]))
         else:
             x.append(mt[0] if t == 0 else zero)
-    module = SeriesPoleModule(tuple(_join(den ** (t + 1), xt) for t, xt in enumerate(x)), order)
+    module = SeriesPoleModule(tuple(QMatrix.from_ints(den ** (t + 1), xt)
+                                    for t, xt in enumerate(x)), order)
     if module.x_at_zero() != system.residue:
         raise AssertionError("X(0) != M(0); internal bug")
     return module, module.x_coeffs

@@ -7,30 +7,35 @@ Q(i).  It lifts the roots of a monic Gaussian-integer form mod p to a
 p-adic precision past a Cauchy bound B on them, and keeps a candidate only
 if it vanishes exactly; it factors no integer and has no budget.  Roots
 come real ones first, ascending, then the others by (re, im); the private
-_roots_with_multiplicity repeats each as often as it divides.
+_roots_with_multiplicity repeats each as often as it divides.  Both read
+the integer `table` over `den` that a Poly is stored as (see its class).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 from .coefficients import GaussianRational, ONE, ZERO, common_denominator, over
 
 
 class Poly:
-    """Coefficients low to high, trailing zeros stripped; () is the zero polynomial."""
+    """Gaussian-integer numerators (re, im), low to high and without trailing
+    zeros, over one positive denominator, in lowest terms: zero is (1, ())."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("den", "table")
 
     def __init__(self, coeffs=()):
-        cs = [GaussianRational.coerce(c) for c in coeffs]
-        while cs and not cs[-1]:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        den, table = common_denominator(dict(enumerate(map(GaussianRational.coerce, coeffs))))
+        _fill(self, den, table.values())
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
+
+    @staticmethod
+    def from_ints(den: int, table) -> Poly:
+        """sum_j (re_j + im_j*i) / den x^j for table[j] == (re_j, im_j), den >= 1."""
+        return _fill(object.__new__(Poly), den, table)
 
     @staticmethod
     def from_roots(roots) -> Poly:
@@ -40,39 +45,45 @@ class Poly:
         return out
 
     @property
+    def coeffs(self) -> tuple:
+        """The coefficients as GaussianRationals, low to high, built on each call."""
+        den = self.den
+        return tuple(over(re, im, den) for re, im in self.table)
+
+    @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.table
 
     @property
     def degree(self) -> int:
         """Degree, with the zero polynomial at -1."""
-        return len(self.coeffs) - 1
+        return len(self.table) - 1
 
     @property
     def leading(self) -> GaussianRational:
-        return self.coeffs[-1] if self.coeffs else ZERO
+        return self.coefficient(self.degree)
 
     @property
     def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == ONE
+        return bool(self.table) and self.table[-1] == (self.den, 0)
 
     def coefficient(self, k: int) -> GaussianRational:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else ZERO
+        return over(*self.table[k], self.den) if 0 <= k < len(self.table) else ZERO
 
     def __eq__(self, other):
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self.den == other.den and self.table == other.table
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.den, self.table))
 
     def __add__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
+        n = max(len(self.table), len(other.table))
         return Poly([self.coefficient(k) + other.coefficient(k) for k in range(n)])
 
     def __sub__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
+        n = max(len(self.table), len(other.table))
         return Poly([self.coefficient(k) - other.coefficient(k) for k in range(n)])
 
     def __neg__(self):
@@ -86,11 +97,12 @@ class Poly:
             return NotImplemented
         if self.is_zero or other.is_zero:
             return Poly()
-        out = [ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
+        right = other.coeffs
+        out = [ZERO] * (len(self.table) + len(right) - 1)
         for i, c in enumerate(self.coeffs):
             if not c:
                 continue
-            for j, d in enumerate(other.coeffs):
+            for j, d in enumerate(right):
                 if d:
                     out[i + j] = out[i + j] + c * d
         return Poly(out)
@@ -100,18 +112,18 @@ class Poly:
     def divmod(self, other) -> tuple[Poly, Poly]:
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dq = len(rem) - len(other.coeffs)
+        rem, divisor = list(self.coeffs), other.coeffs
+        dq = len(rem) - len(divisor)
         if dq < 0:
             return Poly(), self
-        inv = other.leading.inverse()
+        inv = divisor[-1].inverse()
         quot = [ZERO] * (dq + 1)
         for k in range(dq, -1, -1):
-            top = rem[k + other.degree]
+            top = rem[k + len(divisor) - 1]
             if top:
                 f = top * inv
                 quot[k] = f
-                for j, d in enumerate(other.coeffs):
+                for j, d in enumerate(divisor):
                     rem[k + j] = rem[k + j] - f * d
         return Poly(quot), Poly(rem)
 
@@ -125,6 +137,19 @@ class Poly:
     def __repr__(self):
         body = " + ".join(f"({c})x^{k}" for k, c in enumerate(self.coeffs) if c) or "0"
         return f"<Poly {body}>"
+
+
+def _fill(f: Poly, den: int, table) -> Poly:
+    """f storing den and table, trailing zeros stripped, in lowest terms."""
+    cs = list(table)
+    while cs and cs[-1][0] == cs[-1][1] == 0:
+        cs.pop()
+    g = gcd(den, *(v for z in cs for v in z))
+    if g > 1:
+        den, cs = den // g, [(re // g, im // g) for re, im in cs]
+    object.__setattr__(f, "den", den)
+    object.__setattr__(f, "table", tuple(cs))
+    return f
 
 
 def interpolate(points) -> Poly:
@@ -145,12 +170,6 @@ def interpolate(points) -> Poly:
 
 
 # -- exact root search ---------------------------------------------------------
-
-
-def _cleared(f: Poly) -> tuple[int, list]:
-    """(D, [(re, im), ...]) with f's coefficient j == (re + im*i) / D, low to high."""
-    den, table = common_denominator(dict(enumerate(f.coeffs)))
-    return den, list(table.values())
 
 
 def _gmul(a: tuple, b: tuple) -> tuple:
@@ -277,9 +296,9 @@ def gaussian_roots(f: Poly) -> list[GaussianRational]:
     """
     if f.is_zero:
         raise ValueError("the zero polynomial has every root")
-    _, cs = _cleared(f)
+    cs = f.table
     if len(cs) < 3:
-        return [-f.coeffs[0] / f.coeffs[1]] if len(cs) == 2 else []
+        return [-f.coefficient(0) / f.coefficient(1)] if len(cs) == 2 else []
     g, p = _monic(cs), _prime_after(len(cs) - 1)
     if (found := _reductions(g, p)) is None:
         cs = _squarefree(cs)
@@ -327,7 +346,7 @@ def _roots_with_multiplicity(f: Poly) -> list[GaussianRational]:
     roots = gaussian_roots(f)
     if len(roots) == f.degree:
         return roots
-    _, cs = _cleared(f)
+    cs = f.table
     g, (lr, li) = _monic(cs), cs[-1]
     out = []
     for z in roots:

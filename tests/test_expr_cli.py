@@ -19,7 +19,7 @@ from abalg.errors import AbalgError, ExprError
 from abalg.expr import (MAX_EXPONENT, MAX_NESTING, format_element, parse, parse_element,
                         parse_scalar)
 from abalg.jsonio import (MAX_RANK, coeff_from_json, element_from_json, matrix_to_json,
-                          polyseries_from_json, polyseries_to_json, system_to_json,
+                          polyseries_from_json, polyseries_to_json, series_matrix_to_json,
                           xi_from_json, xi_to_json)
 from abalg.linalg import QMatrix
 from abalg.modules import DifferentialSystem
@@ -208,7 +208,7 @@ def test_matrix_and_system_json_shapes():
     theta = QMatrix([[Fraction(1, 2), 0], [1, 3]])
     doc = matrix_to_json(theta)
     assert doc["k"] == 2 and doc["entries"][0][0] == {"re": "1/2", "im": "0/1"}
-    sysdoc = system_to_json(DifferentialSystem((theta,)))
+    sysdoc = series_matrix_to_json(DifferentialSystem((theta,)).coeffs)
     assert sysdoc["k"] == 2 and len(sysdoc["coeffs"]) == 1
 
 
@@ -317,8 +317,8 @@ def test_cli_bernstein_geometric_ode2ab(capsys, tmp_path):
     assert code == 0 and json.loads(out)["geometric"] is True
 
     system = tmp_path / "sys.json"
-    system.write_text(json.dumps(system_to_json(
-        DifferentialSystem((QMatrix([[2]]), QMatrix([[3]]))))))
+    system.write_text(json.dumps(series_matrix_to_json(
+        DifferentialSystem((QMatrix([[2]]), QMatrix([[3]]))).coeffs)))
     code, out, _ = run_cli(capsys, "ode2ab", "--system", str(system), "--order", "3")
     doc = json.loads(out)
     values = [m["entries"][0][0]["re"] for m in doc["coeffs"]]
@@ -331,7 +331,7 @@ def test_cli_refuses_a_matrix_above_the_rank_limit_before_any_arithmetic(capsys,
                       for j in range(k)] for i in range(k)])
     matrix, system = tmp_path / "theta.json", tmp_path / "sys.json"
     matrix.write_text(json.dumps(matrix_to_json(theta)))
-    system.write_text(json.dumps(system_to_json(DifferentialSystem((theta,)))))
+    system.write_text(json.dumps(series_matrix_to_json(DifferentialSystem((theta,)).coeffs)))
     for argv in [("bernstein", "--matrix", str(matrix)), ("geometric", "--matrix", str(matrix)),
                  ("ode2ab", "--system", str(system), "--order", "4")]:
         code, out, err = run_cli(capsys, *argv)

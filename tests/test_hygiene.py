@@ -143,6 +143,14 @@ def test_series_and_a_polynomials_keep_one_storage():
     assert APolynomial.__slots__ == ("element",)
 
 
+def test_matrices_and_polynomials_keep_one_storage():
+    """QMatrix and Poly store one denominator and a Gaussian-integer table, as
+    AlgebraElement does, and nothing else."""
+    from abalg.linalg import QMatrix
+    from abalg.polynomials import Poly
+    assert QMatrix.__slots__ == Poly.__slots__ == ("den", "table")
+
+
 # -- the value classes --------------------------------------------------------------
 
 def _value_cases():
@@ -317,4 +325,8 @@ def test_every_traced_span_names_an_existing_function():
             found = hasattr(importlib.import_module(owner), attr)
         if not found:
             missing.append(f"{name}: {owner}.{attr}")
-    assert tracing.SPANS and missing == []
+    # the tracer counts these, read from GaussianRational.__dict__
+    from abalg.coefficients import GaussianRational
+    missing += [f"scalar op: GaussianRational.{attr}" for attr in tracing.SCALAR_METHODS
+                if attr not in GaussianRational.__dict__]
+    assert tracing.SPANS and tracing.SCALAR_METHODS and missing == []

@@ -34,8 +34,10 @@ scalar and nilpotent.
 
 Every element kernel's result is checked to be stored in lowest terms (one
 denominator, no zero entry, no common factor) and to agree with its
-GaussianRational view; printing and JSON are checked to round-trip
-elements with Gaussian coefficients over mixed denominators.
+GaussianRational view, and so are the matrices and polynomials that `@`, the
+minimal, characteristic and remainder polynomials give; printing and JSON
+are checked to round-trip elements with Gaussian coefficients over mixed
+denominators.
 """
 
 import json
@@ -511,13 +513,6 @@ def test_matmul_agrees_with_the_triple_sum(xy):
     assert (x @ y).rows == tuple(map(tuple, _product(x, y)))
 
 
-@given(st.integers(1, 6).flatmap(lambda k: st.tuples(matrices(k), st.lists(scalars(), min_size=k,
-                                                                            max_size=k))))
-def test_apply_agrees_with_the_triple_sum(case):
-    a, vec = case
-    assert a.apply(vec) == tuple(r[0] for r in _product(a, QMatrix([[c] for c in vec])))
-
-
 @given(matrices())
 def test_minimal_polynomial_is_the_first_power_dependency(a):
     p = minimal_polynomial(a)
@@ -604,6 +599,42 @@ def polys_with_roots(draw):
 @given(polys_with_roots())
 def test_rational_roots_are_the_candidates_that_vanish(f):
     assert rational_roots(f) == sorted(r for r in _candidates(f) if not f(r))
+
+
+@st.composite
+def polys(draw):
+    """A Gaussian, fractional or zero polynomial of degree < 7, drawn with
+    zero coefficients (trailing ones too)."""
+    kind = draw(st.sampled_from(("gaussian", "fractional", "zero")))
+    if kind == "zero":
+        return Poly([ZERO] * draw(st.integers(0, 3)))
+    entry = scalars() if kind == "gaussian" else small_fractions
+    return Poly(draw(st.lists(st.one_of(st.just(ZERO), entry), max_size=7)))
+
+
+def stored_canonically(x) -> bool:
+    """One denominator >= 1, lowest terms, (re, im) pairs, and no trailing zero."""
+    rows = x.table if isinstance(x, QMatrix) else [x.table]
+    pairs = [z for r in rows for z in r]
+    return (x.den >= 1 and math.gcd(x.den, *(v for z in pairs for v in z)) == 1
+            and all(type(z) is tuple and len(z) == 2 for z in pairs)
+            and (isinstance(x, QMatrix) or not x.table or x.table[-1] != (0, 0)))
+
+
+@given(matrices(), polys(), monic_homogeneous(), st.integers(1, 10 ** 6))
+def test_matrices_and_polynomials_are_stored_canonically(a, f, x, c):
+    """Every kernel output is canonical, so == and hash compare the storage:
+    the view builds the same value back, and so do numerators and
+    denominator scaled by any c (trailing zeros added for a Poly)."""
+    for r in [a, -a, a @ a, QMatrix.identity(a.shape[0])]:
+        assert stored_canonically(r) and QMatrix(r.rows) == r
+        assert QMatrix.from_ints(c * r.den, [[(c * re, c * im) for re, im in row]
+                                             for row in r.table]) == r
+    for r in [f, minimal_polynomial(a), characteristic_polynomial(a), remainder_polynomial(x)]:
+        same = Poly.from_ints(c * r.den, [(c * re, c * im) for re, im in r.table] + [(0, 0)])
+        assert stored_canonically(r) and Poly(r.coeffs) == r == same
+        assert hash(Poly(r.coeffs)) == hash(same) == hash(r)
+    assert Poly().den == 1 and Poly().table == ()
 
 
 @pytest.mark.parametrize("rs, cs, scale", [

@@ -1,13 +1,14 @@
 import random
+import sys
 import time
 from fractions import Fraction
 
 import pytest
 
-from abalg import elements, modules
+from abalg import coefficients, elements, modules
 from abalg.checks import random_element, random_gaussian, random_matrix
 from abalg.coefficients import ZERO, GaussianRational
-from abalg.division import FactoredProduct
+from abalg.division import FactoredProduct, remainder_polynomial
 from abalg.elements import LEFT, RIGHT, AlgebraElement, gen_a, gen_b, mul, power, scale
 from abalg.errors import OrderMismatchError
 from abalg.linalg import (QMatrix, evaluate_poly_at_matrix, matrix_power_sequence,
@@ -158,6 +159,38 @@ def test_act_makes_no_product_and_no_reordering(monkeypatch):
     monkeypatch.undo()
     for (x, v, module), res in zip(cases, results):
         assert res == _act_by_the_left_route(x, v, module)
+
+
+def _refuse_everywhere(monkeypatch, names):
+    """Make each named coefficients function raise in every abalg module that holds it."""
+    def refuse(*args):
+        raise AssertionError("a kernel split or joined GaussianRationals")
+
+    originals = [getattr(coefficients, name) for name in names]
+    for mod in [m for n, m in list(sys.modules.items()) if n.split(".")[0] == "abalg"]:
+        for name, original in zip(names, originals):
+            if getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, refuse)
+
+
+def test_the_matrix_kernels_read_and_build_the_integer_tables(monkeypatch):
+    """bernstein, ode2ab and remainder_polynomial form no common denominator
+    and divide out no part; the spectrum check forms no common denominator
+    (its roots are built by `over`)."""
+    theta = QMatrix([[GaussianRational(Fraction(1, 2), 1), Fraction(2, 3)],
+                     [GaussianRational(0, Fraction(-1, 4)), 3]])
+    module, system = SimplePoleModule(theta, 3), DifferentialSystem((theta, -theta))
+    x = AlgebraElement(2, RIGHT, {(2, 0): 1, (1, 1): theta.entry(0, 0), (0, 2): theta.entry(1, 0)})
+    calls = [lambda: bernstein(module), lambda: from_differential_system(system, 3)[1],
+             lambda: remainder_polynomial(x)]
+    expected = [call() for call in calls] + [is_geometric_spectrum(module)]
+    _refuse_everywhere(monkeypatch, ("common_denominator", "over"))
+    found = [call() for call in calls]
+    monkeypatch.undo()
+    _refuse_everywhere(monkeypatch, ("common_denominator",))
+    found.append(is_geometric_spectrum(module))
+    monkeypatch.undo()
+    assert found == expected
 
 
 # -- Bernstein polynomials --------------------------------------------------------

@@ -127,8 +127,6 @@ def test_matrix_operations():
     ident = QMatrix.identity(2)
     assert m @ ident == m
     assert (m - m).is_zero
-    assert m.apply((1, 0)) == (GaussianRational(1), GaussianRational(3))
-    assert m.trace() == GaussianRational(5)
 
 
 def test_characteristic_vs_minimal():

@@ -62,85 +62,126 @@ def _print_quotient_remainder(q: AlgebraElement, r: AlgebraElement, pretty: bool
         _emit({"quotient": element_to_json(q), "remainder": element_to_json(r)})
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="abalg",
-        description="Exact truncated arithmetic in the algebra with ab - ba = b^2.")
-    subs = parser.add_subparsers(dest="command", required=True)
-
-    s = subs.add_parser("normalize", help="parse an expression and normal-order it")
+def _form_expr_args(s):
     _element_args(s)
     s.add_argument("--form", choices=("left", "right"), default="left")
     s.add_argument("expr")
 
-    s = subs.add_parser("mul", help="product of two expressions")
+
+def _mul_args(s):
     _element_args(s)
     s.add_argument("--form", choices=("left", "right"), default="left")
     s.add_argument("x")
     s.add_argument("y")
 
-    s = subs.add_parser("inv", help="inverse of a unit")
+
+def _inv_args(s):
     _element_args(s)
     s.add_argument("expr")
 
-    s = subs.add_parser("div-linear", help="division with remainder by (a - lambda*b)")
+
+def _div_linear_args(s):
     _element_args(s)
     s.add_argument("--lambda", dest="lam", required=True, metavar="SCALAR")
     s.add_argument("expr")
 
-    s = subs.add_parser("div", help="division with remainder by a factored product")
+
+def _div_args(s):
     _element_args(s)
     s.add_argument("--product", required=True, metavar="FILE")
     s.add_argument("expr")
 
-    s = subs.add_parser("tau", help="apply the automorphism a -> a + x*b")
+
+def _tau_args(s):
     _element_args(s)
     s.add_argument("--x", dest="x", required=True, metavar="SCALAR")
     s.add_argument("--form", choices=("left", "right"), default="left")
     s.add_argument("expr")
 
-    s = subs.add_parser("anti-f", help="apply the anti-automorphism a -> a, b -> -b")
-    _element_args(s)
-    s.add_argument("--form", choices=("left", "right"), default="left")
-    s.add_argument("expr")
 
-    s = subs.add_parser("act", help="act on a truncated power series in z")
+def _act_args(s):
     s.add_argument("--order", type=int, default=8)
     s.add_argument("--input", required=True, metavar="FILE", help="PolySeries JSON")
     s.add_argument("--degree", type=int, default=None,
                    help="working degree bound (default 3*order)")
     s.add_argument("expr")
 
-    s = subs.add_parser("factor", help="factor a homogeneous element into linear forms")
+
+def _factor_args(s):
     s.add_argument("--order", type=int, default=8)
     s.add_argument("expr")
 
-    s = subs.add_parser("bernstein", help="Bernstein polynomial of a simple-pole module")
+
+def _bernstein_args(s):
     s.add_argument("--matrix", required=True, metavar="FILE")
     s.add_argument("--pretty", action="store_true")
 
-    s = subs.add_parser("geometric", help="is the matrix spectrum positive rational?")
+
+def _geometric_args(s):
     s.add_argument("--matrix", required=True, metavar="FILE")
 
-    s = subs.add_parser("ode2ab", help="convert s dF/ds = M(s) F to ae = X(b)be")
+
+def _ode2ab_args(s):
     s.add_argument("--system", required=True, metavar="FILE")
     s.add_argument("--order", type=int, required=True, help="b-adic truncation of X")
 
-    s = subs.add_parser("fresco-act", help="act on a class in the cyclic quotient by P")
+
+def _fresco_act_args(s):
     _element_args(s)
     s.add_argument("--product", required=True, metavar="FILE")
     s.add_argument("x")
     s.add_argument("r", help="representative of a-degree below the rank")
 
-    s = subs.add_parser("xi-act", help="apply a or b to a multivalued expansion")
+
+def _xi_act_args(s):
     s.add_argument("--input", required=True, metavar="FILE", help="XiElement JSON")
     s.add_argument("--op", choices=("a", "b"), required=True)
 
-    s = subs.add_parser("selftest", help="run every invariant suite")
+
+def _selftest_args(s):
     s.add_argument("--seed", type=int, default=20260810)
     s.add_argument("--json", action="store_true",
                    help="one JSON object per suite instead of the text rows")
 
+
+#: Every subcommand, in the order of the help text: its help line and the
+#: function that adds its arguments.
+_COMMANDS = {
+    "normalize": ("parse an expression and normal-order it", _form_expr_args),
+    "mul": ("product of two expressions", _mul_args),
+    "inv": ("inverse of a unit", _inv_args),
+    "div-linear": ("division with remainder by (a - lambda*b)", _div_linear_args),
+    "div": ("division with remainder by a factored product", _div_args),
+    "tau": ("apply the automorphism a -> a + x*b", _tau_args),
+    "anti-f": ("apply the anti-automorphism a -> a, b -> -b", _form_expr_args),
+    "act": ("act on a truncated power series in z", _act_args),
+    "factor": ("factor a homogeneous element into linear forms", _factor_args),
+    "bernstein": ("Bernstein polynomial of a simple-pole module", _bernstein_args),
+    "geometric": ("is the matrix spectrum positive rational?", _geometric_args),
+    "ode2ab": ("convert s dF/ds = M(s) F to ae = X(b)be", _ode2ab_args),
+    "fresco-act": ("act on a class in the cyclic quotient by P", _fresco_act_args),
+    "xi-act": ("apply a or b to a multivalued expansion", _xi_act_args),
+    "selftest": ("run every invariant suite", _selftest_args),
+}
+
+
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of `command` alone.
+
+    For an argv that starts with `command`, the two parse alike and print
+    the same help, usage and errors: the top-level usage shows the full list
+    of subcommands as the metavar.  The full parser sets no metavar, which
+    would stand for `command` in the error for a missing or unknown one.
+    """
+    parser = argparse.ArgumentParser(
+        prog="abalg",
+        description="Exact truncated arithmetic in the algebra with ab - ba = b^2.")
+    names = _COMMANDS if command is None else (command,)
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    subs = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        help_text, add_arguments = _COMMANDS[name]
+        add_arguments(subs.add_parser(name, help=help_text))
     return parser
 
 
@@ -248,7 +289,12 @@ def _run(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    # A request builds the subparser of its own subcommand only; no argument,
+    # a leading option or an unknown command gets the full parser and its
+    # help or error.
+    parser = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

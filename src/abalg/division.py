@@ -17,6 +17,10 @@ takes R = x - Q P with P expanded once per product.  The b-series and
 a-polynomials taken and given (unit parts, their cached inverses, the
 remainders) are views of elements (see series), so no coefficient is split
 into integers or rebuilt as a fraction at either end.
+
+The polynomial layer is imported by remainder_polynomial and
+factor_homogeneous, the two functions that use it, so that inv, div-linear
+and div do not load it.
 """
 
 from __future__ import annotations
@@ -29,7 +33,6 @@ from .elements import (LEFT, RIGHT, AlgebraElement, _by_degree, _scalar_ints, _t
                        mul, scale, with_ordering)
 from .errors import (Frozen, NotHomogeneousError, NotMonicError, OrderMismatchError,
                      ZeroConstantTermError, ZeroElementError)
-from .polynomials import Poly, _roots_with_multiplicity
 from .series import APolynomial, BSeries
 
 
@@ -384,6 +387,7 @@ def remainder_polynomial(x: AlgebraElement) -> Poly:
             for k, s in enumerate(row):
                 rho_re[k] += re * s
                 rho_im[k] += im * s
+    from .polynomials import Poly
     return Poly.from_ints(den, zip(rho_re, rho_im))
 
 
@@ -452,6 +456,7 @@ def factor_homogeneous(x: AlgebraElement) -> HomogeneousFactorization:
     m = stripped.degree
     lead = stripped.coefficient(m, 0)
     core = with_ordering(scale(lead.inverse(), stripped), LEFT)
+    from .polynomials import _roots_with_multiplicity
     roots = _roots_with_multiplicity(remainder_polynomial(core)) if m else []
     roots.sort(key=lambda z: (z.re, z.im), reverse=True)
     lambdas = []

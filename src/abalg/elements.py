@@ -439,8 +439,10 @@ def mul(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
     shifts keys.  The relation being homogeneous, the product of degree-d
     and degree-d' monomials is homogeneous of degree d+d': grading is exact,
     truncation only drops whole degrees > N, and b^q y is built and used one
-    degree block at a time.  The loops run on Gaussian-integer numerators
-    over the denominator Dx*Dy.
+    degree block at a time, empty blocks of y skipped.  The loops run on
+    Gaussian-integer numerators over the denominator Dx*Dy, accumulated
+    only for the a-powers up to min(N, deg x + deg y), so that sparse or
+    low-degree operands at a high order cost no (N+1)^2 table.
     """
     _check_same_ordering(x, y)
     if x.ordering is not LEFT:
@@ -450,13 +452,17 @@ def mul(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
     width = order + 1
     y_blocks = _by_degree(y.table, order)
     x_by_b_power: dict = {}
+    x_degree = 0
     for (p, q), (re, im) in x.table.items():
         x_by_b_power.setdefault(q, []).append((p, re, im))
-    acc_re = [0] * (width * width)
-    acc_im = [0] * (width * width)
+        x_degree = max(x_degree, p + q)
+    size = (min(order, x_degree + (y.degree or 0)) + 1) * width
+    acc_re = [0] * size
+    acc_im = [0] * size
     for q, x_terms in x_by_b_power.items():
         top = order - q - min(p for p, _, _ in x_terms)
-        w_blocks = [_times_b_power(q, y_blocks[e], width) for e in range(top + 1)]
+        w_blocks = [_times_b_power(q, terms, width) if terms else []
+                    for terms in y_blocks[:top + 1]]
         for p, xr, xi in x_terms:
             shift = p * width
             for block in w_blocks[:order - q - p + 1]:

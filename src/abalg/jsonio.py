@@ -5,10 +5,9 @@ denominator, optional leading minus); a bare "num" is accepted on input.
 Term lists are emitted in the canonical (total degree, b-power) order so
 output is byte-stable.
 
-The types of the division, linalg, modules and series layers are imported
-by the functions that build them, so that a subcommand which reads and
-writes only elements, power series and expansions loads none of those
-layers.
+The types of the division, linalg, modules, oracle and series layers are
+imported by the functions that build them, so that a subcommand loads only
+the layers of the values it reads and writes.
 """
 
 from __future__ import annotations
@@ -18,15 +17,15 @@ from typing import TYPE_CHECKING
 from .coefficients import GaussianRational, fraction_from_str, fraction_to_str
 from .elements import LEFT, RIGHT, AlgebraElement
 from .errors import SchemaError
-# Kept at top level: perfbench's traced runs find abalg.expansions and
-# abalg.oracle in sys.modules after importing jsonio.
+# The one layer kept at top level: perfbench's traced runs find
+# abalg.expansions in sys.modules after importing jsonio.
 from .expansions import XiElement
-from .oracle import PolySeries
 
 if TYPE_CHECKING:
     from .division import FactoredProduct, HomogeneousFactorization
     from .linalg import QMatrix
     from .modules import DifferentialSystem
+    from .oracle import PolySeries
     from .polynomials import Poly
     from .series import BSeries
 
@@ -132,6 +131,7 @@ def polyseries_to_json(f: PolySeries) -> dict:
 
 
 def polyseries_from_json(doc) -> PolySeries:
+    from .oracle import PolySeries
     bound = _need(doc, "degree", int)
     table = {}
     for entry in _need(doc, "terms", list):

@@ -22,13 +22,15 @@ Three carriers:
 Module truncation is b-adic (order N in b), independent of the algebra's
 total-degree truncation; acting with an element of total-degree order N on
 entries known mod b^(N+1) is exact mod b^(N+1).
+
+Only the frescos divide: Fresco.reduce and unit_fresco import the division
+layer, so that bernstein, geometric and ode2ab do not load it.
 """
 
 from __future__ import annotations
 
 import math
 
-from .division import FactoredProduct, divide
 from .elements import LEFT, RIGHT, AlgebraElement, _row, mul, with_ordering
 from .errors import AbalgError, Frozen, OrderingMismatchError, OrderMismatchError
 from .linalg import (QMatrix, _int_identity, _int_matmul, characteristic_polynomial,
@@ -253,6 +255,7 @@ class Fresco(Frozen):
         return APolynomial.one(self.order)
 
     def reduce(self, x: AlgebraElement) -> APolynomial:
+        from .division import divide
         return divide(x, self.product).remainder
 
 
@@ -268,6 +271,7 @@ def fresco_act(x: AlgebraElement, r: APolynomial, fresco: Fresco) -> APolynomial
 
 def unit_fresco(order: int) -> Fresco:
     """The rank-1 fresco on (a - b): its generator satisfies a.e = b.e."""
+    from .division import FactoredProduct
     return Fresco(FactoredProduct.linear(1, order))
 
 

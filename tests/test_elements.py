@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from abalg.elements import (LEFT, RIGHT, AlgebraElement, add, anti_automorphism,
                             binomial_pow, coefficient_profile, gen_a, gen_b, mul,
                             power, reorder_coeff, scale, shear, to_left, to_right)
 from abalg.errors import OrderingMismatchError, OrderMismatchError
+from abalg.expr import format_element, parse_element
 from abalg.oracle import PolySeries, act
 
 
@@ -109,6 +111,37 @@ def test_mul_respects_truncation_grading():
     a = gen_a(n)
     assert mul(power(a, 2), power(a, 2)) == AlgebraElement(n, LEFT, {(4, 0): 1})
     assert mul(power(a, 3), power(a, 2)).is_zero  # degree 5 > 4 quotients away
+
+
+# mul sizes its accumulator by deg x + deg y and skips the empty degrees of y.
+# Each case is (x, y, order, the product as printed); the order-100 product
+# is pinned by the SHA-256 of its 5418-character printed form.
+MUL_BOUND_CASES = [
+    ("0", "1 + a*b", 5, "0"),  # a zero factor, on either side
+    ("1 + a*b", "0", 5, "0"),
+    ("a^2*b + b^3", "a^4 - b^5", 6, "0"),  # val x + val y = 7 > 6: all truncated away
+    # x of a single degree, y with gaps in its degrees, below and well below the order
+    ("a^2*b", "1 + b^4 + a^3*b^6", 12,
+     "a^2*b + a^2*b^5 + a^5*b^7 - 3*a^4*b^8 + 6*a^3*b^9 - 6*a^2*b^10"),
+    ("a^2*b", "1 + b^4 + a^3*b^6", 30,
+     "a^2*b + a^2*b^5 + a^5*b^7 - 3*a^4*b^8 + 6*a^3*b^9 - 6*a^2*b^10"),
+    ("a^10", "b + a^5", 20, "a^10*b + a^15"),  # the a-power reaches deg x + deg y
+    ("2", "1/3 + i", 0, "(2/3 + 2*i)"),
+    ("1 + a", "b - 2", 1, "-2 - 2*a + b"),
+    ("a^3*b^2 + 1/2*b^40", "b^7 + i*a^20*b^60 - 3*a^45", 100,
+     "a15dc8b1760c2f8f5c545321f5c64068099a12abf0c4865169a3c4767fdbac05"),
+]
+
+
+@pytest.mark.parametrize("xs, ys, n, expected", MUL_BOUND_CASES)
+def test_mul_sized_by_degree_keeps_its_results(xs, ys, n, expected):
+    x, y = parse_element(xs, n), parse_element(ys, n)
+    product = mul(x, y)
+    text = format_element(product)
+    assert expected in (text, hashlib.sha256(text.encode()).hexdigest())
+    for r in range(n + 1):
+        f = PolySeries.monomial(r, n + r)
+        assert act(product, f) == act(x, act(y, f))
 
 
 def test_power_past_the_order_is_zero_at_once():

@@ -11,6 +11,7 @@ import pytest
 
 import abalg
 from abalg import checks
+from abalg import cli
 from abalg.cli import MAX_ORDER, main
 from abalg.coefficients import GaussianRational
 from abalg.elements import (LEFT, RIGHT, AlgebraElement, binomial_pow, gen_a, gen_b, mul,
@@ -477,6 +478,74 @@ def test_selftest_json_reports_each_suite_with_its_time(monkeypatch, capsys):
     assert run_cli(capsys, "selftest", "--json")[0] == 0
 
 
+# -- the parser of one subcommand -------------------------------------------------------
+
+# A valid argv of each subcommand; the parser does not open the files.
+_VALID_ARGV = {
+    "normalize": ["--order", "4", "--form", "right", "--pretty", "a^2*b"],
+    "mul": ["--order", "4", "a", "b"],
+    "inv": ["1 - a*b"],
+    "div-linear": ["--lambda", "1", "a^2"],
+    "div": ["--product", "p.json", "a^3"],
+    "tau": ["--x", "1/2", "--form", "right", "a"],
+    "anti-f": ["--pretty", "a*b"],
+    "act": ["--input", "f.json", "--degree", "9", "a"],
+    "factor": ["--order", "3", "a^2"],
+    "bernstein": ["--matrix", "m.json", "--pretty"],
+    "geometric": ["--matrix", "m.json"],
+    "ode2ab": ["--system", "s.json", "--order", "3"],
+    "fresco-act": ["--product", "p.json", "a*b", "1 + b"],
+    "xi-act": ["--input", "xi.json", "--op", "b"],
+    "selftest": ["--seed", "7", "--json"],
+}
+
+
+def _parse(capsys, parser, argv):
+    """(exit code, the parsed arguments, stdout, stderr) of parsing argv."""
+    try:
+        args, code = vars(parser.parse_args(argv)), 0
+    except SystemExit as exc:
+        args, code = None, exc.code
+    out, err = capsys.readouterr()
+    return code, args, out, err
+
+
+def test_every_subcommand_has_a_valid_argv():
+    assert list(_VALID_ARGV) == list(cli._COMMANDS)
+
+
+@pytest.mark.parametrize("columns", ["40", "80", "200"])
+@pytest.mark.parametrize("command", list(_VALID_ARGV))
+def test_the_parser_of_one_subcommand_parses_as_the_full_parser(capsys, monkeypatch, command,
+                                                                 columns):
+    """Help, usage and every error read the same from the one-subcommand parser,
+    the top-level usage of an unrecognized argument included, at any width."""
+    monkeypatch.setenv("COLUMNS", columns)
+    valid = _VALID_ARGV[command]
+    argvs = [valid, ["--help"], valid[:-1], valid + ["--order", "x"], valid + ["--form", "up"],
+             valid + ["--bogus"], valid + ["extra"]]
+    for argv in argvs:
+        argv = [command, *argv]
+        full = _parse(capsys, cli._build_parser(), argv)
+        assert _parse(capsys, cli._build_parser(command), argv) == full, argv
+    assert _parse(capsys, cli._build_parser(), [command, *valid])[0] == 0
+
+
+@pytest.mark.parametrize("argv, built_for, code", [
+    ([], None, 2), (["-h"], None, 0), (["mull", "a", "b"], None, 2),
+    (["--order", "3", "mul", "a", "b"], None, 2),
+    (["mul", "--order", "3", "a", "b"], "mul", 0), (["div-linear", "--help"], "div-linear", 0),
+])
+def test_main_builds_one_subparser_for_a_known_command_only(capsys, monkeypatch, argv, built_for,
+                                                            code):
+    built = []
+    build = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser",
+                        lambda command=None: built.append(command) or build(command))
+    assert main(argv) == code
+    assert built == [built_for]
+
+
 # Runs the CLI as `python -m abalg.cli` does, then lists the abalg modules it loaded.
 _LOADED_BY = """
 import runpy, sys
@@ -491,10 +560,22 @@ _KERNELS = {"division", "modules", "linalg", "polynomials", "series"}
 _NOT_LOADED_BY = [
     (["normalize", "--pretty", "--order", "6", "a^2*b"],
      _KERNELS | {"oracle", "expansions", "jsonio", "checks"}),
-    (["normalize", "--order", "6", "a^2*b"], _KERNELS | {"checks"}),
-    (["inv", "--order", "6", "1 + a*b"], {"modules", "linalg", "checks"}),
-    (["bernstein", "--matrix", "{matrix}"], {"checks"}),
+    (["normalize", "--order", "6", "a^2*b"], _KERNELS | {"oracle", "checks"}),
+    (["mul", "--order", "6", "a", "b"], _KERNELS | {"oracle", "checks"}),
+    (["tau", "--x", "1/2", "--order", "6", "a^2*b"], _KERNELS | {"oracle", "checks"}),
+    (["anti-f", "--order", "6", "a^2*b"], _KERNELS | {"oracle", "checks"}),
+    (["inv", "--order", "6", "1 + a*b"], {"modules", "linalg", "polynomials", "checks"}),
+    (["div-linear", "--lambda", "2", "--order", "6", "a^2*b"],
+     {"modules", "linalg", "polynomials", "checks"}),
+    (["div", "--order", "6", "--product", "{product}", "a^3"],
+     {"modules", "linalg", "polynomials", "checks"}),
+    (["bernstein", "--matrix", "{matrix}"], {"division", "checks"}),
+    (["geometric", "--matrix", "{matrix}"], {"division", "checks"}),
+    (["ode2ab", "--system", "{system}", "--order", "3"], {"division", "checks"}),
     (["fresco-act", "--order", "6", "--product", "{product}", "a*b", "1 + b"], {"checks"}),
+]
+_ALSO_LOADED_BY = [
+    (["act", "--order", "4", "--input", "{series}", "a*b"], {"oracle"}),
 ]
 
 
@@ -502,19 +583,29 @@ def test_cli_import_does_not_load_the_invariant_suites(tmp_path):
     """Each subcommand loads only what it uses, none loads the suites, and none
     loads `dataclasses` or `inspect` (with their own imports, about 10 ms of a
     request's start-up)."""
-    files = {"matrix": tmp_path / "theta.json", "product": tmp_path / "product.json"}
-    files["matrix"].write_text(json.dumps(matrix_to_json(QMatrix([[Fraction(1, 2), 1], [0, 3]]))))
-    files["product"].write_text(json.dumps({"factors": [
-        {"lambda": {"re": "2", "im": "0"}, "S": {"order": 6, "ordering": "left", "terms": [
-            {"p": 0, "q": 0, "re": "1", "im": "0"}]}}]}))
-    for argv, not_loaded in _NOT_LOADED_BY:
+    theta = matrix_to_json(QMatrix([[Fraction(1, 2), 1], [0, 3]]))
+    docs = {
+        "matrix": theta,
+        "system": {"k": 2, "coeffs": [theta, theta]},
+        "series": polyseries_to_json(PolySeries(6, {0: GaussianRational(1)})),
+        "product": {"factors": [
+            {"lambda": {"re": "2", "im": "0"}, "S": {"order": 6, "ordering": "left", "terms": [
+                {"p": 0, "q": 0, "re": "1", "im": "0"}]}}]},
+    }
+    files = {}
+    for name, doc in docs.items():
+        files[name] = tmp_path / f"{name}.json"
+        files[name].write_text(json.dumps(doc))
+    cases = ([(argv, not_loaded, set()) for argv, not_loaded in _NOT_LOADED_BY]
+             + [(argv, set(), also_loaded) for argv, also_loaded in _ALSO_LOADED_BY])
+    for argv, not_loaded, also_loaded in cases:
         argv = [arg.format(**files) for arg in argv]
         result = subprocess.run([sys.executable, "-c", _LOADED_BY, *argv],
                                 capture_output=True, text=True, env=_checkout_env())
         assert result.returncode == 0, result.stderr
         modules = set(result.stdout.splitlines()[-1].split())
         loaded = {name.removeprefix("abalg.") for name in modules if name.startswith("abalg.")}
-        assert {"elements", "expr"} <= loaded
+        assert {"elements", "expr"} | also_loaded <= loaded, argv
         assert not loaded & not_loaded, argv
         assert not modules & {"dataclasses", "inspect"}, argv
 

@@ -3,14 +3,16 @@
 behave as frozen dataclasses on __slots__, the oracle, the
 GaussianRational routes of linalg and polynomials and BSeries.__mul__ stay
 independent referees of the integer kernels, BSeries and APolynomial keep
-one storage, and every span of the traced benchmark names a function or
-method that exists.
+one storage, every span of the traced benchmark names a function or
+method that exists, and a tiny traced run finds every span's module loaded.
 """
 
 import ast
 import hashlib
 import importlib
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -330,3 +332,14 @@ def test_every_traced_span_names_an_existing_function():
     missing += [f"scalar op: GaussianRational.{attr}" for attr in tracing.SCALAR_METHODS
                 if attr not in GaussianRational.__dict__]
     assert tracing.SPANS and tracing.SCALAR_METHODS and missing == []
+
+
+def test_a_tiny_traced_run_finds_every_span_owner_loaded():
+    """The tracer looks each span's module up in sys.modules: a lazy import
+    that keeps one of them unloaded must fail here, not only in
+    `perfbench/check_bench.py`."""
+    result = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "module-stack", "--trace", "1",
+         "--tiny", "--seconds", "0.3"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr

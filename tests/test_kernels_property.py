@@ -8,7 +8,9 @@ Inputs are dense and sparse elements at orders 0-10 in both orderings,
 with coefficients of three heights: the small values of the invariant
 suites, ~20-bit numerators over distinct 10-bit primes (so the common
 denominator of an element is large), and integers (common denominator 1).
-The zero element is drawn too.  The oracle `act` referees mul, and
+The zero element is drawn too.  mul is also drawn on pairs of sparse
+elements at orders 20-60, where deg x + deg y falls below or above the
+order.  The oracle `act` referees mul, and
 `act_composed` (composed act_a/act_b on Fractions) referees `act` itself on
 dense, sparse and zero series with degree bounds on both sides of
 deg X + max r; divide_linear referees remainder_polynomial, the
@@ -138,6 +140,34 @@ def test_mul_agrees_with_the_oracle(xy):
     n = x.order
     product = mul(x, y)
     for r in range(n + 1):
+        f = PolySeries.monomial(r, n + r)
+        assert act(product, f) == act(x, act(y, f))
+
+
+@st.composite
+def sparse_pairs(draw):
+    """Two LEFT elements of at most 5 terms each at an order from 20 to 60.
+
+    Pure powers of a are drawn often: a^p a^p' is the one product term whose
+    a-power reaches deg x + deg y, the bound of mul's accumulator."""
+    order = draw(st.integers(20, 60))
+    keys = st.one_of(st.integers(0, order).map(lambda p: (p, 0)),
+                     st.tuples(st.integers(0, order), st.integers(0, order)).filter(
+                         lambda k: sum(k) <= order))
+    return tuple(AlgebraElement(order, LEFT, draw(st.dictionaries(keys, scalars(), max_size=5)))
+                 for _ in range(2))
+
+
+@given(sparse_pairs(), st.lists(st.integers(0, 60), min_size=1, max_size=3))
+def test_sparse_mul_at_high_orders(xy, exponents):
+    """mul at orders 20-60 on sparse operands, whose degrees leave gaps and
+    whose sum may fall below or above the order: the oracle agrees, and so
+    does the product taken at a higher order and truncated back."""
+    x, y = xy
+    n = x.order
+    product = mul(x, y)
+    assert product == mul(x.lifted(n + 7), y.lifted(n + 7)).truncated(n)
+    for r in exponents:
         f = PolySeries.monomial(r, n + r)
         assert act(product, f) == act(x, act(y, f))
 

@@ -1,9 +1,9 @@
 """Exact dense matrices over the Gaussian rationals.
 
 Just enough linear algebra for the module layer: ring operations, the
-minimal polynomial as the first linear dependency among the powers of a
-matrix, and the characteristic polynomial by Faddeev-LeVerrier.  Everything
-exact, no pivot-size heuristics needed.
+minimal polynomial as the first linear dependency among the first columns
+of the powers of a matrix, and the characteristic polynomial by
+Faddeev-LeVerrier.  Everything exact, no pivot-size heuristics needed.
 
 A QMatrix is stored as an AlgebraElement is: one positive denominator `den`
 and rows of Gaussian-integer numerators (re, im), `table`, in lowest terms.
@@ -119,7 +119,7 @@ class QMatrix:
 
 def _fill(a: QMatrix, den: int, table: list) -> QMatrix:
     """a storing den and table in lowest terms."""
-    g = math.gcd(den, *(v for r in table for z in r for v in z))
+    g = math.gcd(den, *[v for r in table for z in r for v in z])  # a list: see _divide_content
     if g > 1:
         den, table = den // g, [[(re // g, im // g) for re, im in r] for r in table]
     object.__setattr__(a, "den", den)
@@ -232,45 +232,73 @@ def _reduce(vec: list, comb: list, basis: list) -> None:
 
 
 def _divide_content(vec: list, comb: list) -> None:
-    g = math.gcd(*(v for pair in vec + comb for v in pair))
+    # Unpack a list, not a generator: the argument tuple built from a
+    # generator is resized in place, so on release it joins the tuple free
+    # list of its length, and lengths up to 20 keep up to 2000 each.
+    g = math.gcd(*[v for pair in vec + comb for v in pair])
     if g > 1:
         vec[:] = [(re // g, im // g) for re, im in vec]
         comb[:] = [(re // g, im // g) for re, im in comb]
 
 
-def minimal_polynomial(a: QMatrix) -> Poly:
-    """Monic minimal polynomial: the first linear dependency among the powers.
+def _vanishes(comb: list, powers: list, c: int) -> bool:
+    """True if sum_j comb[j] powers[j] is zero in the columns from c on."""
+    for row in range(len(powers[0])):
+        for t in range(c, len(powers[0])):
+            re = im = 0
+            for (cr, ci), p in zip(comb, powers):
+                vr, vi = p[row][t]
+                re += cr * vr - ci * vi
+                im += cr * vi + ci * vr
+            if re or im:
+                return False
+    return True
 
-    With a = A/D and A integral, the flattened powers I, A, A^2, ... are
-    reduced one at a time against the earlier ones by fraction-free
-    elimination over the Gaussian integers, each row carrying its
-    combination of the powers and scaled so that its pivot is the positive
-    integer |pivot|^2, with the rational content divided out.  The first
-    power that reduces to zero gives sum_j c_j A^j = 0 with c_d > 0, so the
+
+def minimal_polynomial(a: QMatrix) -> Poly:
+    """Monic minimal polynomial, from the first columns of the powers.
+
+    With a = A/D and A integral, the first c columns of the powers I, A,
+    A^2, ... (c = 1, 2, 4, ..., k) are reduced one power at a time against
+    the earlier ones by fraction-free elimination over the Gaussian
+    integers, each row carrying its combination of the powers and scaled so
+    that its pivot is the positive integer |pivot|^2, with the rational
+    content divided out.  The first power A^d that reduces to zero gives
+    sum_j c_j A^j = 0 on e_1..e_c, with c_d > 0: the minimal polynomial of A
+    on their Krylov spaces, which divides that of A.  So it is that of A if
+    d = k, or if sum_j c_j A^j, from the powers already built, is zero on
+    the other columns too (always when c = k); otherwise c doubles.  The
     minimal polynomial of a has coefficients c_j / (c_d D^(d-j)).
     """
     if not a.is_square:
         raise ValueError("minimal polynomial of a non-square matrix")
     k = a.shape[0]
     den, abar = a.den, a.table
-    basis = []
-    power = _int_identity(k)
-    for d in range(k + 1):
-        vec = [z for r in power for z in r]
-        comb = [(0, 0)] * d + [(1, 0)]
-        _reduce(vec, comb, basis)
-        _divide_content(vec, comb)
-        piv = next((t for t, (re, im) in enumerate(vec) if re or im), None)
-        if piv is None:
+    powers = [_int_identity(k)]
+    c = 1
+    while True:
+        basis = []
+        for d in range(k + 1):
+            if d == len(powers):
+                powers.append(_int_matmul(powers[-1], abar))
+            vec = [z for r in powers[d] for z in r[:c]]
+            comb = [(0, 0)] * d + [(1, 0)]
+            _reduce(vec, comb, basis)
+            _divide_content(vec, comb)
+            piv = next((t for t, (re, im) in enumerate(vec) if re or im), None)
+            if piv is None:
+                break
+            pr, pi = vec[piv]
+            vec = [(re * pr + im * pi, im * pr - re * pi) for re, im in vec]
+            comb = [(re * pr + im * pi, im * pr - re * pi) for re, im in comb]
+            _divide_content(vec, comb)
+            basis.append((piv, vec, comb))
+        else:
+            raise AssertionError("no dependency among k+1 powers; internal bug")
+        if d == k or c == k or _vanishes(comb, powers, c):
             return Poly.from_ints(comb[d][0] * den ** d,
                                   [(re * den ** j, im * den ** j) for j, (re, im) in enumerate(comb)])
-        pr, pi = vec[piv]
-        vec = [(re * pr + im * pi, im * pr - re * pi) for re, im in vec]
-        comb = [(re * pr + im * pi, im * pr - re * pi) for re, im in comb]
-        _divide_content(vec, comb)
-        basis.append((piv, vec, comb))
-        power = _int_matmul(power, abar)
-    raise AssertionError("no dependency among k+1 powers; internal bug")
+        c = min(2 * c, k)
 
 
 def characteristic_polynomial(a: QMatrix) -> Poly:

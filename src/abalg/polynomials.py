@@ -5,8 +5,13 @@ polynomials and spectrum checks: ring operations, division,
 Lagrange interpolation, and one exact root search, complete for roots in
 Q(i).  It lifts the roots of a monic Gaussian-integer form mod p to a
 p-adic precision past a Cauchy bound B on them, and keeps a candidate only
-if it vanishes exactly; it factors no integer and has no budget.  Roots
-come real ones first, ascending, then the others by (re, im); the private
+if it vanishes exactly; it factors no integer and has no budget.  A prime
+fails when the form has a multiple root mod p.  After the first failure
+the form is replaced by its square-free part, from a subresultant
+sequence over Z[i] with exact divisions, unless it is of high degree and
+a gcd mod the prime 2^61 - 1 proves it square-free already; the primes
+that fail after that are finitely many.  Roots come real ones first,
+ascending, then the others by (re, im); the private
 _roots_with_multiplicity repeats each as often as it divides.  Both read
 the integer `table` over `den` that a Poly is stored as (see its class).
 """
@@ -144,7 +149,7 @@ def _fill(f: Poly, den: int, table) -> Poly:
     cs = list(table)
     while cs and cs[-1][0] == cs[-1][1] == 0:
         cs.pop()
-    g = gcd(den, *(v for z in cs for v in z))
+    g = gcd(den, *[v for z in cs for v in z])  # a list: see linalg._divide_content
     if g > 1:
         den, cs = den // g, [(re // g, im // g) for re, im in cs]
     object.__setattr__(f, "den", den)
@@ -211,14 +216,95 @@ def _pseudo_divmod(a: list, b: list) -> tuple[list, list]:
     return q[::-1], r[:len(b) - 1]
 
 
+def _gdivide(cs: list, d: tuple) -> list:
+    """cs / d entrywise, for a Gaussian integer d that divides every entry."""
+    n = d[0] * d[0] + d[1] * d[1]
+    out = []
+    for cr, ci in cs:
+        qr, rr = divmod(cr * d[0] + ci * d[1], n)
+        qi, ri = divmod(ci * d[0] - cr * d[1], n)
+        if rr or ri:
+            raise AssertionError("inexact division in the subresultant sequence; internal bug")
+        out.append((qr, qi))
+    return out
+
+
+def _gpow(a: tuple, e: int) -> tuple:
+    out = (1, 0)
+    for _ in range(e):
+        out = _gmul(out, a)
+    return out
+
+
 def _squarefree(cs: list) -> list:
-    """The primitive part of f / gcd(f, f') for f = sum c_j x^j, by a primitive
-    pseudo-remainder sequence over Z[i]."""
+    """The primitive part of f / gcd(f, f') for f = sum c_j x^j, by the
+    subresultant remainder sequence over Z[i].
+
+    Each pseudo-remainder of a by b (deg a - deg b = delta) is divided
+    exactly by g h^delta, with g = lc(a) and h <- g^delta / h^(delta-1)
+    (both 1 at the start): the sequence stays on the subresultants, with no
+    content taken along the way.  The last nonzero one, the gcd, and the
+    pseudo-quotient of f by it have their Gaussian content divided out;
+    the first of the two keeps that quotient small when the gcd has a high
+    degree.
+    """
     a = cs
-    b = _primitive([(j * cr, j * ci) for j, (cr, ci) in enumerate(cs)][1:])
-    while b:
-        a, b = b, _primitive(_pseudo_divmod(a, b)[1])
-    return _primitive(_pseudo_divmod(cs, a)[0]) if len(a) > 1 else cs
+    b = [(j * cr, j * ci) for j, (cr, ci) in enumerate(cs)][1:]
+    g = h = (1, 0)
+    while len(b) > 1:
+        delta = len(a) - len(b)
+        r = _pseudo_divmod(a, b)[1]
+        while r and r[-1] == (0, 0):
+            r.pop()
+        a, b = b, _gdivide(r, _gmul(g, _gpow(h, delta)))
+        g = a[-1]
+        h = _gdivide([_gpow(g, delta)], _gpow(h, delta - 1))[0]
+    return _primitive(_pseudo_divmod(cs, _primitive(a))[0]) if not b else cs
+
+
+_Q = 2 ** 61 - 1  # a prime = 3 mod 4: -1 is no square mod it, so Z[i]/(_Q) is a field
+
+# The degree above which a first prime that fails asks _certified_squarefree
+# before it takes the exact square-free part.  Measured on one Xeon vCPU, on
+# rho of a product of three powers of linear forms (square-free, and the
+# first prime fails), _squarefree against _certified_squarefree, in us:
+# deg 6: 59/50; deg 8: 109/89; deg 10: 192/139; deg 12: 327/194;
+# deg 14: 496/254; deg 16: 750/319; deg 20: 1901/465; deg 30: 16438/1224.
+# On an f with a repeated root the certificate is lost time, so it is asked
+# only where it costs at most half the square-free part: from degree 14 on.
+_CERTIFY_ABOVE = 13
+
+
+def _certified_squarefree(cs: list) -> bool:
+    """True only if f = sum c_j x^j is square-free over Q(i): lc(f) is not
+    0 mod _Q and gcd(f, f') over Z[i]/(_Q) is constant.
+
+    A repeated factor h^2 of f may be taken primitive over Z[i] (Gauss); its
+    leading coefficient divides lc(f), so h keeps its degree mod _Q and
+    divides both f and f' there.  So the gcd mod _Q is never of lower
+    degree than the one over Q(i); False says nothing.
+    """
+    q = _Q
+    a = [(cr % q, ci % q) for cr, ci in cs]
+    if a[-1] == (0, 0):
+        return False
+    b = [(j * cr % q, j * ci % q) for j, (cr, ci) in enumerate(a)][1:]
+    while len(b) > 1:
+        lr, li = b[-1]
+        t = pow(lr * lr + li * li, -1, q)
+        ir, ii = lr * t % q, -li * t % q
+        b = [((cr * ir - ci * ii) % q, (cr * ii + ci * ir) % q) for cr, ci in b]
+        for k in range(len(a) - len(b), -1, -1):
+            tr, ti = a[k + len(b) - 1]
+            for j in range(len(b) - 1):
+                cr, ci = b[j]
+                ar, ai = a[k + j]
+                a[k + j] = ((ar - tr * cr + ti * ci) % q, (ai - tr * ci - ti * cr) % q)
+        a = a[:len(b) - 1]
+        while a and a[-1] == (0, 0):
+            a.pop()
+        a, b = b, a
+    return len(b) == 1
 
 
 def _horner(cs: list, x: int, m: int) -> int:
@@ -255,11 +341,13 @@ def _prime_after(p: int) -> int:
 
 
 def _reductions(g: list, p: int):
-    """(s, roots of g mod p under i -> s, roots under i -> -s) for an s with
-    s^2 = -1 mod p, or None if either reduction has a multiple root."""
+    """(s, [roots of g mod p under i -> s, roots under i -> -s]) for an s with
+    s^2 = -1 mod p, or None if a reduction has a multiple root.  A real g
+    reduces to one polynomial either way, so its list holds one entry."""
     s = next(t for t in (pow(b, (p - 1) // 4, p) for b in range(2, p)) if t * t % p == p - 1)
-    roots = [_roots_mod([(re + e * s * im) % p for re, im in g], p) for e in (1, -1)]
-    return None if None in roots else (s, *roots)
+    signs = (1, -1) if any(im for _, im in g) else (1,)
+    roots = [_roots_mod([(re + e * s * im) % p for re, im in g], p) for e in signs]
+    return None if None in roots else (s, roots)
 
 
 def _monic(cs: list) -> list:
@@ -287,9 +375,14 @@ def gaussian_roots(f: Poly) -> list[GaussianRational]:
     g(w) = sum_j c_j c_n^(n-1-j) w^j, with |w| <= |c_n| + max_(j<n) |c_j| = B
     (Cauchy).  Take the least prime p = 1 mod 4 above n at which both
     reductions of g, i -> s and i -> -s for s^2 = -1 mod p, have only simple
-    roots; if the first one fails, f is first replaced by its squarefree
-    part, and then only finitely many primes fail.  The roots mod p (found
-    by evaluation) and s are Newton-lifted mod M = p^(2^k) > 2B.  A pair
+    roots.  If the first one fails, f is replaced by its square-free part
+    (_squarefree), unless deg f > _CERTIFY_ABOVE and a gcd mod 2^61 - 1
+    proves that no root repeats (_certified_squarefree); either way only
+    finitely many primes fail after that.  A real g (so every
+    characteristic polynomial of a rational matrix) has one reduction for
+    both signs, so its roots mod p are found and lifted once.  The roots
+    mod p (found by evaluation) and s are Newton-lifted mod
+    M = p^(2^k) > 2B.  A pair
     (r+, r-) of lifted roots is u + sv and u - sv mod M for a root
     w = u + vi, so u and v are read off as symmetric residues; a candidate
     is kept if |u|, |v| <= B and g(w) = 0 exactly.
@@ -301,11 +394,14 @@ def gaussian_roots(f: Poly) -> list[GaussianRational]:
         return [-f.coefficient(0) / f.coefficient(1)] if len(cs) == 2 else []
     g, p = _monic(cs), _prime_after(len(cs) - 1)
     if (found := _reductions(g, p)) is None:
-        cs = _squarefree(cs)
-        g = _monic(cs)
+        if len(cs) - 1 > _CERTIFY_ABOVE and _certified_squarefree(cs):
+            p = _prime_after(p)
+        else:
+            cs = _squarefree(cs)
+            g = _monic(cs)
         while (found := _reductions(g, p)) is None:
             p = _prime_after(p)
-    s, plus, minus = found
+    s, residues = found
     lr, li = cs[-1]
     n = lr * lr + li * li
     bound = isqrt(n) + 1 + max(isqrt(re * re + im * im) + 1 for re, im in cs[:-1])
@@ -313,8 +409,9 @@ def gaussian_roots(f: Poly) -> list[GaussianRational]:
     while m <= 2 * bound:
         m *= m
     s = _lift([1, 0, 1], s, p, m)
-    plus, minus = ([_lift([(re + e * s * im) % m for re, im in g], r, p, m) for r in rs]
-                   for e, rs in ((1, plus), (-1, minus)))
+    lifted = [[_lift([(re + e * s * im) % m for re, im in g], r, p, m) for r in rs]
+              for e, rs in zip((1, -1), residues)]
+    plus, minus = lifted[0], lifted[-1]
     half, half_s, mid = pow(2, -1, m), pow(2 * s, -1, m), m // 2
     roots = set()
     for a in plus:

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -374,6 +375,23 @@ def test_factor_makes_one_root_search(monkeypatch):
         f = factor_homogeneous(x)
         assert f.expanded() == x
         assert calls == {"roots": 1, "rho": 1}
+
+
+def test_factor_a_tenfold_root_of_rho_at_order_30_in_bounded_time():
+    """By the shift rule, (a - (c+9)b) ... (a - (c+1)b)(a - cb) has
+    rho = (lam - c)^10."""
+    n = 30
+    a, b = gen_a(n), gen_b(n)
+    c = GaussianRational(Fraction(1, 2), -1)
+    x = AlgebraElement.one(n)
+    for t in range(9, -1, -1):
+        x = mul(x, a - scale(c + t, b))
+    assert remainder_polynomial(x) == Poly.from_roots([c] * 10)
+    start = time.perf_counter()
+    f = factor_homogeneous(x)
+    assert time.perf_counter() - start < 1  # 0.01 s on one Xeon vCPU
+    assert f.complete and f.lambdas == tuple(c + t for t in range(9, -1, -1))
+    assert f.expanded() == x
 
 
 def test_factor_random_split_products():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -268,6 +269,22 @@ def test_cli_act_and_factor(capsys, tmp_path):
     doc = json.loads(out)
     assert code == 0 and doc["complete"] is True
     assert [lam["re"] for lam in doc["lambdas"]] == ["1/1", "2/1"]
+
+
+@pytest.mark.parametrize("order, text, seconds, digest", [
+    # 0.16 s and 0.63 s in-process on one Xeon vCPU
+    (60, "(a-b)^20*(a-2*b)^20*(a-3*i*b)^20", 3,
+     "22a7dfa6e4dc99959b8cdd7bea208dc55f53e0263c7d1a2aad6a57d1659dcfbf"),
+    (100, "(a-b)^34*(a-2*b)^33*(a-3*i*b)^33", 10,
+     "9c4a81f186bf552c6d9c71560759d30e49c1da9cdef5ad14fa107321e62872c1"),
+])
+def test_cli_factor_of_three_powers_in_bounded_time(capsys, order, text, seconds, digest):
+    """rho is square-free, but its roots meet modulo the first primes, so
+    the certificate decides; the output is pinned by its SHA-256."""
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "factor", "--order", str(order), text)
+    assert time.perf_counter() - start < seconds
+    assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_cli_exit_codes(capsys, tmp_path):

@@ -29,7 +29,8 @@ determinant, rational_roots by Poly.__call__ on the rational-root-theorem
 candidates, gaussian_roots by the Gaussian-rational roots planted in
 products with an integer quadratic and an integer scale (and, counted with
 multiplicity, by exact division by the product of their linear factors),
-and modules.act by
+the square-free part and the modular certificate by products planted with
+multiplicities 1-4 and an irreducible quadratic, and modules.act by
 the basis law summed over RIGHT monomials.
 Matrices are 1x1 to 6x6: dense or sparse over distinct denominators, zero,
 scalar and nilpotent.
@@ -69,12 +70,12 @@ from abalg.jsonio import element_from_json, element_to_json  # noqa: E402
 from abalg.linalg import (QMatrix, characteristic_polynomial,  # noqa: E402
                           evaluate_poly_at_matrix, matrix_power_sequence,
                           minimal_polynomial, solve_dependency)
-from abalg import modules  # noqa: E402
+from abalg import modules, polynomials  # noqa: E402
 from abalg.modules import (DifferentialSystem, SimplePoleModule,  # noqa: E402
                            from_differential_system, satisfies_system)
 from abalg.oracle import PolySeries, act, act_composed  # noqa: E402
-from abalg.polynomials import (Poly, _roots_with_multiplicity, gaussian_roots,  # noqa: E402
-                               rational_roots)
+from abalg.polynomials import (Poly, _certified_squarefree, _roots_with_multiplicity,  # noqa: E402
+                               _squarefree, gaussian_roots, rational_roots)
 from abalg.series import BSeries  # noqa: E402
 
 MAX_ORDER = 10
@@ -543,17 +544,69 @@ def test_matmul_agrees_with_the_triple_sum(xy):
     assert (x @ y).rows == tuple(map(tuple, _product(x, y)))
 
 
+def _first_power_dependency(a) -> Poly:
+    """The monic first dependency among the flattened powers of a, by
+    solve_dependency over matrix_power_sequence."""
+    flat = [tuple(c for row in m.rows for c in row) for m in matrix_power_sequence(a, a.shape[0])]
+    d = 1
+    while (dependency := solve_dependency(flat[:d + 1])) is None:
+        d += 1
+    return Poly(dependency)
+
+
 @given(matrices())
 def test_minimal_polynomial_is_the_first_power_dependency(a):
     p = minimal_polynomial(a)
     k = a.shape[0]
     assert p.is_monic and 1 <= p.degree <= k
     assert evaluate_poly_at_matrix(p, a).is_zero
-    flat = [tuple(c for row in m.rows for c in row) for m in matrix_power_sequence(a, k)]
-    d = 1
-    while solve_dependency(flat[:d + 1]) is None:
-        d += 1
-    assert d == p.degree
+    assert p == _first_power_dependency(a)
+
+
+def _diagonal(entries):
+    k = len(entries)
+    return QMatrix([[entries[i] if i == j else 0 for j in range(k)] for i in range(k)])
+
+
+def _jordan(blocks):
+    """The direct sum of Jordan blocks J_size(value), each upper triangular."""
+    k = sum(size for _, size in blocks)
+    rows = [[0] * k for _ in range(k)]
+    start = 0
+    for value, size in blocks:
+        for t in range(start, start + size):
+            rows[t][t] = value
+            if t + 1 < start + size:
+                rows[t][t + 1] = 1
+        start += size
+    return QMatrix(rows)
+
+
+@pytest.mark.parametrize("a", [
+    # in the first seven, e_1 alone misses part of the spectrum, so c must grow
+    _diagonal([1, 2, 3, 4, 5]),
+    _diagonal([GaussianRational(0, 1), Fraction(1, 2), -3, GaussianRational(2, -1)]),
+    _diagonal([2, 5, 2, 7, 5, 2]),
+    QMatrix([[0, 0, 3, 0], [0, 2, 0, 0], [1, 0, 0, 0], [0, 0, 0, 2]]),  # a permuted diagonal
+    _jordan([(2, 3), (2, 2), (-1, 1)]),
+    _jordan([(GaussianRational(0, 1), 2), (GaussianRational(0, 1), 2), (Fraction(1, 3), 3)]),
+    _jordan([(0, 1), (0, 3)]),
+    QMatrix.zeros(5),
+    QMatrix.identity(5),
+    QMatrix.identity(1),
+], ids=["distinct", "gaussian", "repeated", "permuted", "jordan", "jordan-gaussian",
+        "nilpotent", "zero", "identity", "one"])
+def test_minimal_polynomial_widens_to_the_columns_it_needs(a):
+    assert minimal_polynomial(a) == _first_power_dependency(a)
+
+
+def test_minimal_polynomial_of_a_dense_24x24_integer_matrix_in_bounded_time():
+    r = random.Random(24)
+    a = QMatrix([[r.randint(-9, 9) for _ in range(24)] for _ in range(24)])
+    start = time.perf_counter()
+    p = minimal_polynomial(a)
+    assert time.perf_counter() - start < 1  # 0.09 s on one Xeon vCPU
+    assert p == characteristic_polynomial(a)
 
 
 def _determinant(rows):
@@ -709,6 +762,73 @@ def test_roots_with_multiplicity_take_out_each_root_as_often_as_it_divides(case)
     assert Counter(roots) <= Counter(found)
     quotient, rem = f.divmod(Poly.from_roots(found))
     assert rem.is_zero and all(quotient(z) for z in found)
+
+
+# x^2 + c with -c no square in Q(i): irreducible there, so it adds no root
+IRREDUCIBLE_C = [2, 3, 5, -7, Fraction(1, 2), Fraction(-2, 3)]
+
+
+@st.composite
+def planted_products(draw):
+    """(planted roots with multiplicity, whether x^2 + c was planted, f):
+    1-4 distinct Gaussian-rational roots, each of multiplicity 1-4, times an
+    optional irreducible x^2 + c, times a nonzero Gaussian-rational scale."""
+    roots = draw(st.lists(st.builds(GaussianRational, small_fractions, small_fractions),
+                          min_size=1, max_size=4, unique=True))
+    planted = [z for z in roots for _ in range(draw(st.integers(1, 4)))]
+    f = Poly.from_roots(planted)
+    c = draw(st.sampled_from([None] + IRREDUCIBLE_C))
+    if c is not None:
+        f = f * Poly([c, 0, 1])
+    scale = draw(st.builds(GaussianRational, small_fractions, small_fractions).filter(bool))
+    return planted, c is not None, f * scale
+
+
+@given(planted_products())
+def test_squarefree_part_and_certificate_on_planted_products(case):
+    """The square-free part has the roots of f, each once, and divides f;
+    the roots with multiplicity are the planted multiset; and the
+    certificate never calls f square-free when a root was planted twice."""
+    planted, quadratic, f = case
+    part = Poly.from_ints(1, _squarefree(f.table))
+    assert part.degree == len(set(planted)) + 2 * quadratic
+    assert f.divmod(part)[1].is_zero
+    assert set(gaussian_roots(part)) == set(gaussian_roots(f)) == set(planted)
+    assert _roots_with_multiplicity(part) == gaussian_roots(part)
+    assert Counter(_roots_with_multiplicity(f)) == Counter(planted)
+    if len(set(planted)) < len(planted):
+        assert not _certified_squarefree(f.table)
+
+
+def test_squarefree_part_of_a_degree_25_product_in_bounded_time():
+    """Ten roots of multiplicity 1-4 and x^2 + 2: the subresultant sequence
+    keeps its coefficients to the size of its determinants."""
+    roots = [GaussianRational(Fraction(t, 3), Fraction(t % 4 - 2, 2)) for t in range(1, 11)]
+    planted = [z for j, z in enumerate(roots) for _ in range(1 + j % 4)]
+    f = Poly.from_roots(planted) * Poly([2, 0, 1])
+    start = time.perf_counter()
+    part = Poly.from_ints(1, _squarefree(f.table))
+    assert time.perf_counter() - start < 1  # 0.01 s on one Xeon vCPU
+    assert part.degree == 12 and f.divmod(part)[1].is_zero
+    assert Counter(_roots_with_multiplicity(f)) == Counter(planted)
+
+
+def test_a_leading_coefficient_divisible_by_the_certificate_prime_takes_the_exact_path(
+        monkeypatch):
+    """14 simple roots that meet in pairs mod 17, the first prime for degree
+    14: the certificate clears f, but not q f for q = 2^61 - 1, which then
+    takes the exact square-free part to the same roots."""
+    roots = list(range(1, 8)) + list(range(18, 25))
+    f = Poly.from_roots(roots)
+    scaled = f * (2 ** 61 - 1)
+    assert _certified_squarefree(f.table) and not _certified_squarefree(scaled.table)
+    calls = []
+    exact = polynomials._squarefree
+    monkeypatch.setattr(polynomials, "_squarefree", lambda cs: calls.append(cs) or exact(cs))
+    assert gaussian_roots(f) == [GaussianRational(r) for r in roots]
+    assert calls == []
+    assert gaussian_roots(scaled) == gaussian_roots(f)
+    assert calls == [scaled.table]
 
 
 @st.composite

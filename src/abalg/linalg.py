@@ -1,9 +1,11 @@
 """Exact dense matrices over the Gaussian rationals.
 
 Just enough linear algebra for the module layer: ring operations, the
-minimal polynomial as the first linear dependency among the first columns
-of the powers of a matrix, and the characteristic polynomial by
-Faddeev-LeVerrier.  Everything exact, no pivot-size heuristics needed.
+minimal polynomial as the first linear dependency among the Krylov vectors
+of e_1, certified on the unit vectors off its pivots (or else among the
+first columns of the powers of a matrix), and the characteristic polynomial
+from the power sums of its roots by Newton's identities.  Everything exact,
+no pivot-size heuristics needed.
 
 A QMatrix is stored as an AlgebraElement is: one positive denominator `den`
 and rows of Gaussian-integer numerators (re, im), `table`, in lowest terms.
@@ -145,6 +147,20 @@ def _int_matmul(x, y) -> list:
     return out
 
 
+def _int_matvec(a, v) -> list:
+    """a v for a Gaussian-integer matrix a and vector v, as in _int_matmul."""
+    terms = [(l, vr, vi) for l, (vr, vi) in enumerate(v) if vr or vi]
+    out = []
+    for row in a:
+        re = im = 0
+        for l, vr, vi in terms:
+            ar, ai = row[l]
+            re += ar * vr - ai * vi
+            im += ar * vi + ai * vr
+        out.append((re, im))
+    return out
+
+
 def _int_identity(k: int) -> list:
     return [[(1, 0) if i == j else (0, 0) for j in range(k)] for i in range(k)]
 
@@ -154,11 +170,11 @@ def _int_identity(k: int) -> list:
 
 def matrix_power_sequence(a: QMatrix, n: int) -> list[QMatrix]:
     """[I, a, a^2, ..., a^n], multiplied out on GaussianRationals (not by `@`)."""
-    k = a.shape[0]
+    k, rows = a.shape[0], a.rows
     out = [QMatrix.identity(k)]
     for _ in range(n):
         prev = out[-1].rows
-        out.append(QMatrix([[sum((prev[i][l] * a.rows[l][j] for l in range(k)), ZERO)
+        out.append(QMatrix([[sum((prev[i][l] * rows[l][j] for l in range(k)), ZERO)
                              for j in range(k)] for i in range(k)]))
     return out
 
@@ -221,7 +237,7 @@ def _reduce(vec: list, comb: list, basis: list) -> None:
         cr, ci = vec[piv]
         if not cr and not ci:
             continue
-        pv = row[piv][0]  # a positive integer (see minimal_polynomial)
+        pv = row[piv][0]  # a positive integer (see _first_dependency)
         for t, (sr, si) in enumerate(row):
             vr, vi = vec[t]
             vec[t] = (pv * vr - cr * sr + ci * si, pv * vi - cr * si - ci * sr)
@@ -241,6 +257,58 @@ def _divide_content(vec: list, comb: list) -> None:
         comb[:] = [(re // g, im // g) for re, im in comb]
 
 
+def _first_dependency(vectors) -> tuple[list, list]:
+    """(basis, comb) for the first of the vectors that depends on the earlier ones.
+
+    Each, a new list, is reduced in place against the earlier ones by
+    fraction-free elimination over the Gaussian integers, carrying its
+    combination comb of them, and kept as a basis row (pivot, row, comb)
+    scaled so that its pivot is the positive integer |pivot|^2, with the
+    rational content divided out.  The first that reduces to zero gives
+    sum_j comb[j] vectors[j] = 0 with comb[-1] > 0.
+    """
+    basis = []
+    for d, vec in enumerate(vectors):
+        comb = [(0, 0)] * d + [(1, 0)]
+        _reduce(vec, comb, basis)
+        _divide_content(vec, comb)
+        piv = next((t for t, (re, im) in enumerate(vec) if re or im), None)
+        if piv is None:
+            return basis, comb
+        pr, pi = vec[piv]
+        vec = [(re * pr + im * pi, im * pr - re * pi) for re, im in vec]
+        comb = [(re * pr + im * pi, im * pr - re * pi) for re, im in comb]
+        _divide_content(vec, comb)
+        basis.append((piv, vec, comb))
+    raise AssertionError("no dependency among k+1 powers; internal bug")
+
+
+def _krylov(a):
+    """e_1, A e_1, ..., A^k e_1, each a new list."""
+    v = [(1, 0)] + [(0, 0)] * (len(a) - 1)
+    for _ in range(len(a) + 1):
+        yield list(v)
+        v = _int_matvec(a, v)
+
+
+def _power_columns(powers: list, a, c: int):
+    """The first c columns of I, A, ..., A^k, flattened; `powers` keeps the powers."""
+    for d in range(len(a) + 1):
+        if d == len(powers):
+            powers.append(_int_matmul(powers[-1], a))
+        yield [z for r in powers[d] for z in r[:c]]
+
+
+def _kills(comb: list, a, m: int) -> bool:
+    """True if sum_j comb[j] A^j e_m = 0, by Horner on one vector."""
+    w = [(0, 0)] * len(a)
+    for cr, ci in reversed(comb):
+        w = _int_matvec(a, w)
+        re, im = w[m]
+        w[m] = (re + cr, im + ci)
+    return not any(re or im for re, im in w)
+
+
 def _vanishes(comb: list, powers: list, c: int) -> bool:
     """True if sum_j comb[j] powers[j] is zero in the columns from c on."""
     for row in range(len(powers[0])):
@@ -256,73 +324,85 @@ def _vanishes(comb: list, powers: list, c: int) -> bool:
 
 
 def minimal_polynomial(a: QMatrix) -> Poly:
-    """Monic minimal polynomial, from the first columns of the powers.
+    """Monic minimal polynomial, certified on the Krylov vectors of e_1.
 
-    With a = A/D and A integral, the first c columns of the powers I, A,
-    A^2, ... (c = 1, 2, 4, ..., k) are reduced one power at a time against
-    the earlier ones by fraction-free elimination over the Gaussian
-    integers, each row carrying its combination of the powers and scaled so
-    that its pivot is the positive integer |pivot|^2, with the rational
-    content divided out.  The first power A^d that reduces to zero gives
-    sum_j c_j A^j = 0 on e_1..e_c, with c_d > 0: the minimal polynomial of A
-    on their Krylov spaces, which divides that of A.  So it is that of A if
-    d = k, or if sum_j c_j A^j, from the powers already built, is zero on
-    the other columns too (always when c = k); otherwise c doubles.  The
-    minimal polynomial of a has coefficients c_j / (c_d D^(d-j)).
+    With a = A/D and A integral, the first dependency sum_j c_j A^j e_1 = 0
+    among e_1, A e_1, A^2 e_1, ... (one matrix-vector product each; see
+    _first_dependency) is p = sum_j c_j x^j of degree d, the minimal
+    polynomial of A on e_1's Krylov space, which divides that of A.  It is
+    that of A if p(A) e_m = 0 (Horner on one vector) at the k - d positions
+    m that are no pivot of the reduced rows: those rows span the Krylov
+    space, which p(A) kills, and with those unit vectors they span C^k, since
+    on the pivot coordinates they are triangular.  So d = k needs no check.
+    Otherwise the same elimination runs on the first c columns of the powers
+    I, A, A^2, ..., c = 2, 4, ..., k, and its dependency is that of A when
+    its degree is k, or when it vanishes on the other columns of the powers
+    already built too (always when c = k).  The minimal polynomial of a has
+    coefficients c_j / (c_d D^(d-j)).
     """
     if not a.is_square:
         raise ValueError("minimal polynomial of a non-square matrix")
     k = a.shape[0]
     den, abar = a.den, a.table
-    powers = [_int_identity(k)]
-    c = 1
-    while True:
-        basis = []
-        for d in range(k + 1):
-            if d == len(powers):
-                powers.append(_int_matmul(powers[-1], abar))
-            vec = [z for r in powers[d] for z in r[:c]]
-            comb = [(0, 0)] * d + [(1, 0)]
-            _reduce(vec, comb, basis)
-            _divide_content(vec, comb)
-            piv = next((t for t, (re, im) in enumerate(vec) if re or im), None)
-            if piv is None:
+    basis, comb = _first_dependency(_krylov(abar))
+    pivots = {piv for piv, _, _ in basis}
+    if not all(_kills(comb, abar, m) for m in range(k) if m not in pivots):
+        powers, c = [_int_identity(k)], 1
+        while True:
+            c = min(2 * c, k)
+            _, comb = _first_dependency(_power_columns(powers, abar, c))
+            if len(comb) == k + 1 or c == k or _vanishes(comb, powers, c):
                 break
-            pr, pi = vec[piv]
-            vec = [(re * pr + im * pi, im * pr - re * pi) for re, im in vec]
-            comb = [(re * pr + im * pi, im * pr - re * pi) for re, im in comb]
-            _divide_content(vec, comb)
-            basis.append((piv, vec, comb))
-        else:
-            raise AssertionError("no dependency among k+1 powers; internal bug")
-        if d == k or c == k or _vanishes(comb, powers, c):
-            return Poly.from_ints(comb[d][0] * den ** d,
-                                  [(re * den ** j, im * den ** j) for j, (re, im) in enumerate(comb)])
-        c = min(2 * c, k)
+    d = len(comb) - 1
+    return Poly.from_ints(comb[d][0] * den ** d,
+                          [(re * den ** j, im * den ** j) for j, (re, im) in enumerate(comb)])
+
+
+def _trace_of_product(x, y) -> tuple:
+    """tr(x y) = sum_ij x_ij y_ji for Gaussian-integer matrices."""
+    re = im = 0
+    for row, col in zip(x, zip(*y)):
+        for (xr, xi), (yr, yi) in zip(row, col):
+            re += xr * yr - xi * yi
+            im += xr * yi + xi * yr
+    return re, im
+
+
+def _newton(sums: list) -> list:
+    """[c_0, ..., c_k], c_k = 1: the monic polynomial whose roots have the
+    Gaussian-integer power sums p_1..p_k, by Newton's identities
+    s c_(k-s) = -sum_(i=1..s) c_(k-s+i) p_i, every division by s checked."""
+    k = len(sums)
+    coeffs = [(0, 0)] * k + [(1, 0)]
+    for s in range(1, k + 1):
+        re = im = 0
+        for (cr, ci), (pr, pi) in zip(coeffs[k - s + 1:], sums):
+            re -= cr * pr - ci * pi
+            im -= cr * pi + ci * pr
+        if re % s or im % s:
+            raise AssertionError("inexact division in Newton's identities; internal bug")
+        coeffs[k - s] = (re // s, im // s)
+    return coeffs
 
 
 def characteristic_polynomial(a: QMatrix) -> Poly:
-    """det(xI - a), monic of degree k, by the Faddeev-LeVerrier recursion.
+    """det(xI - a), monic of degree k, from the power sums of its roots.
 
-    It runs on A = D a, which is integral: M_s = A M_(s-1) + c_(k-s+1) I and
-    c_(k-s) = -tr(A M_s) / s keep every M_s integral and every division by s
-    exact, since det(xI - A) has Gaussian-integer coefficients.  Those are
-    D^j times the coefficients c_(k-j) of det(xI - a).
+    It runs on A = D a, which is integral.  Each p_s = tr(A^s), s = 1..k, is
+    tr(A^h A^(s-h)) with h = ceil(s/2), so only A^2..A^ceil(k/2) are
+    multiplied out.  Newton's identities (_newton) turn them into the
+    coefficients of det(xI - A), which are Gaussian integers, so every
+    division by s is exact; they are D^j times the coefficients c_(k-j) of
+    det(xI - a).
     """
     if not a.is_square:
         raise ValueError("characteristic polynomial of a non-square matrix")
     k = a.shape[0]
     den, abar = a.den, a.table
-    coeffs = [(0, 0)] * (k + 1)
-    coeffs[k] = (1, 0)
-    am = [[(0, 0)] * k for _ in range(k)]  # A @ M for the previous step
-    for step in range(1, k + 1):
-        cr, ci = coeffs[k - step + 1]
-        m = [[(re + cr, im + ci) if i == j else (re, im) for j, (re, im) in enumerate(r)]
-             for i, r in enumerate(am)]
-        am = _int_matmul(abar, m)
-        tr_re = sum(am[i][i][0] for i in range(k))
-        tr_im = sum(am[i][i][1] for i in range(k))
-        coeffs[k - step] = (-tr_re // step, -tr_im // step)
+    powers = [_int_identity(k), abar]
+    while len(powers) <= (k + 1) // 2:
+        powers.append(_int_matmul(powers[-1], abar))
+    coeffs = _newton([_trace_of_product(powers[(s + 1) // 2], powers[s // 2])
+                      for s in range(1, k + 1)])
     return Poly.from_ints(den ** k, [(re * den ** j, im * den ** j)
                                      for j, (re, im) in enumerate(coeffs)])

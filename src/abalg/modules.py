@@ -116,12 +116,12 @@ def _shift_factors(theta: QMatrix, top: int) -> tuple[int, list]:
     (re, im): F_p = (T + (p-1) D I) F_(p-1) with T = D theta, theta's table.
     """
     den, t = theta.den, theta.table
-    out = [_int_identity(len(t))]
-    for p in range(1, top + 1):
+    out = [_int_identity(len(t)), t]  # F_1 = T
+    for p in range(2, top + 1):
         shifted = [[(re + (p - 1) * den, im) if i == l else (re, im)
                     for l, (re, im) in enumerate(r)] for i, r in enumerate(t)]
         out.append(_int_matmul(shifted, out[-1]))
-    return den, out
+    return den, out[:top + 1]
 
 
 def act_on_basis(x: AlgebraElement, module: SimplePoleModule) -> list[QMatrix]:

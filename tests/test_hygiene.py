@@ -121,13 +121,18 @@ ORACLE = SRC / "oracle.py"
 # `characteristic_polynomial` and `rational_roots` in checks.py and the tests.
 # A change to a referee must be a deliberate change of these digests, made
 # together with a new argument that it still referees its kernel.
+# `matrix_power_sequence` was re-pinned when it began to build the view
+# `a.rows` once per call instead of once for every term of every product: it
+# is the same triple sum on the same GaussianRational values, with no integer
+# table and no `@` in it, so it still referees `@`, `minimal_polynomial` and
+# `characteristic_polynomial`.
 REFEREE_DIGESTS = {
     "oracle.PolySeries": "522c83f0121a58e4d34d677a21ad3965f74969bf7b8cf0734d1a4216132c134f",
     "oracle.act_a": "94c2fe899b1ac8f16fb222f43a058948e0cd32153f2318a230a004b5c891ac3a",
     "oracle.act_b": "6e564b790f8a39b2362280e8f3e7dd015211404301777a362827a43c59bdb5e1",
     "oracle.act_composed": "4a1a0611c47124b5f44db3000cd6508ae3ba94943a433f503e6d9d5f0c151ce5",
     "linalg.matrix_power_sequence":
-        "f1635689bcb7221063dd3a819cdc9abd9e9fe71fc5fedb17a5634f070828b1e5",
+        "1907fb21bf5acb804612118ca56bf9bdd04887c63d5f3b4314f997fa148b2e40",
     "linalg.solve_dependency": "ce0afde8befa53498cf608642d761697dedff00da427bd0cd6a88d2598505978",
     "linalg.evaluate_poly_at_matrix":
         "c346cec144b72d043799e5b039a4e8117d4b8728f9717c5eeab6d3c7f50ab040",

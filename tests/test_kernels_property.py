@@ -33,7 +33,11 @@ the square-free part and the modular certificate by products planted with
 multiplicities 1-4 and an irreducible quadratic, and modules.act by
 the basis law summed over RIGHT monomials.
 Matrices are 1x1 to 6x6: dense or sparse over distinct denominators, zero,
-scalar and nilpotent.
+scalar and nilpotent; up to MAX_RANK for Cayley-Hamilton alone; and up to
+8x8, sparse, block diagonal or with a repeated diagonal, where e_1's Krylov
+space is often a proper subspace, so that minimal_polynomial's certificate on
+it fails or passes with fewer than k vectors.  Both polynomials are also
+pinned by SHA-256 on six fixed matrices.
 
 Every element kernel's result is checked to be stored in lowest terms (one
 denominator, no zero entry, no common factor) and to agree with its
@@ -43,6 +47,7 @@ are checked to round-trip elements with Gaussian coefficients over mixed
 denominators.
 """
 
+import hashlib
 import json
 import math
 import random
@@ -54,7 +59,7 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given  # noqa: E402
+from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from abalg.checks import _divide_by_the_tail, _factor_by_peeling  # noqa: E402
@@ -66,11 +71,11 @@ from abalg.elements import (LEFT, RIGHT, AlgebraElement, add,  # noqa: E402
                             anti_automorphism, binomial_pow, gen_a, gen_b, mul, power, scale,
                             shear, to_left, to_right, with_ordering)
 from abalg.expr import format_element, parse_element  # noqa: E402
-from abalg.jsonio import element_from_json, element_to_json  # noqa: E402
+from abalg.jsonio import MAX_RANK, element_from_json, element_to_json  # noqa: E402
 from abalg.linalg import (QMatrix, characteristic_polynomial,  # noqa: E402
                           evaluate_poly_at_matrix, matrix_power_sequence,
                           minimal_polynomial, solve_dependency)
-from abalg import modules, polynomials  # noqa: E402
+from abalg import linalg, modules, polynomials  # noqa: E402
 from abalg.modules import (DifferentialSystem, SimplePoleModule,  # noqa: E402
                            from_differential_system, satisfies_system)
 from abalg.oracle import PolySeries, act, act_composed  # noqa: E402
@@ -639,6 +644,149 @@ def test_characteristic_polynomial_of_the_special_kinds():
     s = QMatrix.identity(3).scaled(GaussianRational(Fraction(2, 7), -1))
     assert minimal_polynomial(s) == Poly([GaussianRational(Fraction(-2, 7), 1), 1])
     assert minimal_polynomial(QMatrix.zeros(4)) == Poly([0, 1])
+
+
+@st.composite
+def gaussian_matrices(draw):
+    """A dense or sparse k x k matrix, k in 1..MAX_RANK, of small or integer entries."""
+    k = draw(st.integers(1, MAX_RANK))
+    entry = coefficients(draw(st.sampled_from(("small", "integer"))))
+    if draw(st.booleans()):
+        entry = st.one_of(st.just(ZERO), entry)
+    return QMatrix([[draw(entry) for _ in range(k)] for _ in range(k)])
+
+
+@settings(max_examples=12)  # evaluate_poly_at_matrix takes about 1 s at k = 14
+@given(gaussian_matrices())
+def test_characteristic_polynomial_up_to_the_largest_rank_is_cayley_hamilton(a):
+    cp = characteristic_polynomial(a)
+    assert cp.degree == a.shape[0] and cp.is_monic
+    assert evaluate_poly_at_matrix(cp, a).is_zero
+
+
+def test_an_inexact_division_in_newtons_identities_is_an_internal_bug():
+    """No matrix has the power sums p_1 = 0, p_2 = 1: 2 c_0 = -1 is no Gaussian integer."""
+    assert linalg._newton([(2, 0), (4, 0)]) == [(0, 0), (-2, 0), (1, 0)]  # roots 2 and 0
+    with pytest.raises(AssertionError, match="internal bug"):
+        linalg._newton([(0, 0), (1, 0)])
+
+
+def _dense_gaussian(k, seed):
+    r = random.Random(seed)
+    return QMatrix([[GaussianRational(Fraction(r.randint(-9, 9), r.randint(1, 4)),
+                                      Fraction(r.randint(-9, 9), r.randint(1, 4)))
+                     for _ in range(k)] for _ in range(k)])
+
+
+# sha256 of repr((den, table)) of the characteristic and the minimal polynomial,
+# as Faddeev-LeVerrier and the elimination on the first columns of the powers
+# gave them before both moved to power sums and the Krylov vectors of e_1.
+PINNED_POLYNOMIALS = [
+    (QMatrix([[GaussianRational(Fraction(-3, 7), 2)]]),
+     "2b1ff8ece6b6f75258c26686003d1b662ae36e16d644982a51482c48113882b3",
+     "2b1ff8ece6b6f75258c26686003d1b662ae36e16d644982a51482c48113882b3"),
+    (QMatrix.zeros(6),
+     "76a45880019c381f2a7a25efe92b8d7e54e9c7462aafb949e3f985d8ccf2a92b",
+     "2e030b929d296604971fcdc54c83a2620acedc4b4fefafaa425c026009faff89"),
+    (QMatrix.identity(6),
+     "55f84ccdd2d9a9f68d90cb5d2e806b18780ae640506e5f745dea38df12dec043",
+     "4753c8eac3af9b51a169e3ebc64543a6a10ed43a3f159a368d571897d9f696a1"),
+    (QMatrix([[0, 2, GaussianRational(0, 1), 0, Fraction(1, 3)], [0, 0, -1, 5, 0],
+              [0, 0, 0, GaussianRational(0, 1), 7], [0, 0, 0, 0, Fraction(-2, 9)],
+              [0, 0, 0, 0, 0]]),
+     "60bc7b7c12f970a6a3aae8d9b1537947c425ce6e45ab59abc2fb16c5107a5870",
+     "60bc7b7c12f970a6a3aae8d9b1537947c425ce6e45ab59abc2fb16c5107a5870"),
+    (_jordan([(2, 3), (GaussianRational(0, 1), 2), (Fraction(-1, 2), 2), (2, 1)]),
+     "76ce08fe4dd326a9970411729ef69b08f69a925d015eb959bf514d4310a6a5b3",
+     "1f48b10fd6890a280525e9e0506aa241d599e146648915884848d92dad07f3a3"),
+    (_dense_gaussian(14, 14),
+     "87d9474761ba178cf293988a9d157c3c3264f8659b972cf7d7aa2d658b84cfc9",
+     "87d9474761ba178cf293988a9d157c3c3264f8659b972cf7d7aa2d658b84cfc9"),
+]
+
+
+@pytest.mark.parametrize("a, charpoly, minpoly", PINNED_POLYNOMIALS,
+                         ids=["one", "zero", "identity", "nilpotent", "jordan", "dense-14"])
+def test_matrix_polynomials_keep_their_pinned_values(a, charpoly, minpoly):
+    def digest(p):
+        return hashlib.sha256(repr((p.den, p.table)).encode()).hexdigest()
+    assert digest(characteristic_polynomial(a)) == charpoly
+    assert digest(minimal_polynomial(a)) == minpoly
+
+
+@st.composite
+def split_krylov_matrices(draw):
+    """k <= 8: sparse, block diagonal, or a repeated diagonal with some Jordan
+    chains, under a permutation, so that e_1's Krylov space is often a proper
+    subspace."""
+    k = draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(("sparse", "blocks", "repeated")))
+    entry = coefficients(draw(st.sampled_from(("small", "integer"))))
+    if kind == "sparse":
+        rows = [[draw(st.one_of(st.just(ZERO), st.just(ZERO), entry)) for _ in range(k)]
+                for _ in range(k)]
+    elif kind == "blocks":
+        block = sorted(draw(st.lists(st.integers(0, 2), min_size=k, max_size=k)))
+        rows = [[draw(entry) if block[i] == block[j] else ZERO for j in range(k)]
+                for i in range(k)]
+    else:
+        values = draw(st.lists(entry, min_size=1, max_size=3))
+        diagonal = [draw(st.sampled_from(values)) for _ in range(k)]
+        rows = [[diagonal[i] if i == j else GaussianRational(int(
+            j == i + 1 and diagonal[i] == diagonal[j] and draw(st.booleans())))
+                 for j in range(k)] for i in range(k)]
+    perm = draw(st.permutations(range(k)))
+    return QMatrix([[rows[perm[i]][perm[j]] for j in range(k)] for i in range(k)])
+
+
+@given(split_krylov_matrices())
+def test_minimal_polynomial_beyond_the_krylov_space_of_e1(a):
+    assert minimal_polynomial(a) == _first_power_dependency(a)
+
+
+def _diagonalizable_with_a_repeated_eigenvalue():
+    """Eigenvalues 1, 2, 1, 1, 3 (1 three times; A - I has rank 2), and e_1
+    meets the eigenspaces of 1, 2 and 3: d = 3 < k = 5."""
+    rows = [[(1, 2, 1, 1, 3)[i] if i == j else 0 for j in range(5)] for i in range(5)]
+    rows[1][0] = rows[4][0] = 1
+    return QMatrix(rows)
+
+
+@pytest.mark.parametrize("a, certified", [
+    (_diagonalizable_with_a_repeated_eigenvalue(), True),
+    (QMatrix([[1, 0, 0], [1, 2, 0], [0, 0, 1]]), True),
+    (QMatrix.identity(4).scaled(GaussianRational(Fraction(2, 3), -1)), True),
+    (_dense_gaussian(6, 6), True),  # d = k: no unit vector to check
+    # e_1 is an eigenvector, and the eigenvalues are distinct
+    (_diagonal([1, 2, 3, 4, 5]), False),
+    # two blocks, e_1 in the first one
+    (QMatrix([[0, 1, 0, 0], [1, 1, 0, 0], [0, 0, 2, 1], [0, 0, 1, 0]]), False),
+    # p = x - 1 kills every unit vector off the pivot but one: the first, a middle, the last
+    (_diagonal([1, 2, 1, 1, 1]), False),
+    (_diagonal([1, 1, 1, 2, 1]), False),
+    (_diagonal([1, 1, 1, 1, 2]), False),
+], ids=["repeated", "repeated-3", "scalar", "dense", "distinct", "two-blocks",
+        "first-off-pivot", "middle-off-pivot", "last-off-pivot"])
+def test_minimal_polynomial_certificate_on_the_krylov_vectors_of_e1(a, certified, monkeypatch):
+    """The first dependency among A^j e_1 is accepted when its polynomial
+    kills every unit vector off the pivots; else the powers are built."""
+    calls = []
+    columns = linalg._power_columns
+    monkeypatch.setattr(linalg, "_power_columns", lambda *args: calls.append(args[2]) or
+                        columns(*args))
+    assert minimal_polynomial(a) == _first_power_dependency(a)
+    assert (calls == []) == certified
+
+
+def test_minimal_polynomial_of_a_two_block_24x24_integer_matrix_in_bounded_time():
+    """e_1's Krylov space is the first block, so c doubles up to 16 on the powers."""
+    r = random.Random(24)
+    a = QMatrix([[r.randint(-9, 9) if (i < 12) == (j < 12) else 0 for j in range(24)]
+                 for i in range(24)])
+    start = time.perf_counter()
+    p = minimal_polynomial(a)
+    assert time.perf_counter() - start < 1.5  # 0.10 s, before and after the certificate
+    assert p == characteristic_polynomial(a)
 
 
 def _divisors(n):

@@ -36,6 +36,10 @@ def _load(path):
             return json.load(fh)
         except RecursionError:
             raise SchemaError("input file is nested too deeply") from None
+        except json.JSONDecodeError:
+            raise
+        except ValueError as exc:  # not UTF-8, or an integer past sys.get_int_max_str_digits()
+            raise SchemaError(f"input file cannot be read: {exc}") from None
 
 
 def _element_args(sub, order_default=8):

@@ -155,10 +155,10 @@ def matrix_to_json(m: QMatrix) -> dict:
 
 #: The largest rank a matrix document may declare.  On a 2.0 GHz Xeon vCPU,
 #: bernstein and geometric on a dense 14x14 matrix of small Gaussian rationals
-#: end within about 1.5 s, and bernstein took 1.6-2.3 s at 15x15 and about
-#: 3 s at 16x16 when the minimal polynomial eliminated over all k^2 entries of
-#: the powers.  It now starts from the Krylov vectors of e_1, but the bound
-#: also caps geometric and ode2ab, and large entries are slow at any rank.
+#: end within about 1.5 s.  The minimal polynomial now eliminates only over
+#: Krylov vectors of length k, never over the k^2 entries of the powers, but
+#: the bound also caps geometric and ode2ab, and large entries are slow at
+#: any rank.
 MAX_RANK = 14
 
 

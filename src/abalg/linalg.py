@@ -1,11 +1,11 @@
 """Exact dense matrices over the Gaussian rationals.
 
 Just enough linear algebra for the module layer: ring operations, the
-minimal polynomial as the first linear dependency among the Krylov vectors
-of e_1, certified on the unit vectors off its pivots (or else among the
-first columns of the powers of a matrix), and the characteristic polynomial
-from the power sums of its roots by Newton's identities.  Everything exact,
-no pivot-size heuristics needed.
+minimal polynomial as the lcm of the first linear dependencies among the
+Krylov vectors of e_1 and of the unit vectors off its pivots (which together
+span the space), and the characteristic polynomial from the power sums of
+its roots by Newton's identities.  Everything exact, no pivot-size
+heuristics needed.
 
 A QMatrix is stored as an AlgebraElement is: one positive denominator `den`
 and rows of Gaussian-integer numerators (re, im), `table`, in lowest terms.
@@ -283,79 +283,70 @@ def _first_dependency(vectors) -> tuple[list, list]:
     raise AssertionError("no dependency among k+1 powers; internal bug")
 
 
-def _krylov(a):
-    """e_1, A e_1, ..., A^k e_1, each a new list."""
-    v = [(1, 0)] + [(0, 0)] * (len(a) - 1)
+def _krylov(a, v):
+    """v, A v, ..., A^k v, each a new list."""
     for _ in range(len(a) + 1):
         yield list(v)
         v = _int_matvec(a, v)
 
 
-def _power_columns(powers: list, a, c: int):
-    """The first c columns of I, A, ..., A^k, flattened; `powers` keeps the powers."""
-    for d in range(len(a) + 1):
-        if d == len(powers):
-            powers.append(_int_matmul(powers[-1], a))
-        yield [z for r in powers[d] for z in r[:c]]
-
-
-def _kills(comb: list, a, m: int) -> bool:
-    """True if sum_j comb[j] A^j e_m = 0, by Horner on one vector."""
+def _at_unit_vector(comb: list, a, m: int) -> list:
+    """sum_j comb[j] A^j e_m, by Horner on one vector."""
     w = [(0, 0)] * len(a)
     for cr, ci in reversed(comb):
         w = _int_matvec(a, w)
         re, im = w[m]
         w[m] = (re + cr, im + ci)
-    return not any(re or im for re, im in w)
+    return w
 
 
-def _vanishes(comb: list, powers: list, c: int) -> bool:
-    """True if sum_j comb[j] powers[j] is zero in the columns from c on."""
-    for row in range(len(powers[0])):
-        for t in range(c, len(powers[0])):
-            re = im = 0
-            for (cr, ci), p in zip(comb, powers):
-                vr, vi = p[row][t]
-                re += cr * vr - ci * vi
-                im += cr * vi + ci * vr
-            if re or im:
-                return False
-    return True
+def _int_polymul(x: list, y: list) -> list:
+    """The product of polynomials with Gaussian-integer coefficients, low to high."""
+    out = [(0, 0)] * (len(x) + len(y) - 1)
+    for i, (xr, xi) in enumerate(x):
+        for j, (yr, yi) in enumerate(y):
+            re, im = out[i + j]
+            out[i + j] = (re + xr * yr - xi * yi, im + xr * yi + xi * yr)
+    return out
 
 
 def minimal_polynomial(a: QMatrix) -> Poly:
-    """Monic minimal polynomial, certified on the Krylov vectors of e_1.
+    """Monic minimal polynomial, the lcm of those of e_1 and some unit vectors.
 
-    With a = A/D and A integral, the first dependency sum_j c_j A^j e_1 = 0
-    among e_1, A e_1, A^2 e_1, ... (one matrix-vector product each; see
-    _first_dependency) is p = sum_j c_j x^j of degree d, the minimal
-    polynomial of A on e_1's Krylov space, which divides that of A.  It is
-    that of A if p(A) e_m = 0 (Horner on one vector) at the k - d positions
-    m that are no pivot of the reduced rows: those rows span the Krylov
-    space, which p(A) kills, and with those unit vectors they span C^k, since
-    on the pivot coordinates they are triangular.  So d = k needs no check.
-    Otherwise the same elimination runs on the first c columns of the powers
-    I, A, A^2, ..., c = 2, 4, ..., k, and its dependency is that of A when
-    its degree is k, or when it vanishes on the other columns of the powers
-    already built too (always when c = k).  The minimal polynomial of a has
-    coefficients c_j / (c_d D^(d-j)).
+    With a = A/D and A integral, the first dependency sum_j c_j A^j v = 0
+    among v, A v, A^2 v, ... (one matrix-vector product each; see
+    _first_dependency) is mu_v = sum_j c_j x^j, the minimal polynomial of A
+    on v.  It is monic: A is integral, so mu_v divides the monic Z[i]
+    polynomial det(xI - A), and by Gauss's lemma a monic divisor of it has
+    Gaussian-integer coefficients; the dependency is primitive with a
+    positive leading coefficient, so that coefficient is 1.  The minimal
+    polynomial of A is the lcm of mu_v over vectors v that span C^k, and
+    e_1 with the unit vectors e_m at the positions m that are no pivot of
+    its reduced Krylov rows span C^k, since on the pivot coordinates those
+    rows are triangular.  So mu starts at mu_(e_1), and for each such e_m
+    in turn lcm(mu, mu_(e_m)) = mu mu_w with w = mu(A) e_m (Horner on one
+    vector): mu is unchanged when w = 0, and the product of two monic Z[i]
+    polynomials needs no division.  It stops when deg mu = k.  The minimal
+    polynomial of a has coefficients c_j / D^(d-j), d = deg mu.
     """
     if not a.is_square:
         raise ValueError("minimal polynomial of a non-square matrix")
     k = a.shape[0]
     den, abar = a.den, a.table
-    basis, comb = _first_dependency(_krylov(abar))
+    basis, comb = _first_dependency(_krylov(abar, [(1, 0)] + [(0, 0)] * (k - 1)))
     pivots = {piv for piv, _, _ in basis}
-    if not all(_kills(comb, abar, m) for m in range(k) if m not in pivots):
-        powers, c = [_int_identity(k)], 1
-        while True:
-            c = min(2 * c, k)
-            _, comb = _first_dependency(_power_columns(powers, abar, c))
-            if len(comb) == k + 1 or c == k or _vanishes(comb, powers, c):
-                break
+    for m in range(k):
+        if len(comb) > k:
+            break
+        if m not in pivots:
+            w = _at_unit_vector(comb, abar, m)
+            if any(re or im for re, im in w):
+                comb = _int_polymul(comb, _first_dependency(_krylov(abar, w))[1])
+    if comb[-1] != (1, 0):
+        raise AssertionError("the minimal polynomial is not monic over Z[i]; internal bug")
     d = len(comb) - 1
-    return Poly.from_ints(comb[d][0] * den ** d,
-                          [(re * den ** j, im * den ** j) for j, (re, im) in enumerate(comb)])
+    return Poly.from_ints(den ** d, [(re * den ** j, im * den ** j)
+                                     for j, (re, im) in enumerate(comb)])
 
 
 def _trace_of_product(x, y) -> tuple:

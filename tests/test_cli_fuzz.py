@@ -116,7 +116,8 @@ def doc_path(tmp_path_factory):
 
 
 def _run(doc_path, case, doc):
-    doc_path.write_text(json.dumps(doc))
+    """Exit code of the case on doc, written by json.dumps, or as it is if bytes."""
+    doc_path.write_bytes(doc if isinstance(doc, bytes) else json.dumps(doc).encode())
     argv = [str(doc_path) if a == "FILE" else a for a in CASES[case][1]]
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
@@ -165,6 +166,11 @@ def _with(doc, *path_and_value):
     ("fresco-act", _with(_PRODUCT, "factors", 1, "S", "order", 10 ** 12), 0),
     # a log depth past jsonio.MAX_LOG_DEPTH
     ("xi-act b", _with(_with(_XI, "log_depth", 5000), "terms", 0, "j", 5000), 2),
+    # an integer literal longer than int() reads (4300 digits), which json.dumps cannot write
+    *[(case, json.dumps(doc)[:-1].encode() + b', "n": ' + b"1" * 4400 + b"}", 2)
+      for case, (doc, _) in sorted(CASES.items())],
+    # bytes that are not UTF-8
+    ("bernstein", b"\xff\xfe{}", 2),
 ])
 def test_the_documents_that_once_exited_4(doc_path, case, doc, code):
     assert _run(doc_path, case, doc) == code

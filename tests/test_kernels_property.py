@@ -588,7 +588,8 @@ def _jordan(blocks):
 
 
 @pytest.mark.parametrize("a", [
-    # in the first seven, e_1 alone misses part of the spectrum, so c must grow
+    # in the first seven, e_1 alone misses part of the spectrum, so a unit vector
+    # off its pivots adds a factor
     _diagonal([1, 2, 3, 4, 5]),
     _diagonal([GaussianRational(0, 1), Fraction(1, 2), -3, GaussianRational(2, -1)]),
     _diagonal([2, 5, 2, 7, 5, 2]),
@@ -718,10 +719,11 @@ def test_matrix_polynomials_keep_their_pinned_values(a, charpoly, minpoly):
 def split_krylov_matrices(draw):
     """k <= 8: sparse, block diagonal, or a repeated diagonal with some Jordan
     chains, under a permutation, so that e_1's Krylov space is often a proper
-    subspace."""
+    subspace, with entries of every height, so that the lcm meets large
+    integers too."""
     k = draw(st.integers(1, 8))
     kind = draw(st.sampled_from(("sparse", "blocks", "repeated")))
-    entry = coefficients(draw(st.sampled_from(("small", "integer"))))
+    entry = coefficients(draw(st.sampled_from(HEIGHTS)))
     if kind == "sparse":
         rows = [[draw(st.one_of(st.just(ZERO), st.just(ZERO), entry)) for _ in range(k)]
                 for _ in range(k)]
@@ -769,23 +771,39 @@ def _diagonalizable_with_a_repeated_eigenvalue():
         "first-off-pivot", "middle-off-pivot", "last-off-pivot"])
 def test_minimal_polynomial_certificate_on_the_krylov_vectors_of_e1(a, certified, monkeypatch):
     """The first dependency among A^j e_1 is accepted when its polynomial
-    kills every unit vector off the pivots; else the powers are built."""
+    kills every unit vector off the pivots; else each unit vector it does
+    not kill runs one more Krylov elimination, and the lcm is the product."""
     calls = []
-    columns = linalg._power_columns
-    monkeypatch.setattr(linalg, "_power_columns", lambda *args: calls.append(args[2]) or
-                        columns(*args))
+    dependency = linalg._first_dependency
+    monkeypatch.setattr(linalg, "_first_dependency", lambda vectors: calls.append(1) or
+                        dependency(vectors))
     assert minimal_polynomial(a) == _first_power_dependency(a)
-    assert (calls == []) == certified
+    assert (len(calls) == 1) == certified
 
 
 def test_minimal_polynomial_of_a_two_block_24x24_integer_matrix_in_bounded_time():
-    """e_1's Krylov space is the first block, so c doubles up to 16 on the powers."""
+    """e_1's Krylov space is the first block, so a unit vector of the second
+    block runs one more Krylov elimination."""
     r = random.Random(24)
     a = QMatrix([[r.randint(-9, 9) if (i < 12) == (j < 12) else 0 for j in range(24)]
                  for i in range(24)])
     start = time.perf_counter()
     p = minimal_polynomial(a)
-    assert time.perf_counter() - start < 1.5  # 0.10 s, before and after the certificate
+    assert time.perf_counter() - start < 1.5  # 0.005 s on one Xeon vCPU
+    assert p == characteristic_polynomial(a)
+
+
+def test_minimal_polynomial_of_a_14x14_matrix_of_three_20_bit_blocks_in_bounded_time():
+    """Blocks of 5, 5 and 4 entries with 20-bit numerators and denominators:
+    e_1's Krylov space is the first block, and the unit vectors of the
+    others add their factors over large integers."""
+    r = random.Random(14)
+    block = [0] * 5 + [1] * 5 + [2] * 4
+    a = QMatrix([[Fraction(r.randint(-2 ** 20, 2 ** 20), r.randint(1, 2 ** 20))
+                  if block[i] == block[j] else 0 for j in range(14)] for i in range(14)])
+    start = time.perf_counter()
+    p = minimal_polynomial(a)
+    assert time.perf_counter() - start < 1  # 0.08 s on one Xeon vCPU
     assert p == characteristic_polynomial(a)
 
 

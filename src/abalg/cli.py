@@ -29,6 +29,14 @@ def _emit(doc):
 #: its default at that order.  Larger values are usage errors (exit 2).
 MAX_ORDER = 100
 
+#: The largest work estimate top * order^2 * k^3 that ode2ab accepts, top the
+#: degree of M(s) once the matrices above the order are dropped: about twice
+#: the block-entry products of modules.from_differential_system.  Larger work
+#: is a usage error (exit 2), refused before any arithmetic; at the limit, a
+#: system of small Gaussian rationals with k = 10, three matrices and order
+#: 100 takes about 5 s on one Xeon vCPU.
+MAX_ODE2AB_WORK = 20_000_000
+
 
 def _load(path):
     with open(path, "r", encoding="utf-8") as fh:
@@ -265,6 +273,10 @@ def _run(args) -> int:
         from .jsonio import series_matrix_to_json, system_from_json
         from .modules import from_differential_system
         system = system_from_json(_load(args.system))
+        work = min(len(system.coeffs) - 1, args.order) * args.order ** 2 * system.rank ** 3
+        if work > MAX_ODE2AB_WORK:
+            raise SchemaError(f"the work estimate top*order^2*k^3 = {work} of this system is "
+                              f"over {MAX_ODE2AB_WORK}")
         _, coeffs = from_differential_system(system, args.order)
         _emit(series_matrix_to_json(coeffs))
     elif cmd == "fresco-act":

@@ -11,12 +11,12 @@ to order N; both identities are exact in the truncated algebra.
 
 Both run on the LEFT integer table.  Through the symbol of each degree (see
 divide_linear), division by a - lam*b is one synthetic division per degree;
-a factored division peels the factors from the right, each peel a
-convolution in the b-power by S_i^(-1) and one synthetic division, and
-takes R = x - Q P with P expanded once per product.  The b-series and
-a-polynomials taken and given (unit parts, their cached inverses, the
-remainders) are views of elements (see series), so no coefficient is split
-into integers or rebuilt as a fraction at either end.
+a factored division peels the factors from the right on one table, each
+peel a convolution in the b-power by S_i^(-1) and one synthetic division,
+builds Q alone and takes R = x - Q P with P expanded once per product.  The
+b-series and a-polynomials taken and given (unit parts, their cached
+inverses, the remainders) are views of elements (see series), so no
+coefficient is split into integers or rebuilt as a fraction at either end.
 
 The polynomial layer is imported by remainder_polynomial and
 factor_homogeneous, the two functions that use it, so that inv, div-linear
@@ -29,8 +29,8 @@ import functools
 import math
 
 from .coefficients import GaussianRational, ONE
-from .elements import (LEFT, RIGHT, AlgebraElement, _by_degree, _scalar_ints, _times_b_power,
-                       mul, scale, with_ordering)
+from .elements import (LEFT, RIGHT, AlgebraElement, _by_degree, _make, _scalar_ints,
+                       _times_b_power, mul, scale, with_ordering)
 from .errors import (Frozen, NotHomogeneousError, NotMonicError, OrderMismatchError,
                      ZeroConstantTermError, ZeroElementError)
 from .series import APolynomial, BSeries
@@ -127,49 +127,50 @@ def invert(x: AlgebraElement) -> AlgebraElement:
     return with_ordering(AlgebraElement.from_ints(order, LEFT, e * common, out), x.ordering)
 
 
-def _synthetic_division(x: AlgebraElement, lam: GaussianRational
-                         ) -> tuple[AlgebraElement, AlgebraElement]:
-    """Q and R of x = Q (a - lam*b) + R, for LEFT-ordered x.
+def _synthetic_division(rows: list, order: int, den: int, e: int, lam: tuple,
+                         remainder: dict | None = None) -> tuple[int, dict]:
+    """Q of X = Q (a - lam*b) + R, for the LEFT table X / den in degree rows.
 
-    Degree n runs the back-substitution of divide_linear on integers, down
-    to r_n = g_(-1): with x over den, lam = L / e (L a Gaussian integer) and
-    G_k = g_k den e^(n-1-k),
+    rows[n] is None or the lists (re, im) of the numerators X_(p,n-p), and
+    lam = (L_re + L_im*i) / e.  Degree n runs the back-substitution of
+    divide_linear on integers: with G_k = g_k den e^(n-1-k),
 
         G_(n-1) = X_(n,0),   G_(k-1) = X_(k,n-k) e^(n-k) - ((k-n+1) e - L) G_k,
 
-    and r_n = G_(-1) / (den e^n).  Degrees where x is zero are skipped.  Q
-    comes back at order N-1 over den e^(N-1), R at order N over den e^N.
+    and r_n = G_(-1) / (den e^n) goes to remainder[(0, n)] over den e^N if
+    asked for.  Q (order N-1) comes back in lowest terms, as its denominator
+    and the table of its nonzero terms: over den e^(N-1), less their content.
     """
-    e, (lr, li) = _scalar_ints(lam)
-    order, den = x.order, x.den
+    lr, li = lam
     top = max(order - 1, 0)
     powers = [1]
     for _ in range(order):
         powers.append(powers[-1] * e)
-    rows = [None] * (order + 1)  # rows[n][p] = X_(p,n-p)
-    for (p, q), c in x.table.items():
-        row = rows[p + q]
-        if row is None:
-            row = rows[p + q] = [(0, 0)] * (p + q + 1)
-        row[p] = c
-    q_table = {}
-    r_table = {}
+    q_den = g = den * powers[top]
+    table = {}
     for n, row in enumerate(rows):
         if row is None:
             continue
-        gr, gi = row[n]
+        xr, xi = row
+        gr, gi = xr[n], xi[n]
         cr = -lr  # the real part of (k-n+1) e - L
         for k in range(n - 1, -1, -1):
-            s = powers[top - n + 1 + k]
-            q_table[(k, n - 1 - k)] = (gr * s, gi * s)
-            xr, xi = row[k]
-            f = powers[n - k]
-            gr, gi = xr * f - cr * gr - li * gi, xi * f - cr * gi + li * gr
-            cr -= e
-        s = powers[order - n]
-        r_table[(0, n)] = (gr * s, gi * s)
-    return (AlgebraElement.from_ints(top, LEFT, den * powers[top], q_table),
-            AlgebraElement.from_ints(order, LEFT, den * powers[order], r_table))
+            if gr or gi:
+                s = powers[top - n + 1 + k]
+                table[(k, n - 1 - k)] = (gr * s, gi * s)
+            if k or remainder is not None:
+                f = powers[n - k]
+                gr, gi = xr[k] * f - cr * gr - li * gi, xi[k] * f - cr * gi + li * gr
+                cr -= e
+        if remainder is not None:
+            remainder[(0, n)] = (gr * powers[order - n], gi * powers[order - n])
+    for re, im in table.values():
+        if g == 1:
+            break
+        g = math.gcd(g, re, im)
+    if g != 1:
+        table = {key: (re // g, im // g) for key, (re, im) in table.items()}
+    return q_den // g, table
 
 
 def divide_linear(x: AlgebraElement, lam) -> tuple[AlgebraElement, BSeries]:
@@ -194,7 +195,17 @@ def divide_linear(x: AlgebraElement, lam) -> tuple[AlgebraElement, BSeries]:
     converted once on entry and Q once on exit.  Q comes back at order N-1
     (that is how far it is determined), R at order N.
     """
-    quotient, rem = _synthetic_division(with_ordering(x, LEFT), GaussianRational.coerce(lam))
+    left = with_ordering(x, LEFT)
+    order = left.order
+    rows = [None] * (order + 1)
+    for (p, q), (re, im) in left.table.items():
+        row = rows[p + q] = rows[p + q] or ([0] * (p + q + 1), [0] * (p + q + 1))
+        row[0][p], row[1][p] = re, im
+    e, lam = _scalar_ints(GaussianRational.coerce(lam))
+    r_table = {}
+    quotient = _make(max(order - 1, 0), LEFT,
+                     *_synthetic_division(rows, order, left.den, e, lam, r_table))
+    rem = AlgebraElement.from_ints(order, LEFT, left.den * e ** order, r_table)
     return with_ordering(quotient, x.ordering), BSeries.from_element(rem)
 
 
@@ -288,37 +299,17 @@ class DivisionResult(Frozen):
         super().__init__(quotient=quotient, remainder=remainder)
 
 
-def _times_series(x: AlgebraElement, s: AlgebraElement) -> AlgebraElement:
-    """x S for LEFT x and the element S of a b-series (keys (0, j)):
-    a^p b^q b^j = a^p b^(q+j), a convolution in q."""
-    order = x.order
-    out: dict = {}
-    for (p, q), (xr, xi) in x.table.items():
-        room = order - p - q
-        for (_, j), (sr, si) in s.table.items():
-            if j > room:
-                continue
-            key = (p, q + j)
-            re, im = xr * sr - xi * si, xr * si + xi * sr
-            acc = out.get(key)
-            if acc is None:
-                out[key] = [re, im]
-            else:
-                acc[0] += re
-                acc[1] += im
-    return AlgebraElement.from_ints(order, LEFT, x.den * s.den, out)
-
-
 def divide(x: AlgebraElement, product: FactoredProduct) -> DivisionResult:
     """Division with remainder by a factored product, peeling factors from the right.
 
     With x_k = x, x_(i-1) is the quotient of x_i S_i^(-1) by (a - lam_i b)
-    for i = k..1 (divide_linear's synthetic division; the product by
-    S_i^(-1) is a convolution in the b-power of the LEFT table), and Q = x_0.
-    x_i is carried at order N-(k-i), as far as it is determined.  Then
-    R = x - Q P with the product P expanded once per FactoredProduct.  Since
-    the division is unique, R has a-degree <= k-1 exactly when Q is right,
-    so that bound is checked.
+    for i = k..1, and Q = x_0; x_i, at order N-(k-i) as far as it is
+    determined, is one LEFT integer table, which a peel groups by degree,
+    convolves in the b-power with S_i^(-1) into dense rows and hands to
+    _synthetic_division (divide_linear's kernel) for the next table, its
+    content divided out.  Q is the only element built.  Then R = x - Q P
+    with P expanded once per FactoredProduct.  Since the division is unique,
+    R has a-degree <= k-1 exactly when Q is right, so that bound is checked.
     """
     k = len(product)
     if x.order < k:
@@ -326,13 +317,22 @@ def divide(x: AlgebraElement, product: FactoredProduct) -> DivisionResult:
     if product.order < x.order:
         raise OrderMismatchError(
             f"divisor known only to order {product.order} < dividend order {x.order}")
-    order = x.order
     left = with_ordering(x, LEFT)
-    quotient = left
-    # _times_series drops the terms above the quotient's order: the inverse
-    # of a truncation is the truncation of the inverse.
-    for (lam, _), s in zip(reversed(product.factors), reversed(product.unit_inverses)):
-        quotient, _ = _synthetic_division(_times_series(quotient, s), lam)
+    order, den, table = x.order, left.den, left.table
+    for top, (lam, _), s in zip(range(order, 0, -1), reversed(product.factors),
+                                reversed(product.unit_inverses)):
+        rows = _by_degree(table, top)
+        # terms past top are dropped: the inverse of a truncation truncates the inverse
+        dense = [None] * (top + 1)
+        for j, (sr, si) in ((j, c) for (_, j), c in s.table.items() if j <= top):
+            for n, row in enumerate(rows[:top - j + 1]):
+                if row:
+                    tr, ti = dense[n + j] = dense[n + j] or ([0] * (n + j + 1), [0] * (n + j + 1))
+                    for p, _, xr, xi in row:
+                        tr[p] += xr * sr - xi * si
+                        ti[p] += xr * si + xi * sr
+        den, table = _synthetic_division(dense, top, den * s.den, *_scalar_ints(lam))
+    quotient = _make(order - k, LEFT, den, table)
     remainder = APolynomial.from_element(left - mul(quotient.lifted(order),
                                                     product.expanded(order)))
     if remainder.a_degree is not None and remainder.a_degree > k - 1:

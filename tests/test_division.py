@@ -184,6 +184,43 @@ def test_divide_agrees_with_the_running_tail_formula():
         assert (res.quotient, res.remainder) == _divide_by_the_tail(x, product)
 
 
+def test_divide_by_one_to_six_factors_at_orders_0_to_16():
+    # every k = 1..6 at every order 0..16, LEFT and RIGHT, the divisor known
+    # 0..3 orders above the dividend; each lam, the up to 12 terms of x and
+    # the unit parts (a constant and up to two more terms) are Gaussian over
+    # denominators from 1 to 7
+    r = rng()
+
+    def gaussian():
+        return GaussianRational(Fraction(r.randrange(-9, 10), r.randrange(1, 8)),
+                                Fraction(r.randrange(-9, 10), r.randrange(1, 8)))
+
+    for k in range(1, 7):
+        for n in range(17):
+            order = n + r.randrange(0, 4)
+            units = []
+            for _ in range(k):
+                table = {r.randrange(0, order + 1): gaussian() for _ in range(r.randrange(3))}
+                table[0] = gaussian() or GaussianRational(1, 1)
+                units.append(BSeries(order, table))
+            product = FactoredProduct(tuple((gaussian(), s) for s in units), order)
+            for ordering in (LEFT, RIGHT):
+                x = AlgebraElement(n, ordering, {(p, r.randrange(0, n + 1 - p)): gaussian()
+                                                 for p in (r.randrange(0, n + 1)
+                                                           for _ in range(12))})
+                if n < k:
+                    with pytest.raises(OrderMismatchError):
+                        divide(x, product)
+                    continue
+                res = divide(x, product)
+                assert res.quotient.ordering is ordering and res.quotient.order == n - k
+                assert res.remainder.a_degree is None or res.remainder.a_degree <= k - 1
+                assert (res.quotient, res.remainder) == _divide_by_the_tail(x, product)
+                q = res.quotient.with_ordering(LEFT).lifted(n)
+                assert (mul(q, product.expanded(n)) + res.remainder.to_element(LEFT)
+                        == x.with_ordering(LEFT))
+
+
 def test_divide_makes_one_product_and_expands_the_divisor_once(monkeypatch):
     r = rng()
     n, k = 8, 3
@@ -208,6 +245,35 @@ def test_divide_makes_one_product_and_expands_the_divisor_once(monkeypatch):
     monkeypatch.undo()
     for x, res in zip(dividends, results):
         assert (res.quotient, res.remainder) == _divide_by_the_tail(x, product)
+
+
+def test_divide_builds_as_many_elements_for_any_number_of_factors(monkeypatch):
+    # the peels run on one integer table: with the divisor expanded and its
+    # unit parts inverted ahead, one division builds the same few elements
+    # (every element is filled in by elements._fill) for k = 1..6
+    r = rng()
+    n = 10
+    x = random_element(r, n, terms=6, ordering=RIGHT)
+    built = []
+    original = elements._fill
+
+    def counted(*args):
+        built.append(None)
+        return original(*args)
+
+    counts = []
+    for k in range(1, 7):
+        product = FactoredProduct(tuple((GaussianRational(Fraction(j + 1, 3), 1),
+                                         random_bseries_unit(r, n)) for j in range(k)), n)
+        product.expanded(), product.unit_inverses
+        built.clear()
+        monkeypatch.setattr(elements, "_fill", counted)
+        res = divide(x, product)
+        monkeypatch.undo()
+        counts.append(len(built))
+        assert not res.quotient.is_zero
+        assert (res.quotient, res.remainder) == _divide_by_the_tail(x, product)
+    assert counts == [counts[0]] * 6 and counts[0] <= 10, counts
 
 
 def test_divide_linear_on_left_input_makes_no_shear_and_no_reordering(monkeypatch):

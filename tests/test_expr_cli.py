@@ -287,6 +287,44 @@ def test_cli_factor_of_three_powers_in_bounded_time(capsys, order, text, seconds
     assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def _cap_product(k: int) -> dict:
+    """k factors (a - lam_j b) S_j for the order cap: lam_j Gaussian over
+    denominators up to 7; S_j = 2 + (1/2 - i) b^(j mod 3 + 1) for every
+    tenth j, else 1."""
+    def c(re, im="0"):
+        return {"re": re, "im": im}
+
+    factors = []
+    for j in range(k):
+        terms = [{"p": 0, "q": 0, **c("1")}]
+        if j % 10 == 0:
+            terms = [{"p": 0, "q": 0, **c("2")}, {"p": 0, "q": j % 3 + 1, **c("1/2", "-1")}]
+        factors.append({"lambda": c(f"{(-1) ** j * (j % 9 + 1)}/{j % 7 + 1}",
+                                    f"{j % 5 - 2}/{j % 3 + 1}"),
+                        "S": {"order": 100, "ordering": "left", "terms": terms}})
+    return {"factors": factors}
+
+
+@pytest.mark.parametrize("k, args, seconds, digest", [
+    # 2.5 s and 2.4 s in-process on one Xeon vCPU (4.3 s and 3.7 s before
+    # the peels ran on one integer table); the output is 0.9 MB and 1.5 MB
+    (100, ["div", "(1+a+b)^100"], 8,
+     "cfcbb54d9ef12e6687f9a11245fca4c7a469973e4497c64fc69c0ab53b080272"),
+    (30, ["fresco-act", "(1+a+b)^100", "1 + a*b"], 8,
+     "4be79a69e9c6120adf5b0c919f6749abcdaaccd787cd082732494719f062fad7"),
+])
+def test_cli_division_at_the_order_cap_in_bounded_time(capsys, tmp_path, k, args, seconds,
+                                                       digest):
+    """Factored division at order 100 by 100 and by 30 factors, pinned by the
+    SHA-256 of stdout."""
+    product = tmp_path / "p.json"
+    product.write_text(json.dumps(_cap_product(k)))
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, args[0], "--order", "100", "--product", str(product), *args[1:])
+    assert time.perf_counter() - start < seconds
+    assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_cli_exit_codes(capsys, tmp_path):
     code, _, err = run_cli(capsys, "normalize", "--order", "4", "a**b")
     assert code == 2 and "offset 2" in err
@@ -341,6 +379,48 @@ def test_cli_bernstein_geometric_ode2ab(capsys, tmp_path):
     doc = json.loads(out)
     values = [m["entries"][0][0]["re"] for m in doc["coeffs"]]
     assert code == 0 and values == ["2/1", "9/1", "27/1", "81/1"]
+
+
+def _system_file(path, k: int, matrices: int):
+    """A system of `matrices` k x k matrices of small Gaussian rationals."""
+    path.write_text(json.dumps(series_matrix_to_json(tuple(
+        QMatrix([[GaussianRational(Fraction((7 * i + 3 * j + d) % 5 - 2, (i + j + d) % 3 + 1),
+                                   Fraction((2 * i + j + d) % 3 - 1, (j + d) % 2 + 1))
+                  for j in range(k)] for i in range(k)]) for d in range(matrices)))))
+    return str(path)
+
+
+def test_cli_ode2ab_refuses_work_over_the_limit_before_any_arithmetic(capsys, tmp_path):
+    # k = 10, order 100 and four matrices: 3 * 100^2 * 10^3 = 3e7 > 2e7 (three
+    # matrices would be 2e7, at the limit and accepted, in about 5 s); at
+    # order 45 the matrices above the 45th are dropped, so top = 45
+    assert cli.MAX_ODE2AB_WORK == 20_000_000
+    for order, matrices, work in [(100, 4, 30_000_000), (100, 101, 1_000_000_000),
+                                  (45, 100, 45 * 45 ** 2 * 1000)]:
+        system = _system_file(tmp_path / "sys.json", 10, matrices)
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "ode2ab", "--system", system, "--order", str(order))
+        assert time.perf_counter() - start < 2
+        assert code == 2 and out == "" and f"= {work} of this system is over 20000000" in err
+
+
+def test_cli_ode2ab_work_limit_is_inclusive(capsys, tmp_path, monkeypatch):
+    # the cli-sparse shape, k = 3, order 6 and two matrices, costs 1 * 6^2 * 3^3
+    # = 972, far below the limit; with the limit moved to 972 and 971 it sits
+    # exactly at it and one above
+    system = _system_file(tmp_path / "sys.json", 3, 2)
+    code, out, _ = run_cli(capsys, "ode2ab", "--system", system, "--order", "6")
+    assert code == 0 and len(json.loads(out)["coeffs"]) == 7
+    monkeypatch.setattr(cli, "MAX_ODE2AB_WORK", 972)
+    assert run_cli(capsys, "ode2ab", "--system", system, "--order", "6")[:2] == (0, out)
+    monkeypatch.setattr(cli, "MAX_ODE2AB_WORK", 971)
+    code, out, err = run_cli(capsys, "ode2ab", "--system", system, "--order", "6")
+    assert code == 2 and out == "" and "= 972 of this system is over 971" in err
+    # one matrix (top = 0) costs nothing, and matrices above the order do not count
+    system = _system_file(tmp_path / "one.json", 3, 1)
+    assert run_cli(capsys, "ode2ab", "--system", system, "--order", "6")[0] == 0
+    system = _system_file(tmp_path / "high.json", 3, 9)
+    assert run_cli(capsys, "ode2ab", "--system", system, "--order", "1")[0] == 0
 
 
 def test_cli_refuses_a_matrix_above_the_rank_limit_before_any_arithmetic(capsys, tmp_path):

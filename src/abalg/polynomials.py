@@ -5,15 +5,19 @@ polynomials and spectrum checks: ring operations, division,
 Lagrange interpolation, and one exact root search, complete for roots in
 Q(i).  It lifts the roots of a monic Gaussian-integer form mod p to a
 p-adic precision past a Cauchy bound B on them, and keeps a candidate only
-if it vanishes exactly; it factors no integer and has no budget.  A prime
-fails when the form has a multiple root mod p.  After the first failure
-the form is replaced by its square-free part, from a subresultant
-sequence over Z[i] with exact divisions, unless it is of high degree and
-a gcd mod the prime 2^61 - 1 proves it square-free already; the primes
-that fail after that are finitely many.  Roots come real ones first,
-ascending, then the others by (re, im); the private
-_roots_with_multiplicity repeats each as often as it divides.  Both read
-the integer `table` over `den` that a Poly is stored as (see its class).
+if it vanishes exactly; it factors no integer and has no budget.  The
+roots mod p are found with their multiplicities.  When some are multiple
+and they sum to the degree, each is lifted on the derivative that makes it
+simple; if every one gives an exact root of its multiplicity, those are
+all the roots, so a form that splits and whose distinct roots stay
+distinct mod p needs no square-free part.  Otherwise the form is replaced
+by its square-free part, from a subresultant sequence over Z[i] with exact
+divisions, unless it is of high degree and a gcd mod the prime 2^61 - 1
+proves it square-free already, and primes are tried until the roots mod p
+are simple; finitely many fail.  Roots come real ones first, ascending,
+then the others by (re, im); the private _roots_with_multiplicity repeats
+each as often as it divides.  Both read the integer `table` over `den`
+that a Poly is stored as (see its class).
 """
 
 from __future__ import annotations
@@ -264,14 +268,21 @@ def _squarefree(cs: list) -> list:
 
 _Q = 2 ** 61 - 1  # a prime = 3 mod 4: -1 is no square mod it, so Z[i]/(_Q) is a field
 
-# The degree above which a first prime that fails asks _certified_squarefree
-# before it takes the exact square-free part.  Measured on one Xeon vCPU, on
-# rho of a product of three powers of linear forms (square-free, and the
-# first prime fails), _squarefree against _certified_squarefree, in us:
-# deg 6: 59/50; deg 8: 109/89; deg 10: 192/139; deg 12: 327/194;
-# deg 14: 496/254; deg 16: 750/319; deg 20: 1901/465; deg 30: 16438/1224.
-# On an f with a repeated root the certificate is lost time, so it is asked
-# only where it costs at most half the square-free part: from degree 14 on.
+# The degree above which a first prime with a multiple root asks
+# _certified_squarefree before anything else.  Measured on one shared Xeon
+# vCPU, best of 100 runs, in us, at degrees 6/10/14/20/30:
+# - square-free and split, roots meeting in pairs mod the first prime: the
+#   certificate takes 67/149/271/520/712, against 146/351/882/2641/10916
+#   for the count attempt (which fails) and _squarefree;
+# - three roots of multiplicity about n/3, which the count attempt settles:
+#   the search takes 158/237/353/359/1092 with the certificate asked and
+#   103/151/233/263/887 without (real), 255/354/419/614/1861 and
+#   183/242/300/443/1432 (Gaussian).
+# At every degree the certificate costs under half of what it replaces on the
+# first kind and adds a fifth to a half to the second: the mix of forms
+# decides, not the degree, so the threshold stays.  Below it, the forms
+# with repeated roots that spectra and factorizations meet are settled by
+# the count attempt alone.
 _CERTIFY_ABOVE = 13
 
 
@@ -314,21 +325,37 @@ def _horner(cs: list, x: int, m: int) -> int:
     return out
 
 
-def _roots_mod(cs: list, p: int):
-    """The roots mod p of sum cs[j] x^j (integers), or None if one is multiple."""
-    roots = [x for x in range(p) if not _horner(cs, x, p)]
-    der = [j * c for j, c in enumerate(cs)][1:]
-    return None if any(not _horner(der, x, p) for x in roots) else roots
+def _roots_mod(cs: list, p: int) -> list:
+    """[(r, e)]: the roots r mod p of sum cs[j] x^j (integers, the top one
+    prime to p), ascending, each with its multiplicity e.  A root is found by
+    evaluation and divided out mod p as often as it divides; the search
+    stops when the degree is spent."""
+    h, out = [c % p for c in cs], []
+    for x in range(p):
+        if len(h) == 1:
+            break
+        if _horner(h, x, p):
+            continue
+        e = 0
+        while len(h) > 1:
+            q, c = [0] * (len(h) - 1), h[-1]
+            for j in range(len(h) - 2, -1, -1):
+                q[j] = c
+                c = (h[j] + c * x) % p
+            if c:
+                break
+            h, e = q, e + 1
+        out.append((x, e))
+    return out
 
 
-def _lift(cs: list, r: int, p: int, m: int) -> int:
-    """The root mod m = p^(2^k) of sum cs[j] x^j over the simple root r mod p
-    (Newton, doubling the exponent each step)."""
-    der = [j * c for j, c in enumerate(cs)][1:]
+def _lift(f: list, df: list, r: int, p: int, m: int) -> int:
+    """The root mod m = p^(2^k) of f over a root r mod p at which its
+    derivative df is a unit (Newton, doubling the exponent each step)."""
     q = p
     while q < m:
         q *= q
-        r = (r - _horner(cs, r, q) * pow(_horner(der, r, q), -1, q)) % q
+        r = (r - _horner(f, r, q) * pow(_horner(df, r, q), -1, q)) % q
     return r
 
 
@@ -342,12 +369,15 @@ def _prime_after(p: int) -> int:
 
 def _reductions(g: list, p: int):
     """(s, [roots of g mod p under i -> s, roots under i -> -s]) for an s with
-    s^2 = -1 mod p, or None if a reduction has a multiple root.  A real g
-    reduces to one polynomial either way, so its list holds one entry."""
+    s^2 = -1 mod p, each list as _roots_mod gives it.  A real g reduces to
+    one polynomial either way, so its list holds one entry."""
     s = next(t for t in (pow(b, (p - 1) // 4, p) for b in range(2, p)) if t * t % p == p - 1)
     signs = (1, -1) if any(im for _, im in g) else (1,)
-    roots = [_roots_mod([(re + e * s * im) % p for re, im in g], p) for e in signs]
-    return None if None in roots else (s, roots)
+    return s, [_roots_mod([(re + e * s * im) % p for re, im in g], p) for e in signs]
+
+
+def _multiple(residues: list) -> bool:
+    return any(e > 1 for rs in residues for _, e in rs)
 
 
 def _monic(cs: list) -> list:
@@ -359,11 +389,80 @@ def _monic(cs: list) -> list:
     return g[::-1]
 
 
-def _is_root(g: list, u: int, v: int) -> bool:
-    re = im = 0
-    for cr, ci in reversed(g):
-        re, im = re * u - im * v + cr, re * v + im * u + ci
-    return not re and not im
+def _deflate(g: list, u: int, v: int, most: int) -> tuple[list, int]:
+    """(h, e) with g = (x - w)^e h for w = u + vi and e <= most as large as
+    it goes: synthetic division by a monic x - w stays on Gaussian integers,
+    and only its remainder, g(w), is tested."""
+    e = 0
+    while e < most and len(g) > 1:
+        h = [None] * (len(g) - 1)
+        cr, ci = g[-1]
+        for j in range(len(g) - 2, -1, -1):
+            h[j] = (cr, ci)
+            cr, ci = g[j][0] + cr * u - ci * v, g[j][1] + cr * v + ci * u
+        if cr or ci:
+            break
+        g, e = h, e + 1
+    return g, e
+
+
+def _lifted_roots(cs: list, g: list, p: int, s: int, residues: list, complete: bool):
+    """The roots w = u + vi of g = _monic(cs) as (u, v), from the residues
+    of _reductions(g, p).
+
+    A residue r of multiplicity e is a simple root of the (e-1)-th
+    derivative of its reduction, since p > deg g >= e, and a root of g of
+    multiplicity e over it is a root of that derivative; so r is
+    Newton-lifted there, mod M = p^(2^k) > 2B for the Cauchy bound B on
+    |w|.  A pair (a, b) of lifted residues of equal multiplicity is
+    u + sv and u - sv mod M for a root w = u + vi, so u and v are read
+    off as symmetric residues, and w is kept if |u|, |v| <= B and x - w
+    divides g exactly e times; its b then leaves the pairing.  For a real
+    g, a and b come from one list, and the real candidates (a, a) are
+    tried first.  With complete, None is returned at the first residue
+    that no root takes up: each residue takes up at most one root, so the
+    multiplicities found can then no longer sum to deg g.
+    """
+    lr, li = cs[-1]
+    bound = isqrt(lr * lr + li * li) + 1 + max(isqrt(re * re + im * im) + 1
+                                               for re, im in cs[:-1])
+    m = p
+    while m <= 2 * bound:
+        m *= m
+    s = _lift([1, 0, 1], [0, 2], s, p, m)
+    lifted = []
+    for sign, rs in zip((1, -1), residues):
+        ders = [[(re + sign * s * im) % m for re, im in g]]
+        for _ in range(max((e for _, e in rs), default=0)):
+            ders.append([j * c % m for j, c in enumerate(ders[-1])][1:])
+        lifted.append([(_lift(ders[e - 1], ders[e], r, p, m), e) for r, e in rs])
+    half, half_s, mid = pow(2, -1, m), pow(2 * s, -1, m), m // 2
+    left, found = g, []
+
+    def take(a, b, e):
+        nonlocal left
+        u = ((a + b) * half + mid) % m - mid
+        v = ((a - b) * half_s + mid) % m - mid
+        if abs(u) > bound or abs(v) > bound:
+            return False
+        h, k = _deflate(left, u, v, e)
+        if k < e:
+            return False
+        left = h
+        found.append((u, v))
+        return True
+
+    plus, minus = lifted[0], lifted[-1]
+    if len(lifted) == 1:
+        plus = [(a, e) for a, e in plus if not take(a, a, e)]
+        minus = list(plus)
+    for a, e in plus:
+        b = next(((b, k) for b, k in minus if k == e and take(a, b, e)), None)
+        if b is not None:
+            minus.remove(b)
+        elif complete:
+            return None
+    return found
 
 
 def gaussian_roots(f: Poly) -> list[GaussianRational]:
@@ -373,54 +472,58 @@ def gaussian_roots(f: Poly) -> list[GaussianRational]:
     With f = sum c_j x^j / D over Gaussian integers c_j, every root z gives
     a Gaussian integer w = c_n z, a root of the monic
     g(w) = sum_j c_j c_n^(n-1-j) w^j, with |w| <= |c_n| + max_(j<n) |c_j| = B
-    (Cauchy).  Take the least prime p = 1 mod 4 above n at which both
-    reductions of g, i -> s and i -> -s for s^2 = -1 mod p, have only simple
-    roots.  If the first one fails, f is replaced by its square-free part
-    (_squarefree), unless deg f > _CERTIFY_ABOVE and a gcd mod 2^61 - 1
-    proves that no root repeats (_certified_squarefree); either way only
-    finitely many primes fail after that.  A real g (so every
-    characteristic polynomial of a rational matrix) has one reduction for
-    both signs, so its roots mod p are found and lifted once.  The roots
-    mod p (found by evaluation) and s are Newton-lifted mod
-    M = p^(2^k) > 2B.  A pair
-    (r+, r-) of lifted roots is u + sv and u - sv mod M for a root
-    w = u + vi, so u and v are read off as symmetric residues; a candidate
-    is kept if |u|, |v| <= B and g(w) = 0 exactly.
+    (Cauchy).  Both reductions of g, i -> s and i -> -s for s^2 = -1 mod p,
+    are searched for roots mod p, with multiplicity, at the least prime
+    p = 1 mod 4 above max(n, 20) (one reduction for a real g, such as every
+    characteristic polynomial of a rational matrix), and the roots mod p
+    are lifted (_lifted_roots):
+    - if every root mod p is simple, each candidate that is a root exactly
+      is kept;
+    - if some root mod p is multiple and n > _CERTIFY_ABOVE, a gcd mod
+      2^61 - 1 may prove that no root repeats (_certified_squarefree): the
+      next primes are tried until one has only simple roots;
+    - otherwise, if the multiplicities of each reduction sum to n, each root
+      mod p is lifted on the derivative that makes it simple, and when every
+      one lifts to an exact root of the same multiplicity, those roots
+      number n with multiplicity: the list is complete, with no square-free
+      part taken;
+    - failing that, f is replaced by its square-free part (_squarefree),
+      and the primes from p on are tried until one has only simple roots;
+      only finitely many fail.
+    The roots stay integer pairs (u, v) until the end, where z = w / c_n.
     """
     if f.is_zero:
         raise ValueError("the zero polynomial has every root")
     cs = f.table
     if len(cs) < 3:
         return [-f.coefficient(0) / f.coefficient(1)] if len(cs) == 2 else []
-    g, p = _monic(cs), _prime_after(len(cs) - 1)
-    if (found := _reductions(g, p)) is None:
-        if len(cs) - 1 > _CERTIFY_ABOVE and _certified_squarefree(cs):
+    n = len(cs) - 1
+    g, p = _monic(cs), _prime_after(max(n, 20))
+    s, residues = _reductions(g, p)
+    if _multiple(residues):
+        if n > _CERTIFY_ABOVE and _certified_squarefree(cs):
             p = _prime_after(p)
+        elif all(sum(e for _, e in rs) == n for rs in residues) and (
+                found := _lifted_roots(cs, g, p, s, residues, complete=True)) is not None:
+            return _divided_by_leading(found, cs)
         else:
             cs = _squarefree(cs)
             g = _monic(cs)
-        while (found := _reductions(g, p)) is None:
+        s, residues = _reductions(g, p)
+        while _multiple(residues):
             p = _prime_after(p)
-    s, residues = found
+            s, residues = _reductions(g, p)
+    return _divided_by_leading(_lifted_roots(cs, g, p, s, residues, complete=False), cs)
+
+
+def _divided_by_leading(found: list, cs: list) -> list[GaussianRational]:
+    """The roots z = w / c_n = w conj(c_n) / |c_n|^2 of f for the roots
+    w = u + vi of _monic(cs), in the order of gaussian_roots: every z has
+    the one positive denominator |c_n|^2, so the integer numerators sort."""
     lr, li = cs[-1]
     n = lr * lr + li * li
-    bound = isqrt(n) + 1 + max(isqrt(re * re + im * im) + 1 for re, im in cs[:-1])
-    m = p
-    while m <= 2 * bound:
-        m *= m
-    s = _lift([1, 0, 1], s, p, m)
-    lifted = [[_lift([(re + e * s * im) % m for re, im in g], r, p, m) for r in rs]
-              for e, rs in zip((1, -1), residues)]
-    plus, minus = lifted[0], lifted[-1]
-    half, half_s, mid = pow(2, -1, m), pow(2 * s, -1, m), m // 2
-    roots = set()
-    for a in plus:
-        for b in minus:
-            u = ((a + b) * half + mid) % m - mid
-            v = ((a - b) * half_s + mid) % m - mid
-            if abs(u) <= bound and abs(v) <= bound and _is_root(g, u, v):
-                roots.add(over(u * lr + v * li, v * lr - u * li, n))
-    return sorted(roots, key=lambda z: (z.im != 0, z.re, z.im))
+    keys = sorted((v * lr != u * li, u * lr + v * li, v * lr - u * li) for u, v in found)
+    return [over(re, im, n) for _, re, im in keys]
 
 
 def rational_roots(f: Poly) -> list[Fraction]:
@@ -435,10 +538,8 @@ def _roots_with_multiplicity(f: Poly) -> list[GaussianRational]:
 
     When gaussian_roots finds deg f roots, they are all simple.  Otherwise
     each root z is taken out of the monic g of gaussian_roots as often as
-    x - w divides it, with w = c_n z = u + vi a Gaussian integer (so the
-    divisions that give u and v are exact).  g is monic, so synthetic
-    division by x - w stays on Gaussian integers and only its remainder
-    g_0 + w h_0 is tested.
+    x - w divides it (_deflate), with w = c_n z = u + vi a Gaussian integer
+    (so the divisions that give u and v are exact).
     """
     roots = gaussian_roots(f)
     if len(roots) == f.degree:
@@ -449,14 +550,6 @@ def _roots_with_multiplicity(f: Poly) -> list[GaussianRational]:
     for z in roots:
         (x, d), (y, e) = z.re.as_integer_ratio(), z.im.as_integer_ratio()
         u, v = (x * e * lr - y * d * li) // (d * e), (x * e * li + y * d * lr) // (d * e)
-        while len(g) > 1:
-            h = [None] * (len(g) - 1)
-            cr, ci = g[-1]
-            for j in range(len(g) - 2, -1, -1):
-                h[j] = (cr, ci)
-                cr, ci = g[j][0] + cr * u - ci * v, g[j][1] + cr * v + ci * u
-            if cr or ci:
-                break
-            g = h
-            out.append(z)
+        g, k = _deflate(g, u, v, len(g))
+        out += [z] * k
     return out

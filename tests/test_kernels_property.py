@@ -27,10 +27,13 @@ and the first solve_dependency among the flattened powers,
 characteristic_polynomial by Cayley-Hamilton and a cofactor-expansion
 determinant, rational_roots by Poly.__call__ on the rational-root-theorem
 candidates, gaussian_roots by the Gaussian-rational roots planted in
-products with an integer quadratic and an integer scale (and, counted with
-multiplicity, by exact division by the product of their linear factors),
-the square-free part and the modular certificate by products planted with
-multiplicities 1-4 and an irreducible quadratic, and modules.act by
+products of degree at most 13 with an integer quadratic, an irreducible
+quadratic or 1 and an integer scale (and, counted with multiplicity, by
+exact division by the product of their linear factors), the square-free
+part and the modular certificate by products planted with multiplicities
+1-4 and an irreducible quadratic, the count of roots with multiplicity
+mod p by named forms with multiplicities up to 10 on the divisibility of
+f by (x - z)^e and not (x - z)^(e+1), and modules.act by
 the basis law summed over RIGHT monomials.
 Matrices are 1x1 to 6x6: dense or sparse over distinct denominators, zero,
 scalar and nilpotent; up to MAX_RANK for Cayley-Hamilton alone; and up to
@@ -899,14 +902,27 @@ def test_gaussian_roots_search_the_exactly_deflated_part(rs, cs, scale):
         + gaussian_roots(g)
 
 
+# x^2 + c with -c no square in Q(i): irreducible there, so it adds no root
+IRREDUCIBLE_C = [2, 3, 5, -7, Fraction(1, 2), Fraction(-2, 3)]
+
+
 @st.composite
 def planted_roots(draw):
-    """(R, prod_(r in R) (x - r) * g * k): 1-4 Gaussian-rational roots R, some
-    drawn again as repeats, an integer quadratic g and an integer scale k."""
-    roots = draw(st.lists(st.builds(GaussianRational, small_fractions, small_fractions),
+    """(R, prod_(r in R) (x - r) * g * k), of degree at most 13: 1-4 roots R,
+    all rational or Gaussian rational, some drawn again as repeats (up to
+    7), times g, an integer quadratic, an irreducible x^2 + c or 1, and an
+    integer scale k.  With a repeat drawn, and g irreducible or 1, the
+    count attempt of gaussian_roots runs first, and settles f when it
+    splits and its distinct roots stay distinct mod the first prime."""
+    im = st.just(Fraction(0)) if draw(st.booleans()) else small_fractions
+    roots = draw(st.lists(st.builds(GaussianRational, small_fractions, im),
                           min_size=1, max_size=4))
-    roots += draw(st.lists(st.sampled_from(roots), max_size=3))
-    g = Poly(draw(st.lists(st.integers(-9, 9), min_size=2, max_size=2)) + [draw(st.integers(1, 9))])
+    roots += draw(st.lists(st.sampled_from(roots), max_size=7))
+    g = draw(st.one_of(
+        st.builds(lambda c, top: Poly(c + [top]),
+                  st.lists(st.integers(-9, 9), min_size=2, max_size=2), st.integers(1, 9)),
+        st.sampled_from(IRREDUCIBLE_C).map(lambda c: Poly([c, 0, 1])),
+        st.just(Poly([1]))))
     return roots, Poly.from_roots(roots) * g * draw(st.integers(1, 50))
 
 
@@ -928,10 +944,6 @@ def test_roots_with_multiplicity_take_out_each_root_as_often_as_it_divides(case)
     assert Counter(roots) <= Counter(found)
     quotient, rem = f.divmod(Poly.from_roots(found))
     assert rem.is_zero and all(quotient(z) for z in found)
-
-
-# x^2 + c with -c no square in Q(i): irreducible there, so it adds no root
-IRREDUCIBLE_C = [2, 3, 5, -7, Fraction(1, 2), Fraction(-2, 3)]
 
 
 @st.composite
@@ -981,10 +993,11 @@ def test_squarefree_part_of_a_degree_25_product_in_bounded_time():
 
 def test_a_leading_coefficient_divisible_by_the_certificate_prime_takes_the_exact_path(
         monkeypatch):
-    """14 simple roots that meet in pairs mod 17, the first prime for degree
-    14: the certificate clears f, but not q f for q = 2^61 - 1, which then
-    takes the exact square-free part to the same roots."""
-    roots = list(range(1, 8)) + list(range(18, 25))
+    """14 simple roots that meet in pairs mod 29, the first prime for degree
+    14: the certificate clears f, but not q f for q = 2^61 - 1, whose
+    residues of multiplicity 2 lift to no double root, so it takes the
+    exact square-free part to the same roots."""
+    roots = list(range(1, 8)) + list(range(30, 37))
     f = Poly.from_roots(roots)
     scaled = f * (2 ** 61 - 1)
     assert _certified_squarefree(f.table) and not _certified_squarefree(scaled.table)
@@ -995,6 +1008,54 @@ def test_a_leading_coefficient_divisible_by_the_certificate_prime_takes_the_exac
     assert calls == []
     assert gaussian_roots(scaled) == gaussian_roots(f)
     assert calls == [scaled.table]
+
+
+def _assert_multiplicities(f, found):
+    """Referee of roots with multiplicity, on GaussianRationals: (x - z)^e
+    divides f and (x - z)^(e+1) does not, for each z found e times."""
+    for z, e in Counter(found).items():
+        assert f.divmod(Poly.from_roots([z] * e))[1].is_zero
+        assert not f.divmod(Poly.from_roots([z] * (e + 1)))[1].is_zero
+
+
+G = GaussianRational
+
+
+@pytest.mark.parametrize("planted, cofactor, squarefree_calls", [
+    # split, with repeated roots, each root distinct from the others mod 29
+    ([Fraction(1, 2)] * 10 + [-3] * 4 + [Fraction(2, 3)], [1], 0),
+    ([2] * 3 + [-1] * 2 + [5], [1], 0),
+    ([7] * 10, [3], 0),
+    ([G(Fraction(1, 2), -1)] * 10 + [G(3, 2)] * 2 + [G(Fraction(-2, 3), 1)], [1], 0),
+    ([G(1, 2)] * 3 + [G(1, -2)] * 3 + [Fraction(1, 2)] * 2, [1], 0),   # a real form
+    ([G(0, 1)] * 4 + [G(Fraction(1, 3))] * 5, [G(2, -1)], 0),
+    # (x - 1)^2 (x^2 + 7)^2: does not split; x^2 + 7 is double mod 29 too
+    ([1, 1], [49, 0, 14, 0, 1], 1),
+    # split, 1 is double, and 1 and 30 meet mod 29: the count attempt fails
+    ([1, 1, 2, 30], [1], 1),
+    # 1, 30 and 59 meet mod 29, and f'' = 6x - 180 vanishes at 30: the triple
+    # residue lifts on f'' to an exact root, but a simple one
+    ([1, 30, 59], [1], 1),
+])
+def test_roots_with_multiplicity_by_the_count_certificate(
+        monkeypatch, planted, cofactor, squarefree_calls):
+    """A form that splits with repeated roots, whose distinct roots stay
+    distinct mod the first prime, is settled by lifting each root mod p on
+    the derivative that makes it simple, with no square-free part; any other
+    form falls back to the square-free part.  Either way the roots with
+    multiplicity are the planted ones, by the divisibility referee, and for a
+    real form the rational roots are the rational-root candidates that
+    vanish."""
+    f = Poly.from_roots(planted) * Poly(cofactor)
+    calls = []
+    exact = polynomials._squarefree
+    monkeypatch.setattr(polynomials, "_squarefree", lambda cs: calls.append(cs) or exact(cs))
+    found = _roots_with_multiplicity(f)
+    assert len(calls) == squarefree_calls
+    assert Counter(found) == Counter(map(G.coerce, planted))
+    _assert_multiplicities(f, found)
+    if not any(im for _, im in f.table):
+        assert rational_roots(f) == sorted(r for r in _candidates(f) if not f(r))
 
 
 @st.composite

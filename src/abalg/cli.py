@@ -37,6 +37,16 @@ MAX_ORDER = 100
 #: 100 takes about 5 s on one Xeon vCPU.
 MAX_ODE2AB_WORK = 20_000_000
 
+#: The largest work estimate that xi-act --op b accepts: the sum over the
+#: terms (alpha, m, j) of (j + 1) * (4 dim + j + 1) * (L + 64), L the bit
+#: length of the numerator of alpha + m + 1 in lowest terms.  b maps a term
+#: to j + 1 terms of dim coefficients, which cost about four times as much
+#: each as one step of the (j + 1)-step recursion of their weights, and
+#: both grow with the words of L.  Larger work is a usage error (exit 2),
+#: refused before any arithmetic; at the limit, inputs of every shape tried
+#: take 2-5 s on one Xeon vCPU, apart from reading a large file.
+MAX_XI_ACT_WORK = 50_000_000
+
 
 def _load(path):
     with open(path, "r", encoding="utf-8") as fh:
@@ -293,6 +303,13 @@ def _run(args) -> int:
         from .expansions import xi_act_a, xi_act_b
         from .jsonio import xi_from_json, xi_to_json
         xi = xi_from_json(_load(args.input))
+        if args.op == "b":
+            work = sum((j + 1) * (4 * xi.dim + j + 1)
+                       * ((alpha.numerator + (m + 1) * alpha.denominator).bit_length() + 64)
+                       for alpha, m, j in xi.terms)
+            if work > MAX_XI_ACT_WORK:
+                raise SchemaError(f"the work estimate of b on this expansion, {work}, is over "
+                                  f"{MAX_XI_ACT_WORK}")
         out = xi_act_a(xi) if args.op == "a" else xi_act_b(xi)
         _emit(xi_to_json(out))
     elif cmd == "selftest":

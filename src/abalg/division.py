@@ -13,10 +13,12 @@ Both run on the LEFT integer table.  Through the symbol of each degree (see
 divide_linear), division by a - lam*b is one synthetic division per degree;
 a factored division peels the factors from the right on one table, each
 peel a convolution in the b-power by S_i^(-1) and one synthetic division,
-builds Q alone and takes R = x - Q P with P expanded once per product.  The
-b-series and a-polynomials taken and given (unit parts, their cached
-inverses, the remainders) are views of elements (see series), so no
-coefficient is split into integers or rebuilt as a fraction at either end.
+builds Q alone and takes R = x - Q P, with Q P multiplied out factor by
+factor on Q's table (_times_factors): P is never expanded and no generic
+product is made.  The b-series and a-polynomials taken and given (unit
+parts, their cached inverses, the remainders) are views of elements (see
+series), so no coefficient is split into integers or rebuilt as a fraction
+at either end.
 
 The polynomial layer is imported by remainder_polynomial and
 factor_homogeneous, the two functions that use it, so that inv, div-linear
@@ -27,10 +29,11 @@ from __future__ import annotations
 
 import functools
 import math
+from fractions import Fraction
 
-from .coefficients import GaussianRational, ONE
+from .coefficients import GaussianRational, ONE, over
 from .elements import (LEFT, RIGHT, AlgebraElement, _by_degree, _make, _scalar_ints,
-                       _times_b_power, mul, scale, with_ordering)
+                       _times_b_power, mul, scale, to_left, with_ordering)
 from .errors import (Frozen, NotHomogeneousError, NotMonicError, OrderMismatchError,
                      ZeroConstantTermError, ZeroElementError)
 from .series import APolynomial, BSeries
@@ -276,7 +279,9 @@ class FactoredProduct(Frozen):
         return self._unit_inverses
 
     def expanded(self, order: int | None = None) -> AlgebraElement:
-        """The product, at an order up to its own (the default); expanded once."""
+        """The product, at an order up to its own (the default); expanded once.
+
+        divide does not use it (see _times_factors); the referees do."""
         if self._expansion is None:
             out = AlgebraElement.one(self.order)
             a = AlgebraElement.monomial(1, 0, self.order)
@@ -299,6 +304,65 @@ class DivisionResult(Frozen):
         super().__init__(quotient=quotient, remainder=remainder)
 
 
+def _times_factors(order: int, den: int, table: dict, factors: tuple) -> tuple[int, dict]:
+    """(D, T) with T / D the LEFT table of X (a - lam_1 b) S_1 ... (a - lam_k b) S_k
+    to order N, X = table / den on the LEFT basis.
+
+    Since b^q a = a b^q - q b^(q+1),
+
+        a^p b^q (a - lam b) = a^(p+1) b^q - (q + lam) a^p b^(q+1),
+
+    so with lam = L / e a linear factor is one pass over the table, which
+    goes over den * e; a unit part S = T_S / d_S (terms b^j) is one
+    convolution in the b-power against its terms, over den * d_S.  Each
+    linear factor raises the degree by one, so after the t-th factor only
+    terms of degree <= N - k + t can reach the product: the rest are
+    dropped as they appear.  The table is flat, the key (p, q) at
+    p * (N + 1) + q, and no content is divided out: D is den times the
+    denominators of the factors.
+    """
+    width = order + 1
+    size = width * width
+    xr, xi = [0] * size, [0] * size
+    for (p, q), (re, im) in table.items():
+        xr[p * width + q], xi[p * width + q] = re, im
+    for top, (lam, s) in enumerate(factors, order - len(factors) + 1):
+        e, (lr, li) = _scalar_ints(lam)
+        yr, yi = [0] * size, [0] * size
+        for p in range(top):
+            i = p * width
+            for q in range(top - p):
+                re, im = xr[i + q], xi[i + q]
+                if re or im:
+                    j = i + q + width
+                    yr[j] += e * re
+                    yi[j] += e * im
+                    cr = q * e + lr
+                    yr[j - width + 1] -= cr * re - li * im
+                    yi[j - width + 1] -= cr * im + li * re
+        den *= e
+        s = s.element
+        terms = sorted((j, sr, si) for (_, j), (sr, si) in s.table.items() if j <= top)
+        if s.den == 1 and terms == [(0, 1, 0)]:
+            xr, xi = yr, yi
+            continue
+        den *= s.den
+        xr, xi = [0] * size, [0] * size
+        for p in range(top + 1):
+            i = p * width
+            last = top - p
+            for q in range(last + 1):
+                re, im = yr[i + q], yi[i + q]
+                if re or im:
+                    for j, sr, si in terms:
+                        if q + j > last:
+                            break
+                        xr[i + q + j] += re * sr - im * si
+                        xi[i + q + j] += re * si + im * sr
+    return den, {divmod(i, width): (re, im) for i, (re, im) in enumerate(zip(xr, xi))
+                 if re or im}
+
+
 def divide(x: AlgebraElement, product: FactoredProduct) -> DivisionResult:
     """Division with remainder by a factored product, peeling factors from the right.
 
@@ -307,9 +371,12 @@ def divide(x: AlgebraElement, product: FactoredProduct) -> DivisionResult:
     determined, is one LEFT integer table, which a peel groups by degree,
     convolves in the b-power with S_i^(-1) into dense rows and hands to
     _synthetic_division (divide_linear's kernel) for the next table, its
-    content divided out.  Q is the only element built.  Then R = x - Q P
-    with P expanded once per FactoredProduct.  Since the division is unique,
-    R has a-degree <= k-1 exactly when Q is right, so that bound is checked.
+    content divided out.  Q is the only element built.  Then R = x - Q P:
+    Q's table is multiplied through the factors in order (_times_factors,
+    one pass per linear factor and one convolution per unit part), and R is
+    assembled over the lcm of the two denominators; P is not expanded.
+    Since the division is unique, R has a-degree <= k-1 exactly when Q is
+    right, so that bound is checked.
     """
     k = len(product)
     if x.order < k:
@@ -333,8 +400,15 @@ def divide(x: AlgebraElement, product: FactoredProduct) -> DivisionResult:
                         ti[p] += xr * si + xi * sr
         den, table = _synthetic_division(dense, top, den * s.den, *_scalar_ints(lam))
     quotient = _make(order - k, LEFT, den, table)
-    remainder = APolynomial.from_element(left - mul(quotient.lifted(order),
-                                                    product.expanded(order)))
+    qp_den, qp = _times_factors(order, den, table, product.factors)
+    den = math.lcm(left.den, qp_den)
+    fx, fq = den // left.den, den // qp_den
+    table = {key: (re * fx, im * fx) for key, (re, im) in left.table.items()}
+    for key, (re, im) in qp.items():
+        acc = table.get(key)
+        table[key] = ((-re * fq, -im * fq) if acc is None
+                      else (acc[0] - re * fq, acc[1] - im * fq))
+    remainder = APolynomial.from_element(AlgebraElement.from_ints(order, LEFT, den, table))
     if remainder.a_degree is not None and remainder.a_degree > k - 1:
         raise AssertionError("remainder a-degree exceeded k-1; internal bug")
     return DivisionResult(with_ordering(quotient, x.ordering), remainder)
@@ -443,6 +517,12 @@ def factor_homogeneous(x: AlgebraElement) -> HomogeneousFactorization:
     a real integer shift keeps the (re, im) order, so that is the largest
     root at every step.  divide_linear's remainder must vanish at each
     peel, which checks the rule exactly.
+
+    The monic core is built once on the RIGHT basis, where
+    remainder_polynomial reads it as it stands, and converted to LEFT once
+    for the peels.  The roots are sorted on integer keys, their parts over
+    one common denominator, and each lam_t is formed from the integers of
+    r_t's real part and t.
     """
     if x.is_zero:
         raise ZeroElementError("cannot factor the zero element")
@@ -451,17 +531,22 @@ def factor_homogeneous(x: AlgebraElement) -> HomogeneousFactorization:
     order = x.order
     right = with_ordering(x, RIGHT)
     j = min(q for _, q in right.table)
-    stripped = AlgebraElement.from_ints(order, RIGHT, right.den,
-                                        {(p, q - j): c for (p, q), c in right.table.items()})
-    m = stripped.degree
-    lead = stripped.coefficient(m, 0)
-    core = with_ordering(scale(lead.inverse(), stripped), LEFT)
+    m = right.degree - j
+    # the stripped RIGHT table over its leading numerator C: c / C = c conj(C) / |C|^2
+    lr, li = right.table[(m, j)]
+    monic = AlgebraElement.from_ints(order, RIGHT, lr * lr + li * li,
+                                     {(p, q - j): (re * lr + im * li, im * lr - re * li)
+                                      for (p, q), (re, im) in right.table.items()})
+    core = to_left(monic)
     from .polynomials import _roots_with_multiplicity
-    roots = _roots_with_multiplicity(remainder_polynomial(core)) if m else []
-    roots.sort(key=lambda z: (z.re, z.im), reverse=True)
+    roots = _roots_with_multiplicity(remainder_polynomial(monic)) if m else []
+    d = math.lcm(*(c.denominator for z in roots for c in (z.re, z.im)))
+    roots.sort(key=lambda z: (z.re.numerator * (d // z.re.denominator),
+                              z.im.numerator * (d // z.im.denominator)), reverse=True)
     lambdas = []
     for t, r in enumerate(roots):
-        lam = r + t
+        n, e = r.re.as_integer_ratio()
+        lam = GaussianRational(Fraction(n + t * e, e), r.im)
         q, rem = divide_linear(core, lam)
         if not rem.is_zero:
             raise AssertionError("root of the remainder polynomial left a remainder; bug")
@@ -469,7 +554,7 @@ def factor_homogeneous(x: AlgebraElement) -> HomogeneousFactorization:
         core = q.lifted(order)
     lambdas.reverse()
     return HomogeneousFactorization(
-        scale=lead,
+        scale=over(lr, li, right.den),
         b_power=j,
         lambdas=tuple(lambdas),
         core=core if core.degree else None,

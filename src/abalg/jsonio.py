@@ -217,6 +217,12 @@ def xi_to_json(xi: XiElement) -> dict:
 #: of log depth j to j + 1 symbols, whose weights come from a j-step recursion.
 MAX_LOG_DEPTH = 100
 
+#: A bound on the shifts of an expansion document: every m is below it and
+#: m_bound at most it.  a and b write m + 1, and the default m_bound is the
+#: largest m plus one, which must stay within the 4300 digits that an
+#: integer prints to.
+MAX_SHIFT = 10 ** 100
+
 
 def xi_from_json(doc) -> XiElement:
     dim = _need(doc, "dim", int)
@@ -230,6 +236,8 @@ def xi_from_json(doc) -> XiElement:
     for entry in _need(doc, "terms", list):
         alpha = fraction_from_str(_need(entry, "alpha"))
         m, j = _need(entry, "m", int), _need(entry, "j", int)
+        if m >= MAX_SHIFT:
+            raise SchemaError("m must be below 10^100")
         vec = [coeff_from_json(c) for c in _need(entry, "c", list)]
         if (alpha, m, j) in table:
             raise SchemaError(f"duplicate term ({alpha}, {m}, {j})")
@@ -240,6 +248,8 @@ def xi_from_json(doc) -> XiElement:
     bound = doc.get("m_bound", max_m + 1)
     if not isinstance(bound, int):
         raise SchemaError("m_bound must be an integer")
+    if bound > MAX_SHIFT:
+        raise SchemaError("m_bound must be at most 10^100")
     try:
         return XiElement(dim, depth, bound, table)
     except ValueError as exc:

@@ -221,36 +221,79 @@ def test_divide_by_one_to_six_factors_at_orders_0_to_16():
                         == x.with_ordering(LEFT))
 
 
-def test_divide_makes_one_product_and_expands_the_divisor_once(monkeypatch):
+def _by_factors(y, product):
+    """y P multiplied out factor by factor, as divide checks R = x - Q P."""
+    n = y.order
+    left = y.with_ordering(LEFT)
+    return AlgebraElement.from_ints(n, LEFT, *division._times_factors(n, left.den, left.table,
+                                                                       product.factors))
+
+
+def test_the_product_by_factors_equals_the_expanded_product():
+    # the referee of divide's check: for every k = 1..6 at every order
+    # 0..16, on LEFT and RIGHT dividends x (whose terms past degree n - k
+    # the product drops as they appear) and on their quotients Q, the
+    # product by the factors has the den and table of mul by the expanded
+    # divisor; each lam, the up to 12 terms of x and the unit parts (a
+    # constant and up to two more terms) are Gaussian over denominators 1..7
+    r = random.Random(131)
+
+    def gaussian():
+        return GaussianRational(Fraction(r.randrange(-9, 10), r.randrange(1, 8)),
+                                Fraction(r.randrange(-9, 10), r.randrange(1, 8)))
+
+    for k in range(1, 7):
+        for n in range(17):
+            order = max(n, 1) + r.randrange(0, 3)
+            units = []
+            for _ in range(k):
+                table = {r.randrange(1, order + 1): gaussian() for _ in range(r.randrange(3))}
+                table[0] = gaussian() or GaussianRational(1, 1)
+                units.append(BSeries(order, table))
+            product = FactoredProduct(tuple((gaussian(), s) for s in units), order)
+            expanded = product.expanded(n)
+            for ordering in (LEFT, RIGHT):
+                x = AlgebraElement(n, ordering, {(p, r.randrange(0, n + 1 - p)): gaussian()
+                                                 for p in (r.randrange(0, n + 1)
+                                                           for _ in range(12))})
+                ys = [x]
+                if n >= k:
+                    ys.append(divide(x, product).quotient.with_ordering(LEFT).lifted(n))
+                for y in ys:
+                    assert _by_factors(y, product) == mul(y.with_ordering(LEFT), expanded)
+
+
+def test_divide_calls_no_mul_and_never_expands_the_divisor(monkeypatch):
+    # Q P is multiplied out factor by factor on Q's integer table, so a
+    # division makes no generic product and leaves the divisor unexpanded
     r = rng()
     n, k = 8, 3
     product = FactoredProduct(tuple((GaussianRational(j), random_bseries_unit(r, n))
                                     for j in range(k)), n)
     dividends = [random_element(r, order, terms=5, ordering=ordering)
                  for order, ordering in ((n, LEFT), (n, RIGHT), (n - 1, LEFT), (n, LEFT))]
-    calls = []
-    original = division.mul
 
-    def counted(x, y):
-        calls.append((x.order, y.order))
-        return original(x, y)
+    def refuse(*args):
+        raise AssertionError("divide made a generic product")
 
-    monkeypatch.setattr(division, "mul", counted)
-    results = [divide(dividends[0], product)]
-    assert len(calls) == 2 * k + 1  # the expansion, then Q P
-    for x in dividends[1:]:
-        calls.clear()
-        results.append(divide(x, product))
-        assert calls == [(x.order, x.order)]
+    for module in (elements, division):
+        monkeypatch.setattr(module, "mul", refuse)
+    monkeypatch.setattr(FactoredProduct, "expanded", refuse)
+    results = [divide(x, product) for x in dividends]
     monkeypatch.undo()
+    assert product._expansion is None
     for x, res in zip(dividends, results):
         assert (res.quotient, res.remainder) == _divide_by_the_tail(x, product)
+        q = res.quotient.with_ordering(LEFT).lifted(x.order)
+        assert (mul(q, product.expanded(x.order)) + res.remainder.to_element(LEFT)
+                == x.with_ordering(LEFT))
 
 
 def test_divide_builds_as_many_elements_for_any_number_of_factors(monkeypatch):
-    # the peels run on one integer table: with the divisor expanded and its
-    # unit parts inverted ahead, one division builds the same few elements
-    # (every element is filled in by elements._fill) for k = 1..6
+    # the peels and the check R = x - Q P, with Q P multiplied out factor by
+    # factor, run on integer tables: with the unit parts inverted ahead, one
+    # division builds the same few elements (every element is filled in by
+    # elements._fill) for k = 1..6
     r = rng()
     n = 10
     x = random_element(r, n, terms=6, ordering=RIGHT)
@@ -265,7 +308,7 @@ def test_divide_builds_as_many_elements_for_any_number_of_factors(monkeypatch):
     for k in range(1, 7):
         product = FactoredProduct(tuple((GaussianRational(Fraction(j + 1, 3), 1),
                                          random_bseries_unit(r, n)) for j in range(k)), n)
-        product.expanded(), product.unit_inverses
+        product.unit_inverses
         built.clear()
         monkeypatch.setattr(elements, "_fill", counted)
         res = divide(x, product)
@@ -471,3 +514,37 @@ def test_factor_random_split_products():
         x = mul(power(gen_b(n), r.randrange(0, 3)), x)
         f = factor_homogeneous(x)
         assert f.complete and f.expanded() == x
+
+
+def _planted(roots, order):
+    """A product of linear forms whose remainder polynomial has exactly the
+    given roots, by the shift rule: (a - (r_(m-1) + m-1) b) ... (a - (r_1 + 1) b)(a - r_0 b)."""
+    a, b = gen_a(order), gen_b(order)
+    x = AlgebraElement.one(order)
+    for t in range(len(roots) - 1, -1, -1):
+        x = mul(x, a - scale(roots[t] + t, b))
+    assert remainder_polynomial(x) == Poly.from_roots(roots)
+    return x
+
+
+def _g(re, im=0):
+    return GaussianRational(Fraction(re), Fraction(im))
+
+
+@pytest.mark.parametrize("roots, lambdas", [
+    # repeated real roots
+    ([_g(1), _g("1/2"), _g(2), _g(1), _g("1/2"), _g(1)],
+     [_g("11/2"), _g("9/2"), _g(4), _g(3), _g(2), _g(2)]),
+    # Gaussian roots that share a real part
+    ([_g("1/2", 1), _g("1/2"), _g("1/2", -1), _g("1/2", 2), _g("-1/2", 1)],
+     [_g("7/2", 1), _g("7/2", -1), _g("5/2"), _g("3/2", 1), _g("1/2", 2)]),
+    # roots over mixed denominators: the integer sort keys over one common
+    # denominator order them as their Fractions do
+    ([_g("1/2"), _g("2/3"), _g("5/6"), _g("-1/2", "1/3"), _g("2/3", "-5/6"), _g("5/6", "1/2")],
+     [_g("9/2", "1/3"), _g("9/2"), _g("11/3", "-5/6"), _g("8/3"), _g("11/6"), _g("5/6", "1/2")]),
+], ids=["repeated-real", "shared-real-part", "mixed-denominators"])
+def test_factor_peels_the_pinned_lambdas(roots, lambdas):
+    x = _planted(roots, len(roots) + 1)
+    f = factor_homogeneous(x)
+    assert f.complete and list(f.lambdas) == lambdas
+    assert f.expanded() == x

@@ -306,8 +306,10 @@ def _cap_product(k: int) -> dict:
 
 
 @pytest.mark.parametrize("k, args, seconds, digest", [
-    # 2.5 s and 2.4 s in-process on one Xeon vCPU (4.3 s and 3.7 s before
-    # the peels ran on one integer table); the output is 0.9 MB and 1.5 MB
+    # 1.5-2.0 s and 1.1-1.6 s in-process on one Xeon vCPU (2.3-2.4 s and
+    # 2.2-2.3 s when the check R = x - Q P expanded P and called mul, 4.3 s
+    # and 3.7 s before the peels ran on one integer table); the output is
+    # 0.9 MB and 1.5 MB
     (100, ["div", "(1+a+b)^100"], 8,
      "cfcbb54d9ef12e6687f9a11245fca4c7a469973e4497c64fc69c0ab53b080272"),
     (30, ["fresco-act", "(1+a+b)^100", "1 + a*b"], 8,
@@ -446,6 +448,42 @@ def test_cli_xi_act(capsys, tmp_path):
     assert code == 0
     assert doc["terms"] == [{"alpha": "1/2", "m": 1, "j": 0,
                              "c": [{"re": "2/3", "im": "0/1"}]}]
+
+
+@pytest.mark.parametrize("dim, code", [(1849, 0), (1850, 2)])
+def test_cli_xi_act_b_refuses_work_over_the_limit_before_any_arithmetic(
+        capsys, tmp_path, monkeypatch, dim, code):
+    # one term s^1 (log s)^100: the estimate is 101 * (4 dim + 101) * (L + 64)
+    # with L = 2, the bit length of the numerator of alpha + m + 1 = 2, so
+    # dim 1849 is the largest that b accepts
+    from abalg import expansions
+    acted = []
+    monkeypatch.setattr(expansions, "xi_act_b", lambda xi: acted.append(xi) or xi)
+    xi = tmp_path / "xi.json"
+    xi.write_text(json.dumps({"dim": dim, "log_depth": 100, "terms": [
+        {"alpha": "1", "m": 0, "j": 100, "c": [{"re": "1", "im": "0"}] * dim}]}))
+    got, _, err = run_cli(capsys, "xi-act", "--input", str(xi), "--op", "b")
+    assert got == code and len(acted) == (code == 0)
+    assert code == 0 or f"over {cli.MAX_XI_ACT_WORK}" in err
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("m", 10 ** 100, "m must be below 10^100"),
+    ("m", int("9" * 4300), "m must be below 10^100"),
+    ("m_bound", 10 ** 100 + 1, "m_bound must be at most 10^100"),
+])
+def test_cli_xi_act_refuses_a_shift_past_the_bound(capsys, tmp_path, key, value, message):
+    # with m = 10^4300 - 1 and no m_bound, the default m_bound m + 1 has
+    # 4301 digits, which json cannot write: that document once exited 4
+    term = {"alpha": "1/2", "m": value if key == "m" else 0, "j": 0, "c": [{"re": "1", "im": "0"}]}
+    doc = {"dim": 1, "log_depth": 0, "terms": [term]}
+    if key == "m_bound":
+        doc["m_bound"] = value
+    xi = tmp_path / "xi.json"
+    xi.write_text(json.dumps(doc))
+    for op in ("a", "b"):
+        code, out, err = run_cli(capsys, "xi-act", "--input", str(xi), "--op", op)
+        assert code == 2 and out == "" and message in err
 
 
 DIGIT_LIMIT = sys.get_int_max_str_digits()

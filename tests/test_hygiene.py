@@ -339,12 +339,14 @@ def test_every_traced_span_names_an_existing_function():
     assert tracing.SPANS and tracing.SCALAR_METHODS and missing == []
 
 
-def test_a_tiny_traced_run_finds_every_span_owner_loaded():
+@pytest.mark.parametrize("workload", ["dense-kernels", "module-stack", "cli-sparse"])
+def test_a_tiny_traced_run_finds_every_span_owner_loaded(workload):
     """The tracer looks each span's module up in sys.modules: a lazy import
     that keeps one of them unloaded must fail here, not only in
-    `perfbench/check_bench.py`."""
+    `perfbench/check_bench.py`.  Each workload loads its own modules, so
+    each gets a tiny traced run (about 2 s)."""
     result = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "module-stack", "--trace", "1",
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--trace", "1",
          "--tiny", "--seconds", "0.3"],
         cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert result.returncode == 0, result.stderr

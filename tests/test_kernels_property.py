@@ -1091,6 +1091,25 @@ def test_factor_homogeneous_agrees_with_peeling(x):
     assert f.expanded() == with_ordering(x, LEFT)
 
 
+@given(st.lists(st.builds(GaussianRational, small_fractions, small_fractions), max_size=7),
+       st.randoms())
+def test_factor_peels_planted_roots_in_re_im_order(roots, rnd):
+    """The roots of rho, planted in any order by the shift rule, are peeled
+    from the largest under (re, im): lam_t = r_t + t, with the r_t sorted
+    by (z.re, z.im) descending and the lambdas listed from the left."""
+    m = len(roots)
+    order = m + 1
+    a, b = gen_a(order), gen_b(order)
+    planted = list(roots)
+    rnd.shuffle(planted)
+    x = AlgebraElement.one(order)
+    for t in range(m - 1, -1, -1):
+        x = mul(x, a - scale(planted[t] + t, b))
+    f = factor_homogeneous(x)
+    ranked = sorted(roots, key=lambda z: (z.re, z.im), reverse=True)
+    assert f.complete and f.lambdas == tuple(r + t for t, r in enumerate(ranked))[::-1]
+
+
 I = GaussianRational(0, 1)
 
 

@@ -40,11 +40,12 @@ MAX_ODE2AB_WORK = 20_000_000
 #: The largest work estimate that xi-act --op b accepts: the sum over the
 #: terms (alpha, m, j) of (j + 1) * (4 dim + j + 1) * (L + 64), L the bit
 #: length of the numerator of alpha + m + 1 in lowest terms.  b maps a term
-#: to j + 1 terms of dim coefficients, which cost about four times as much
-#: each as one step of the (j + 1)-step recursion of their weights, and
-#: both grow with the words of L.  Larger work is a usage error (exit 2),
-#: refused before any arithmetic; at the limit, inputs of every shape tried
-#: take 2-5 s on one Xeon vCPU, apart from reading a large file.
+#: to j + 1 terms of dim coefficients, and the estimate charges their
+#: weights (j + 1)^2 steps that grow with the words of L.  The weights are a
+#: running product of j + 1 fractions, so the limit is conservative.  Larger
+#: work is a usage error (exit 2), refused before any arithmetic; at the
+#: limit, inputs of every shape tried take 0.4-2 s on one Xeon vCPU, apart
+#: from reading a large file.
 MAX_XI_ACT_WORK = 50_000_000
 
 

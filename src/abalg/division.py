@@ -283,11 +283,13 @@ class FactoredProduct(Frozen):
 
         divide does not use it (see _times_factors); the referees do."""
         if self._expansion is None:
-            out = AlgebraElement.one(self.order)
-            a = AlgebraElement.monomial(1, 0, self.order)
-            b = AlgebraElement.monomial(0, 1, self.order)
-            for lam, s in self.factors:
-                out = mul(mul(out, a - scale(lam, b)), s.to_element(self.order))
+            out = AlgebraElement.zero(self.order)  # every factor vanishes at order 0
+            if self.order:
+                out = AlgebraElement.one(self.order)
+                a = AlgebraElement.monomial(1, 0, self.order)
+                b = AlgebraElement.monomial(0, 1, self.order)
+                for lam, s in self.factors:
+                    out = mul(mul(out, a - scale(lam, b)), s.to_element(self.order))
             object.__setattr__(self, "_expansion", out)
         if order in (None, self.order):
             return self._expansion

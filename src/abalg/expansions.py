@@ -17,7 +17,6 @@ both sides of any identity, so ab - ba = b^2 survives truncation exactly.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
 
 from .coefficients import GaussianRational
 from .errors import Frozen
@@ -121,16 +120,15 @@ def xi_act_a(xi: XiElement) -> XiElement:
     return XiElement(xi.dim, xi.log_depth, xi.m_bound, table)
 
 
-@cache
 def _primitive_weights(beta: Fraction, j: int) -> tuple:
-    """Weights w_t with b[s^beta (log)^j] = sum_t w_t s^(beta+1) (log)^t."""
-    inv = Fraction(1, 1) / (beta + 1)
-    if j == 0:
-        return ((0, inv),)
-    out = {j: inv}
-    for t, w in _primitive_weights(beta, j - 1):
-        out[t] = out.get(t, Fraction(0)) - Fraction(j) * inv * w
-    return tuple(sorted(out.items()))
+    """Weights w_t with b[s^beta (log)^j] = sum_t w_t s^(beta+1) (log)^t, t
+    ascending: w_j = 1/(beta+1) and w_(t-1) = -t w_t / (beta+1), that is
+    w_t = (-1)^(j-t) j! / (t! (beta+1)^(j-t+1))."""
+    inv = 1 / (beta + 1)
+    out = [inv]
+    for t in range(j, 0, -1):
+        out.append(-t * out[-1] * inv)
+    return tuple(enumerate(reversed(out)))
 
 
 def xi_act_b(xi: XiElement) -> XiElement:

@@ -3,15 +3,17 @@
 Small exact toolkit backing the remainder-root machinery, Bernstein
 polynomials and spectrum checks: ring operations, division,
 Lagrange interpolation, and one exact root search, complete for roots in
-Q(i).  It lifts the roots of a monic Gaussian-integer form mod p to a
-p-adic precision past a Cauchy bound B on them, and keeps a candidate only
-if it vanishes exactly; it factors no integer and has no budget.  The
-roots mod p are found with their multiplicities.  When some are multiple
-and they sum to the degree, each is lifted on the derivative that makes it
-simple; if every one gives an exact root of its multiplicity, those are
-all the roots, so a form that splits and whose distinct roots stay
-distinct mod p needs no square-free part.  Otherwise the form is replaced
-by its square-free part, from a subresultant sequence over Z[i] with exact
+Q(i).  It reduces a monic Gaussian-integer form once, by i -> s mod p,
+finds its roots mod p with their multiplicities, lifts each p-adically
+past Fujiwara's bound B on the roots, and reads the Gaussian root off the
+lifted residue as its remainder of least norm modulo a power of
+gcd(p, s - i); a candidate is kept only if it vanishes exactly.  It factors
+no integer and has no budget.  When some roots mod p are multiple and they
+sum to the degree, each is lifted on the derivative that makes it simple;
+if the roots kept sum to the degree with multiplicity, they are all the
+roots, so a form that splits and whose distinct roots stay distinct mod p
+needs no square-free part.  Otherwise the form is replaced by its
+square-free part, from a subresultant sequence over Z[i] with exact
 divisions, unless it is of high degree and a gcd mod the prime 2^61 - 1
 proves it square-free already, and primes are tried until the roots mod p
 are simple; finitely many fail.  Roots come real ones first, ascending,
@@ -271,15 +273,16 @@ _Q = 2 ** 61 - 1  # a prime = 3 mod 4: -1 is no square mod it, so Z[i]/(_Q) is a
 # The degree above which a first prime with a multiple root asks
 # _certified_squarefree before anything else.  Measured on one shared Xeon
 # vCPU, best of 100 runs, in us, at degrees 6/10/14/20/30:
-# - square-free and split, roots meeting in pairs mod the first prime: the
-#   certificate takes 67/149/271/520/712, against 146/351/882/2641/10916
-#   for the count attempt (which fails) and _squarefree;
+# - square-free and split, the roots j and j + p (j = 1..n/2) meeting in
+#   pairs mod the first prime p: the certificate takes 34/83/140/266/523,
+#   against 84/196/396/1162/7392 for the count attempt (which fails) and
+#   _squarefree;
 # - three roots of multiplicity about n/3, which the count attempt settles:
-#   the search takes 158/237/353/359/1092 with the certificate asked and
-#   103/151/233/263/887 without (real), 255/354/419/614/1861 and
-#   183/242/300/443/1432 (Gaussian).
+#   the search takes 106/153/213/313/471 with the certificate asked and
+#   74/108/159/237/362 without (real), 118/169/269/384/654 and
+#   81/108/182/258/465 (Gaussian).
 # At every degree the certificate costs under half of what it replaces on the
-# first kind and adds a fifth to a half to the second: the mix of forms
+# first kind and adds a third to a half to the second: the mix of forms
 # decides, not the degree, so the threshold stays.  Below it, the forms
 # with repeated roots that spectra and factorizations meet are settled by
 # the count attempt alone.
@@ -367,17 +370,15 @@ def _prime_after(p: int) -> int:
     return p
 
 
-def _reductions(g: list, p: int):
-    """(s, [roots of g mod p under i -> s, roots under i -> -s]) for an s with
-    s^2 = -1 mod p, each list as _roots_mod gives it.  A real g reduces to
-    one polynomial either way, so its list holds one entry."""
+def _reduction(g: list, p: int):
+    """(s, the roots of g mod p under i -> s, as _roots_mod gives them) for
+    an s with s^2 = -1 mod p."""
     s = next(t for t in (pow(b, (p - 1) // 4, p) for b in range(2, p)) if t * t % p == p - 1)
-    signs = (1, -1) if any(im for _, im in g) else (1,)
-    return s, [_roots_mod([(re + e * s * im) % p for re, im in g], p) for e in signs]
+    return s, _roots_mod([(re + s * im) % p for re, im in g], p)
 
 
 def _multiple(residues: list) -> bool:
-    return any(e > 1 for rs in residues for _, e in rs)
+    return any(e > 1 for _, e in residues)
 
 
 def _monic(cs: list) -> list:
@@ -387,6 +388,15 @@ def _monic(cs: list) -> list:
         g.append(_gmul(c, power))
         power = _gmul(power, cs[-1])
     return g[::-1]
+
+
+def _root_bound(g: list) -> int:
+    """B = 2^(1 + max_j ceil(L_j / (n - j))) >= |w| for every root w of the
+    monic g of degree n >= 1, L_j the bit length of |re_j| + |im_j| >= |g_j|:
+    Fujiwara's bound 2 max_j |g_j|^(1/(n-j)), read from bit lengths."""
+    n = len(g) - 1
+    return 2 << max(-(-(abs(re) + abs(im)).bit_length() // (n - j))
+                    for j, (re, im) in enumerate(g[:-1]))
 
 
 def _deflate(g: list, u: int, v: int, most: int) -> tuple[list, int]:
@@ -406,62 +416,43 @@ def _deflate(g: list, u: int, v: int, most: int) -> tuple[list, int]:
     return g, e
 
 
-def _lifted_roots(cs: list, g: list, p: int, s: int, residues: list, complete: bool):
-    """The roots w = u + vi of g = _monic(cs) as (u, v), from the residues
-    of _reductions(g, p).
+def _lifted_roots(g: list, p: int, s: int, residues: list) -> list:
+    """The roots w = u + vi of the monic g that the residues of
+    _reduction(g, p) lead to, each as (u, v, e), verified.
 
-    A residue r of multiplicity e is a simple root of the (e-1)-th
-    derivative of its reduction, since p > deg g >= e, and a root of g of
-    multiplicity e over it is a root of that derivative; so r is
-    Newton-lifted there, mod M = p^(2^k) > 2B for the Cauchy bound B on
-    |w|.  A pair (a, b) of lifted residues of equal multiplicity is
-    u + sv and u - sv mod M for a root w = u + vi, so u and v are read
-    off as symmetric residues, and w is kept if |u|, |v| <= B and x - w
-    divides g exactly e times; its b then leaves the pairing.  For a real
-    g, a and b come from one list, and the real candidates (a, a) are
-    tried first.  With complete, None is returned at the first residue
-    that no root takes up: each residue takes up at most one root, so the
-    multiplicities found can then no longer sum to deg g.
+    The kernel of i -> s mod p is pi Z[i] for pi = gcd(p, s - i), and that of
+    its lift i -> t mod M = p^(2^k) is gamma Z[i] for gamma = pi^(2^k), with
+    |gamma|^2 = M > 24 B^2, B = _root_bound(g).  A residue r of multiplicity
+    e is a simple root of the (e-1)-th derivative of the reduction, since
+    p > deg g >= e, and a root w of g of multiplicity e over it is a root of
+    that derivative; so r is Newton-lifted there to rho mod M, and
+    rho = w mod gamma.  Then w is the remainder of least norm
+    w' = rho - gamma round(rho conj(gamma) / M), each part rounded: |w| is at
+    most sqrt(2) B and |w'| at most sqrt(M/2), while a nonzero multiple of
+    gamma is at least sqrt(M) in absolute value.  w' is kept if |u|, |v| <= B
+    and x - w' divides the running quotient e times.  When every residue is
+    simple, every root of g is kept; otherwise the kept e sum to deg g
+    exactly when the kept roots are all of them, with their multiplicities.
     """
-    lr, li = cs[-1]
-    bound = isqrt(lr * lr + li * li) + 1 + max(isqrt(re * re + im * im) + 1
-                                               for re, im in cs[:-1])
-    m = p
-    while m <= 2 * bound:
-        m *= m
-    s = _lift([1, 0, 1], [0, 2], s, p, m)
-    lifted = []
-    for sign, rs in zip((1, -1), residues):
-        ders = [[(re + sign * s * im) % m for re, im in g]]
-        for _ in range(max((e for _, e in rs), default=0)):
-            ders.append([j * c % m for j, c in enumerate(ders[-1])][1:])
-        lifted.append([(_lift(ders[e - 1], ders[e], r, p, m), e) for r, e in rs])
-    half, half_s, mid = pow(2, -1, m), pow(2 * s, -1, m), m // 2
+    bound = _root_bound(g)
+    gamma, m = _ggcd((p, 0), (s, -1)), p
+    while m <= 24 * bound * bound:
+        gamma, m = _gmul(gamma, gamma), m * m
+    t = _lift([1, 0, 1], [0, 2], s, p, m)
+    ders = [[(re + t * im) % m for re, im in g]]
+    for _ in range(max((e for _, e in residues), default=0)):
+        ders.append([j * c % m for j, c in enumerate(ders[-1])][1:])
+    gr, gi = gamma
     left, found = g, []
-
-    def take(a, b, e):
-        nonlocal left
-        u = ((a + b) * half + mid) % m - mid
-        v = ((a - b) * half_s + mid) % m - mid
-        if abs(u) > bound or abs(v) > bound:
-            return False
-        h, k = _deflate(left, u, v, e)
-        if k < e:
-            return False
-        left = h
-        found.append((u, v))
-        return True
-
-    plus, minus = lifted[0], lifted[-1]
-    if len(lifted) == 1:
-        plus = [(a, e) for a, e in plus if not take(a, a, e)]
-        minus = list(plus)
-    for a, e in plus:
-        b = next(((b, k) for b, k in minus if k == e and take(a, b, e)), None)
-        if b is not None:
-            minus.remove(b)
-        elif complete:
-            return None
+    for r, e in residues:
+        rho = _lift(ders[e - 1], ders[e], r, p, m)
+        qr, qi = (2 * rho * gr + m) // (2 * m), (m - 2 * rho * gi) // (2 * m)
+        u, v = rho - qr * gr + qi * gi, -qr * gi - qi * gr
+        if abs(u) <= bound and abs(v) <= bound:
+            h, k = _deflate(left, u, v, e)
+            if k == e:
+                left = h
+                found.append((u, v, e))
     return found
 
 
@@ -471,22 +462,18 @@ def gaussian_roots(f: Poly) -> list[GaussianRational]:
 
     With f = sum c_j x^j / D over Gaussian integers c_j, every root z gives
     a Gaussian integer w = c_n z, a root of the monic
-    g(w) = sum_j c_j c_n^(n-1-j) w^j, with |w| <= |c_n| + max_(j<n) |c_j| = B
-    (Cauchy).  Both reductions of g, i -> s and i -> -s for s^2 = -1 mod p,
-    are searched for roots mod p, with multiplicity, at the least prime
-    p = 1 mod 4 above max(n, 20) (one reduction for a real g, such as every
-    characteristic polynomial of a rational matrix), and the roots mod p
-    are lifted (_lifted_roots):
-    - if every root mod p is simple, each candidate that is a root exactly
-      is kept;
+    g(w) = sum_j c_j c_n^(n-1-j) w^j, with |w| <= B = _root_bound(g)
+    (Fujiwara).  The reduction of g by i -> s, s^2 = -1 mod p, is searched
+    for roots mod p, with multiplicity, at the least prime p = 1 mod 4 above
+    max(n, 20), and the roots mod p are lifted (_lifted_roots):
+    - if every root mod p is simple, the roots kept are all of them;
     - if some root mod p is multiple and n > _CERTIFY_ABOVE, a gcd mod
       2^61 - 1 may prove that no root repeats (_certified_squarefree): the
       next primes are tried until one has only simple roots;
-    - otherwise, if the multiplicities of each reduction sum to n, each root
-      mod p is lifted on the derivative that makes it simple, and when every
-      one lifts to an exact root of the same multiplicity, those roots
-      number n with multiplicity: the list is complete, with no square-free
-      part taken;
+    - otherwise, if the multiplicities mod p sum to n, each root mod p is
+      lifted on the derivative that makes it simple, and when the roots
+      kept, each dividing g as often as it is counted, number n with
+      multiplicity, they are all of them, with no square-free part taken;
     - failing that, f is replaced by its square-free part (_squarefree),
       and the primes from p on are tried until one has only simple roots;
       only finitely many fail.
@@ -499,21 +486,22 @@ def gaussian_roots(f: Poly) -> list[GaussianRational]:
         return [-f.coefficient(0) / f.coefficient(1)] if len(cs) == 2 else []
     n = len(cs) - 1
     g, p = _monic(cs), _prime_after(max(n, 20))
-    s, residues = _reductions(g, p)
+    s, residues = _reduction(g, p)
     if _multiple(residues):
         if n > _CERTIFY_ABOVE and _certified_squarefree(cs):
             p = _prime_after(p)
-        elif all(sum(e for _, e in rs) == n for rs in residues) and (
-                found := _lifted_roots(cs, g, p, s, residues, complete=True)) is not None:
-            return _divided_by_leading(found, cs)
         else:
+            if sum(e for _, e in residues) == n:
+                found = _lifted_roots(g, p, s, residues)
+                if sum(e for _, _, e in found) == n:
+                    return _divided_by_leading(found, cs)
             cs = _squarefree(cs)
             g = _monic(cs)
-        s, residues = _reductions(g, p)
+        s, residues = _reduction(g, p)
         while _multiple(residues):
             p = _prime_after(p)
-            s, residues = _reductions(g, p)
-    return _divided_by_leading(_lifted_roots(cs, g, p, s, residues, complete=False), cs)
+            s, residues = _reduction(g, p)
+    return _divided_by_leading(_lifted_roots(g, p, s, residues), cs)
 
 
 def _divided_by_leading(found: list, cs: list) -> list[GaussianRational]:
@@ -522,7 +510,7 @@ def _divided_by_leading(found: list, cs: list) -> list[GaussianRational]:
     the one positive denominator |c_n|^2, so the integer numerators sort."""
     lr, li = cs[-1]
     n = lr * lr + li * li
-    keys = sorted((v * lr != u * li, u * lr + v * li, v * lr - u * li) for u, v in found)
+    keys = sorted((v * lr != u * li, u * lr + v * li, v * lr - u * li) for u, v, _ in found)
     return [over(re, im, n) for _, re, im in keys]
 
 

@@ -263,6 +263,18 @@ def test_the_product_by_factors_equals_the_expanded_product():
                     assert _by_factors(y, product) == mul(y.with_ordering(LEFT), expanded)
 
 
+def test_a_product_of_order_0_expands_to_zero():
+    # every factor (a - lam b) S has degree at least 1, so at order 0 the
+    # product is the zero element, with or without unit parts
+    units = FactoredProduct(((GaussianRational(1, 2), BSeries(3, {0: 2, 1: 1})),
+                             (GaussianRational(-1), BSeries(0, {0: GaussianRational(0, 1)}))), 0)
+    for product in (FactoredProduct.from_lambdas([1], 0), units):
+        assert product.expanded() == AlgebraElement.zero(0)
+        assert product.expanded(0) == AlgebraElement.zero(0)
+    product = FactoredProduct(((GaussianRational(1, 2), BSeries(3, {0: 2, 1: 1})),), 3)
+    assert product.expanded(0) == product.expanded().truncated(0) == AlgebraElement.zero(0)
+
+
 def test_divide_calls_no_mul_and_never_expands_the_divisor(monkeypatch):
     # Q P is multiplied out factor by factor on Q's integer table, so a
     # division makes no generic product and leaves the divisor unexpanded

@@ -1,9 +1,11 @@
+import math
 from fractions import Fraction
 
 import pytest
 
 from abalg.coefficients import GaussianRational
-from abalg.expansions import XiElement, xi_act_a, xi_act_b, xi_check_simple_pole
+from abalg.expansions import (XiElement, _primitive_weights, xi_act_a, xi_act_b,
+                              xi_check_simple_pole)
 
 
 def test_primitive_of_plain_power():
@@ -20,6 +22,27 @@ def test_primitive_of_log_term():
         (Fraction(1), 1, 1): (GaussianRational(Fraction(1, 2)),),
         (Fraction(1), 1, 0): (GaussianRational(Fraction(-1, 4)),),
     })
+
+
+def _weights_by_recursion(beta, j):
+    """The j-step recursion from b[s^beta (log s)^j] = s^(beta+1)/(beta+1)
+    (log s)^j - j/(beta+1) b[s^beta (log s)^(j-1)]."""
+    inv = 1 / (beta + 1)
+    out = {j: inv}
+    for t, w in (_weights_by_recursion(beta, j - 1) if j else ()):
+        out[t] = out.get(t, Fraction(0)) - j * inv * w
+    return tuple(sorted(out.items()))
+
+
+@pytest.mark.parametrize("beta", [Fraction(1), Fraction(1, 2), Fraction(2, 3) + 4,
+                                  Fraction(7, 12), Fraction(1, 8) + 49,
+                                  Fraction(1, 10 ** 30 + 7)])
+def test_primitive_weights_closed_form_agrees_with_the_recursion(beta):
+    for j in range(13):
+        assert _primitive_weights(beta, j) == _weights_by_recursion(beta, j)
+    inv = 1 / (beta + 1)
+    assert _primitive_weights(beta, 40)[3] == (
+        3, Fraction((-1) ** 37 * math.factorial(40), math.factorial(3)) * inv ** 38)
 
 
 def test_multiplication_by_s():

@@ -272,15 +272,19 @@ def test_cli_act_and_factor(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("order, text, seconds, digest", [
-    # 0.16 s and 0.63 s in-process on one Xeon vCPU
+    # 0.02-0.05 s, 0.06-0.10 s and 0.05-0.11 s in-process on one Xeon vCPU
     (60, "(a-b)^20*(a-2*b)^20*(a-3*i*b)^20", 3,
      "22a7dfa6e4dc99959b8cdd7bea208dc55f53e0263c7d1a2aad6a57d1659dcfbf"),
     (100, "(a-b)^34*(a-2*b)^33*(a-3*i*b)^33", 10,
      "9c4a81f186bf552c6d9c71560759d30e49c1da9cdef5ad14fa107321e62872c1"),
+    # one power at the cap: rho has 100 integer roots, distinct mod 101
+    (100, "(a-b)^100", 10,
+     "8829d54fd42a2883a022e2d33d76fbed34563e1ab94504c0db1d88c314db6ff8"),
 ])
 def test_cli_factor_of_three_powers_in_bounded_time(capsys, order, text, seconds, digest):
-    """rho is square-free, but its roots meet modulo the first primes, so
-    the certificate decides; the output is pinned by its SHA-256."""
+    """rho is square-free; in the first two rows its roots meet modulo the
+    first primes, so the certificate decides.  The output is pinned by its
+    SHA-256."""
     start = time.perf_counter()
     code, out, _ = run_cli(capsys, "factor", "--order", str(order), text)
     assert time.perf_counter() - start < seconds
@@ -611,6 +615,33 @@ def test_selftest_json_reports_each_suite_with_its_time(monkeypatch, capsys):
     assert all(isinstance(r["seconds"], float) and r["seconds"] >= 0 for r in rows)
     monkeypatch.setattr(checks, "CHECKS", {"fine": lambda rng: None})
     assert run_cli(capsys, "selftest", "--json")[0] == 0
+
+
+@pytest.mark.parametrize("as_json", [False, True])
+@pytest.mark.parametrize("seed", ["-5", "0", "9" * 4300, "-" + "9" * 4300],
+                         ids=["negative", "zero", "4300-digits", "minus-4300-digits"])
+def test_selftest_at_the_seed_caps(monkeypatch, capsys, seed, as_json):
+    """Every seed that int takes, up to its 4300 digits, seeds the suites and
+    is printed back in full in bounded time; a longer one is a usage error."""
+    def crash(rng):
+        raise ZeroDivisionError("boom")
+
+    fine = "cli/deterministic-output"
+    monkeypatch.setattr(checks, "CHECKS", {"crash": crash, fine: checks.CHECKS[fine]})
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "selftest", "--seed", seed, *["--json"][:as_json])
+    assert time.perf_counter() - start < 5
+    assert code == 4 and err == ""
+    if as_json:
+        rows = [json.loads(line) for line in out.splitlines()]
+        assert [(r["suite"], r["ok"], r["seed"]) for r in rows] == [
+            ("crash", False, int(seed)), (fine, True, int(seed))]
+    else:
+        lines = out.splitlines()
+        assert lines[0].endswith(f"ZeroDivisionError: boom (seed {seed})")
+        assert lines[1].split() == [fine, "PASS"]
+    code, out, err = run_cli(capsys, "selftest", "--seed", "9" * 5000, *["--json"][:as_json])
+    assert code == 2 and out == "" and "invalid int value" in err
 
 
 # -- the parser of one subcommand -------------------------------------------------------

@@ -1058,6 +1058,47 @@ def test_roots_with_multiplicity_by_the_count_certificate(
         assert rational_roots(f) == sorted(r for r in _candidates(f) if not f(r))
 
 
+@pytest.mark.parametrize("planted", [
+    [0, 3, G(17, -1)],
+    [0, 0, 3, G(17, -1)],
+])
+def test_one_reduction_reads_off_roots_that_meet_under_the_other_sign_of_i(
+        monkeypatch, planted):
+    """At p = 29, s = 12 (the first prime and square root of -1 for these
+    degrees), the roots 0, 3 and 17 - i reduce to 0, 3 and 5 under i -> 12,
+    and 17 - i meets 0 under i -> 17, where the residue 0 would be multiple
+    and call for the square-free part.  The one reduction by i -> 12 finds
+    them all at the first prime, the doubled 0 by the count attempt, with no
+    square-free part."""
+    primes, squarefree_calls = [], []
+    roots_mod, exact = polynomials._roots_mod, polynomials._squarefree
+    monkeypatch.setattr(polynomials, "_roots_mod",
+                        lambda cs, p: primes.append(p) or roots_mod(cs, p))
+    monkeypatch.setattr(polynomials, "_squarefree",
+                        lambda cs: squarefree_calls.append(cs) or exact(cs))
+    f = Poly.from_roots(planted)
+    assert polynomials._reduction(f.table, 29)[0] == 12
+    primes.clear()
+    found = _roots_with_multiplicity(f)
+    assert primes == [29] and squarefree_calls == []
+    assert Counter(found) == Counter(map(G.coerce, planted))
+    _assert_multiplicities(f, found)
+
+
+@given(planted_products())
+def test_root_bound_covers_every_root_of_the_monic_form(case):
+    """_root_bound from bit lengths is at least max(|u|, |v|) for each root
+    w = u + vi = c_n z of g = _monic(f.table), z a planted root of f."""
+    planted, _, f = case
+    g = polynomials._monic(f.table)
+    bound = polynomials._root_bound(g)
+    lr, li = f.table[-1]
+    for z in planted:
+        w = z * GaussianRational(lr, li)
+        assert w.re.denominator == w.im.denominator == 1
+        assert bound >= max(abs(w.re), abs(w.im))
+
+
 @st.composite
 def homogeneous_products(draw):
     """s b^j C prod_t (a - lam_t b): C is 1 or a^2 + c b^2 (rho of C is

@@ -48,6 +48,30 @@ MAX_ODE2AB_WORK = 20_000_000
 #: from reading a large file.
 MAX_XI_ACT_WORK = 50_000_000
 
+#: The largest work estimate that act accepts: R ((T + D w_t)(w_x + 16)
+#: + (w_x + w_t)^2 / 8), with R the output degrees the series reaches, T the
+#: terms of X and D their distinct total degrees, w_t one plus the sum of
+#: the bit lengths of the series' denominators over 64 (the lcm that the
+#: oracle puts the series over is no longer) and w_x one plus the bit length
+#: of X's largest numerator or denominator over 64.  Per output degree, the
+#: oracle multiplies each term of X by a weight of up to about 16 words, each
+#: of the D sums by a series numerator, and reduces one fraction over both
+#: sizes.  Larger work is a usage error (exit 2), refused before any
+#: arithmetic; near the limit, inputs of every shape tried take 1-3 s as one
+#: process on one Xeon vCPU, the elaboration of X included.
+MAX_ACT_WORK = 200_000_000
+
+
+def _act_work(x: AlgebraElement, f) -> int:
+    """The work estimate of MAX_ACT_WORK for acting with x on the series f."""
+    degrees = {p + q for p, q in x.table}
+    reached = len({r + d for r in f.coeffs for d in degrees if r + d <= f.degree_bound})
+    w_t = 1 + sum(c.re.denominator.bit_length() + c.im.denominator.bit_length()
+                  for c in f.coeffs.values()) // 64
+    w_x = 1 + max(x.den.bit_length(),
+                  *(abs(v).bit_length() for c in x.table.values() for v in c)) // 64
+    return reached * ((len(x.table) + len(degrees) * w_t) * (w_x + 16) + (w_x + w_t) ** 2 // 8)
+
 
 def _load(path):
     with open(path, "r", encoding="utf-8") as fh:
@@ -254,6 +278,10 @@ def _run(args) -> int:
         f = polyseries_from_json(_load(args.input))
         bound = args.degree if args.degree is not None else 3 * args.order
         f = PolySeries(bound, f.coeffs)
+        work = _act_work(x, f)
+        if work > MAX_ACT_WORK:
+            raise SchemaError(f"the work estimate of act on this series, {work}, is over "
+                              f"{MAX_ACT_WORK}")
         _emit(polyseries_to_json(act(x, f)))
     elif cmd == "factor":
         from .division import factor_homogeneous

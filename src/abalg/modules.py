@@ -45,12 +45,13 @@ from .series import APolynomial, BSeries
 class SimplePoleModule(Frozen):
     """Free rank-k module with a e = theta b e, entries truncated at b^order."""
 
-    __slots__ = ("theta", "order")
+    # the last slot caches the list [F_0..F_top] of _shift_factors, grown on demand
+    __slots__ = ("theta", "order", "_factors")
 
     def __init__(self, theta: QMatrix, order: int):
         if not theta.is_square:
             raise ValueError("theta must be square")
-        super().__init__(theta=theta, order=order)
+        super().__init__(theta=theta, order=order, _factors=None)
 
     @property
     def rank(self) -> int:
@@ -109,19 +110,23 @@ class ModuleElement(Frozen):
         return ModuleElement(self.module, tuple(s.scaled(c) for s in self.entries))
 
 
-def _shift_factors(theta: QMatrix, top: int) -> tuple[int, list]:
-    """(D, [F_0..F_top]) with M_p = (theta + (p-1)I) ... (theta + I) theta = F_p / D^p.
+def _shift_factors(module: SimplePoleModule, top: int) -> tuple[int, list]:
+    """(D, [F_0..F_top, ...]) with M_p = (theta + (p-1)I) ... (theta + I) theta = F_p / D^p.
 
     D is theta's denominator and each F_p a Gaussian-integer matrix, rows of
     (re, im): F_p = (T + (p-1) D I) F_(p-1) with T = D theta, theta's table.
+    The list is kept on the module and continued from its last F_p, so each
+    F_p is built once per module; it may reach past top.
     """
-    den, t = theta.den, theta.table
-    out = [_int_identity(len(t)), t]  # F_1 = T
-    for p in range(2, top + 1):
+    den, t = module.theta.den, module.theta.table
+    if module._factors is None:
+        object.__setattr__(module, "_factors", [_int_identity(len(t)), t])  # F_1 = T
+    out = module._factors
+    for p in range(len(out), top + 1):
         shifted = [[(re + (p - 1) * den, im) if i == l else (re, im)
                     for l, (re, im) in enumerate(r)] for i, r in enumerate(t)]
         out.append(_int_matmul(shifted, out[-1]))
-    return den, out[:top + 1]
+    return den, out
 
 
 def act_on_basis(x: AlgebraElement, module: SimplePoleModule) -> list[QMatrix]:
@@ -147,6 +152,7 @@ def act(x: AlgebraElement, v: ModuleElement, module: SimplePoleModule) -> Module
     formed.  The key b^(t-P) a^P of x V_i sends e_i to M_P b^t e: its
     coefficient times row i of F_P is added into the length-k row of b^t,
     on integers over x.den * lcm(den V_i) * D^N.  x may be in either ordering.
+    The F_P are built once per module (_shift_factors).
     """
     if v.module != module:
         raise ValueError("element does not belong to the module")
@@ -176,7 +182,7 @@ def act(x: AlgebraElement, v: ModuleElement, module: SimplePoleModule) -> Module
                         acc[1] += g * ci
         products.append((i, out))
     top = max((p for _, out in products for p, _ in out), default=0)
-    den, factors = _shift_factors(module.theta, top)
+    den, factors = _shift_factors(module, top)
     scales = [den ** (n - p) for p in range(top + 1)]  # M_p = F_p / D^p, over D^N
     rows = [[[0, 0] for _ in range(k)] for _ in range(n + 1)]
     for i, out in products:

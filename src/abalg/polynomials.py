@@ -1,30 +1,32 @@
 """Dense univariate polynomials over the Gaussian rationals.
 
 Small exact toolkit backing the remainder-root machinery, Bernstein
-polynomials and spectrum checks: ring operations, division,
-Lagrange interpolation, and one exact root search, complete for roots in
-Q(i).  It reduces a monic Gaussian-integer form once, by i -> s mod p,
-finds its roots mod p with their multiplicities, lifts each p-adically
-past Fujiwara's bound B on the roots, and reads the Gaussian root off the
-lifted residue as its remainder of least norm modulo a power of
-gcd(p, s - i); a candidate is kept only if it vanishes exactly.  It factors
-no integer and has no budget.  When some roots mod p are multiple and they
-sum to the degree, each is lifted on the derivative that makes it simple;
-if the roots kept sum to the degree with multiplicity, they are all the
-roots, so a form that splits and whose distinct roots stay distinct mod p
-needs no square-free part.  Otherwise the form is replaced by its
-square-free part, from a subresultant sequence over Z[i] with exact
-divisions, unless it is of high degree and a gcd mod the prime 2^61 - 1
-proves it square-free already, and primes are tried until the roots mod p
-are simple; finitely many fail.  Roots come real ones first, ascending,
-then the others by (re, im); the private _roots_with_multiplicity repeats
-each as often as it divides.  Both read the integer `table` over `den`
-that a Poly is stored as (see its class).
+polynomials and spectrum checks: ring operations, division, Lagrange
+interpolation, and one exact root search, complete for roots in Q(i).  It
+reduces a monic Gaussian-integer form once, by i -> s mod p, finds its roots
+mod p with their multiplicities, lifts each p-adically past Fujiwara's bound
+B on the roots, and reads the Gaussian root off the lifted residue as its
+remainder of least norm modulo a power of gcd(p, s - i); a candidate is kept
+only if it vanishes exactly.  The primes, s and the lifted constants depend
+on p alone and are computed once per process.  It factors no integer and has
+no budget.  When some roots mod p are multiple and they sum to the degree,
+each is lifted on the derivative that makes it simple; if the roots kept sum
+to the degree with multiplicity, they are all the roots, so a form that
+splits and whose distinct roots stay distinct mod p needs no square-free
+part.  Otherwise the form is replaced by its square-free part, from a
+subresultant sequence over Z[i] with exact divisions, unless it is of high
+degree and a gcd mod the prime 2^61 - 1 proves it square-free already, and
+primes are tried until the roots mod p are simple; finitely many fail.
+Roots come real ones first, ascending, then the others by (re, im); the
+private _roots_with_multiplicity repeats each as often as it divides.  Both
+read the integer `table` over `den` that a Poly is stored as (see its
+class).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import gcd, isqrt
 
 from .coefficients import GaussianRational, ONE, ZERO, common_denominator, over
@@ -362,6 +364,7 @@ def _lift(f: list, df: list, r: int, p: int, m: int) -> int:
     return r
 
 
+@cache
 def _prime_after(p: int) -> int:
     """The least prime above p that is 1 mod 4."""
     p += 1
@@ -370,10 +373,30 @@ def _prime_after(p: int) -> int:
     return p
 
 
+@cache
+def _square_root_of_minus_one(p: int) -> int:
+    """An s with s^2 = -1 mod the prime p = 1 mod 4."""
+    return next(t for t in (pow(b, (p - 1) // 4, p) for b in range(2, p)) if t * t % p == p - 1)
+
+
+@cache
+def _lift_constants(p: int, k: int) -> tuple:
+    """(gamma, M, t) for M = p^(2^k): t = s mod p with t^2 = -1 mod M, for
+    s = _square_root_of_minus_one(p), and gamma = pi^(2^k) for
+    pi = gcd(p, s - i), so that gamma Z[i] is the kernel of i -> t mod M.
+    Each k squares the one before and takes one Newton step, as _lift does."""
+    if not k:
+        s = _square_root_of_minus_one(p)
+        return _ggcd((p, 0), (s, -1)), p, s
+    gamma, m, t = _lift_constants(p, k - 1)
+    m *= m
+    return _gmul(gamma, gamma), m, (t - (t * t + 1) * pow(2 * t, -1, m)) % m
+
+
 def _reduction(g: list, p: int):
     """(s, the roots of g mod p under i -> s, as _roots_mod gives them) for
-    an s with s^2 = -1 mod p."""
-    s = next(t for t in (pow(b, (p - 1) // 4, p) for b in range(2, p)) if t * t % p == p - 1)
+    s = _square_root_of_minus_one(p)."""
+    s = _square_root_of_minus_one(p)
     return s, _roots_mod([(re + s * im) % p for re, im in g], p)
 
 
@@ -416,13 +439,14 @@ def _deflate(g: list, u: int, v: int, most: int) -> tuple[list, int]:
     return g, e
 
 
-def _lifted_roots(g: list, p: int, s: int, residues: list) -> list:
+def _lifted_roots(g: list, p: int, residues: list) -> list:
     """The roots w = u + vi of the monic g that the residues of
     _reduction(g, p) lead to, each as (u, v, e), verified.
 
     The kernel of i -> s mod p is pi Z[i] for pi = gcd(p, s - i), and that of
     its lift i -> t mod M = p^(2^k) is gamma Z[i] for gamma = pi^(2^k), with
-    |gamma|^2 = M > 24 B^2, B = _root_bound(g).  A residue r of multiplicity
+    |gamma|^2 = M > 24 B^2, B = _root_bound(g); _lift_constants gives them
+    for the least such k, once per p and k.  A residue r of multiplicity
     e is a simple root of the (e-1)-th derivative of the reduction, since
     p > deg g >= e, and a root w of g of multiplicity e over it is a root of
     that derivative; so r is Newton-lifted there to rho mod M, and
@@ -434,11 +458,10 @@ def _lifted_roots(g: list, p: int, s: int, residues: list) -> list:
     simple, every root of g is kept; otherwise the kept e sum to deg g
     exactly when the kept roots are all of them, with their multiplicities.
     """
-    bound = _root_bound(g)
-    gamma, m = _ggcd((p, 0), (s, -1)), p
-    while m <= 24 * bound * bound:
-        gamma, m = _gmul(gamma, gamma), m * m
-    t = _lift([1, 0, 1], [0, 2], s, p, m)
+    bound, k = _root_bound(g), 0
+    while _lift_constants(p, k)[1] <= 24 * bound * bound:
+        k += 1
+    gamma, m, t = _lift_constants(p, k)
     ders = [[(re + t * im) % m for re, im in g]]
     for _ in range(max((e for _, e in residues), default=0)):
         ders.append([j * c % m for j, c in enumerate(ders[-1])][1:])
@@ -449,8 +472,8 @@ def _lifted_roots(g: list, p: int, s: int, residues: list) -> list:
         qr, qi = (2 * rho * gr + m) // (2 * m), (m - 2 * rho * gi) // (2 * m)
         u, v = rho - qr * gr + qi * gi, -qr * gi - qi * gr
         if abs(u) <= bound and abs(v) <= bound:
-            h, k = _deflate(left, u, v, e)
-            if k == e:
+            h, d = _deflate(left, u, v, e)
+            if d == e:
                 left = h
                 found.append((u, v, e))
     return found
@@ -486,22 +509,22 @@ def gaussian_roots(f: Poly) -> list[GaussianRational]:
         return [-f.coefficient(0) / f.coefficient(1)] if len(cs) == 2 else []
     n = len(cs) - 1
     g, p = _monic(cs), _prime_after(max(n, 20))
-    s, residues = _reduction(g, p)
+    _, residues = _reduction(g, p)
     if _multiple(residues):
         if n > _CERTIFY_ABOVE and _certified_squarefree(cs):
             p = _prime_after(p)
         else:
             if sum(e for _, e in residues) == n:
-                found = _lifted_roots(g, p, s, residues)
+                found = _lifted_roots(g, p, residues)
                 if sum(e for _, _, e in found) == n:
                     return _divided_by_leading(found, cs)
             cs = _squarefree(cs)
             g = _monic(cs)
-        s, residues = _reduction(g, p)
+        _, residues = _reduction(g, p)
         while _multiple(residues):
             p = _prime_after(p)
-            s, residues = _reduction(g, p)
-    return _divided_by_leading(_lifted_roots(g, p, s, residues), cs)
+            _, residues = _reduction(g, p)
+    return _divided_by_leading(_lifted_roots(g, p, residues), cs)
 
 
 def _divided_by_leading(found: list, cs: list) -> list[GaussianRational]:

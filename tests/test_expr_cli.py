@@ -429,6 +429,45 @@ def test_cli_ode2ab_work_limit_is_inclusive(capsys, tmp_path, monkeypatch):
     assert run_cli(capsys, "ode2ab", "--system", system, "--order", "1")[0] == 0
 
 
+def _act_series_file(path, d: int, bound: int = 300):
+    """The README's series of the act rows: z^0..z^bound, the m-th coefficient
+    (N + m)/(N - 2m + 1) - (N + 3m)/(N + m + 2) i with N = 10^(d-1) + 7."""
+    n = 10 ** (d - 1) + 7
+    path.write_text(json.dumps(polyseries_to_json(PolySeries(bound, {
+        m: GaussianRational(Fraction(n + m, n - 2 * m + 1), -Fraction(n + 3 * m, n + m + 2))
+        for m in range(bound + 1)}))))
+    return str(path)
+
+
+def test_cli_act_refuses_work_over_the_limit_before_any_arithmetic(capsys, tmp_path):
+    # on the README series with 100-digit denominators this ran 26-33 s
+    # before it exited 3; with 30-digit ones the oracle took 3.3-4.1 s
+    assert cli.MAX_ACT_WORK == 200_000_000
+    for d in (100, 30):
+        series = _act_series_file(tmp_path / "series.json", d)
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "act", "--order", "100", "--input", series,
+                                 "(1+a+b)^100")
+        assert time.perf_counter() - start < 2
+        assert code == 2 and out == "" and "is over 200000000" in err
+
+
+def test_cli_act_work_limit_is_inclusive(capsys, tmp_path, monkeypatch):
+    # a - 3*b on z^0 + z^1 at degree bound 6: the degrees 1 and 2 are reached,
+    # T = 2, D = 1, w_t = 1 + 4 // 64 and w_x = 1 + 2 // 64, so the work is
+    # 2 ((2 + 1) (1 + 16) + (1 + 1)^2 // 8) = 102
+    series = tmp_path / "f.json"
+    series.write_text(json.dumps(polyseries_to_json(PolySeries(6, {0: 1, 1: 1}))))
+    act = ("act", "--input", str(series), "--order", "2", "--degree", "6", "a - 3*b")
+    code, out, _ = run_cli(capsys, *act)
+    assert code == 0 and [t["m"] for t in json.loads(out)["terms"]] == [1, 2]
+    monkeypatch.setattr(cli, "MAX_ACT_WORK", 102)
+    assert run_cli(capsys, *act)[:2] == (0, out)
+    monkeypatch.setattr(cli, "MAX_ACT_WORK", 101)
+    code, out, err = run_cli(capsys, *act)
+    assert code == 2 and out == "" and "on this series, 102, is over 101" in err
+
+
 def test_cli_refuses_a_matrix_above_the_rank_limit_before_any_arithmetic(capsys, tmp_path):
     k = MAX_RANK + 1
     theta = QMatrix([[GaussianRational(Fraction(7 * i - 3 * j, j % 5 + 1), Fraction(1, 3))

@@ -11,6 +11,7 @@ import ast
 import hashlib
 import importlib
 import importlib.util
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -195,7 +196,8 @@ def _value_cases():
             "order=1)"),
         "SimplePoleModule": (
             lambda v: SimplePoleModule(QMatrix([[Fraction(1, 2) + v]]), 1),
-            ("theta", "order"), False, "SimplePoleModule(theta=<QMatrix 1x1 [1/2]>, order=1)"),
+            ("theta", "order", "_factors"), False,
+            "SimplePoleModule(theta=<QMatrix 1x1 [1/2]>, order=1)"),
         "ModuleElement": (
             lambda v: module.zero() if v else module.basis_vector(0),
             ("module", "entries"), False,
@@ -256,6 +258,25 @@ def test_a_factored_product_compares_without_its_caches():
     expansion, inverses = used.expanded(), used.unit_inverses
     assert used.expanded() is expansion and used.unit_inverses is inverses
     assert used == fresh and repr(used) == repr(fresh) and fresh.expanded() == expansion
+
+
+def test_a_simple_pole_module_compares_without_its_cache():
+    """A used module and a fresh one are ==, show the same repr, reduce (the
+    state pickle and copy store) to theta and the order alone, and act alike."""
+    import copy
+    from fractions import Fraction
+    from abalg.elements import RIGHT, AlgebraElement
+    from abalg.linalg import QMatrix
+    from abalg.modules import SimplePoleModule, act
+    theta = QMatrix([[Fraction(1, 2), 1], [0, Fraction(-1, 3)]])
+    used, fresh = SimplePoleModule(theta, 4), SimplePoleModule(theta, 4)
+    x = AlgebraElement.monomial(3, 1, 4, ordering=RIGHT)
+    acted = act(x, used.basis_vector(0), used)
+    assert used._factors is not None and fresh._factors is None
+    assert used == fresh and repr(used) == repr(fresh)
+    assert used.__reduce__() == fresh.__reduce__() == (SimplePoleModule, (theta, 4))
+    assert copy.copy(used) == used and copy.copy(used)._factors is None
+    assert act(x, fresh.basis_vector(0), fresh) == acted
 
 
 def private_imports(source: str) -> list[str]:
@@ -344,9 +365,15 @@ def test_a_tiny_traced_run_finds_every_span_owner_loaded(workload):
     """The tracer looks each span's module up in sys.modules: a lazy import
     that keeps one of them unloaded must fail here, not only in
     `perfbench/check_bench.py`.  Each workload loads its own modules, so
-    each gets a tiny traced run (about 2 s)."""
+    each gets a tiny traced run (about 2 s).  On module-stack the module
+    action and the root search, whose caches keep work out of later calls,
+    still show self time."""
     result = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--trace", "1",
          "--tiny", "--seconds", "0.3"],
         cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert result.returncode == 0, result.stderr
+    if workload == "module-stack":
+        metrics = json.loads(result.stdout.splitlines()[-1])["metrics"]
+        assert metrics["modules.act_self_s"]["value"] > 0
+        assert metrics["polynomials.roots_self_s"]["value"] > 0

@@ -1085,6 +1085,25 @@ def test_one_reduction_reads_off_roots_that_meet_under_the_other_sign_of_i(
     _assert_multiplicities(f, found)
 
 
+def test_the_per_prime_constants_meet_their_definitions():
+    """For the first five primes p = 1 mod 4 above 20 and 0 to 4 squarings:
+    s^2 = -1 mod p, t = s mod p, t^2 = -1 mod M = p^(2^k), |gamma|^2 = M and
+    gamma divides t - i, so gamma Z[i] is the kernel of i -> t mod M."""
+    primes = [polynomials._prime_after(20)]
+    while len(primes) < 5:
+        primes.append(polynomials._prime_after(primes[-1]))
+    assert primes == [29, 37, 41, 53, 61]
+    for p in primes:
+        s = polynomials._square_root_of_minus_one(p)
+        assert (s * s + 1) % p == 0
+        for k in range(5):
+            (gr, gi), m, t = polynomials._lift_constants(p, k)
+            assert m == p ** (2 ** k) and t % p == s and (t * t + 1) % m == 0
+            assert gr * gr + gi * gi == m
+            # (t - i) conj(gamma) / M is a Gaussian integer
+            assert (t * gr - gi) % m == 0 and (-t * gi - gr) % m == 0
+
+
 @given(planted_products())
 def test_root_bound_covers_every_root_of_the_monic_form(case):
     """_root_bound from bit lengths is at least max(|u|, |v|) for each root

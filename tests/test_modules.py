@@ -161,6 +161,31 @@ def test_act_makes_no_product_and_no_reordering(monkeypatch):
         assert res == _act_by_the_left_route(x, v, module)
 
 
+def test_act_builds_each_shift_factor_once_per_module(monkeypatch):
+    """act_on_basis at rank 3 and b-order 8 builds F_2..F_8 with one matrix
+    product each across its three acts (F_0 = I and F_1 = T need none); a
+    later act that reaches a higher a-power only extends the list."""
+    n, r = 8, rng()
+    theta = random_matrix(r, 3)
+    x = AlgebraElement(n, RIGHT, {(8, 0): 1, (2, 3): Fraction(1, 2), (0, 1): -3})
+    low, high = power(gen_a(n), 3).to_right(), power(gen_a(n), 6).to_right()
+    v = _sparse_vector(r, SimplePoleModule(theta, n))
+    expected = [act_on_basis(x, SimplePoleModule(theta, n))] + [
+        act(y, v, SimplePoleModule(theta, n)) for y in (low, high, low)]
+    products = []
+    matmul = modules._int_matmul
+    monkeypatch.setattr(modules, "_int_matmul", lambda a, b: products.append(1) or matmul(a, b))
+    assert act_on_basis(x, SimplePoleModule(theta, n)) == expected[0]
+    assert len(products) == 7
+    module = SimplePoleModule(theta, n)
+    counts = []
+    for y, want in zip((low, high, low), expected[1:]):
+        products.clear()
+        assert act(y, v, module) == want
+        counts.append(len(products))
+    assert counts == [2, 3, 0] and len(module._factors) == 7
+
+
 def _refuse_everywhere(monkeypatch, names):
     """Make each named coefficients function raise in every abalg module that holds it."""
     def refuse(*args):

@@ -68,8 +68,8 @@ def _act_work(x: AlgebraElement, f) -> int:
     reached = len({r + d for r in f.coeffs for d in degrees if r + d <= f.degree_bound})
     w_t = 1 + sum(c.re.denominator.bit_length() + c.im.denominator.bit_length()
                   for c in f.coeffs.values()) // 64
-    w_x = 1 + max(x.den.bit_length(),
-                  *(abs(v).bit_length() for c in x.table.values() for v in c)) // 64
+    w_x = 1 + max([x.den.bit_length(),
+                   *(abs(v).bit_length() for c in x.table.values() for v in c)]) // 64
     return reached * ((len(x.table) + len(degrees) * w_t) * (w_x + 16) + (w_x + w_t) ** 2 // 8)
 
 

@@ -383,14 +383,12 @@ def _square_root_of_minus_one(p: int) -> int:
 def _lift_constants(p: int, k: int) -> tuple:
     """(gamma, M, t) for M = p^(2^k): t = s mod p with t^2 = -1 mod M, for
     s = _square_root_of_minus_one(p), and gamma = pi^(2^k) for
-    pi = gcd(p, s - i), so that gamma Z[i] is the kernel of i -> t mod M.
-    Each k squares the one before and takes one Newton step, as _lift does."""
-    if not k:
-        s = _square_root_of_minus_one(p)
-        return _ggcd((p, 0), (s, -1)), p, s
-    gamma, m, t = _lift_constants(p, k - 1)
-    m *= m
-    return _gmul(gamma, gamma), m, (t - (t * t + 1) * pow(2 * t, -1, m)) % m
+    pi = gcd(p, s - i), so that gamma Z[i] is the kernel of i -> t mod M."""
+    s, m = _square_root_of_minus_one(p), p ** (2 ** k)
+    gamma = _ggcd((p, 0), (s, -1))
+    for _ in range(k):
+        gamma = _gmul(gamma, gamma)
+    return gamma, m, _lift([1, 0, 1], [0, 2], s, p, m)
 
 
 def _reduction(g: list, p: int):

@@ -439,17 +439,30 @@ def _act_series_file(path, d: int, bound: int = 300):
     return str(path)
 
 
-def test_cli_act_refuses_work_over_the_limit_before_any_arithmetic(capsys, tmp_path):
+def test_cli_act_refuses_work_over_the_limit_before_any_arithmetic(
+        capsys, tmp_path, monkeypatch):
     # on the README series with 100-digit denominators this ran 26-33 s
     # before it exited 3; with 30-digit ones the oracle took 3.3-4.1 s
+    from abalg import oracle
+
+    def refused(x, f):
+        raise AssertionError("the oracle ran on a refused request")
+    monkeypatch.setattr(oracle, "act", refused)
     assert cli.MAX_ACT_WORK == 200_000_000
     for d in (100, 30):
         series = _act_series_file(tmp_path / "series.json", d)
-        start = time.perf_counter()
         code, out, err = run_cli(capsys, "act", "--order", "100", "--input", series,
                                  "(1+a+b)^100")
-        assert time.perf_counter() - start < 2
         assert code == 2 and out == "" and "is over 200000000" in err
+
+
+@pytest.mark.parametrize("expr", ["0", "a - a"])
+def test_cli_act_of_zero_is_the_zero_series(capsys, tmp_path, expr):
+    # zero has no terms, so its work estimate reads X's size off the
+    # denominator alone
+    series = _act_series_file(tmp_path / "series.json", 3, bound=10)
+    code, out, _ = run_cli(capsys, "act", "--order", "4", "--input", series, expr)
+    assert code == 0 and json.loads(out)["terms"] == []
 
 
 def test_cli_act_work_limit_is_inclusive(capsys, tmp_path, monkeypatch):

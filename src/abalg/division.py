@@ -271,11 +271,11 @@ class FactoredProduct(Frozen):
 
     @property
     def unit_inverses(self) -> tuple:
-        """S_i^(-1) for each factor, at the product's order, computed once, as
-        the AlgebraElement that BSeries stores."""
+        """S_i^(-1) for each factor, at the product's order, computed once by
+        invert on the AlgebraElement that BSeries stores."""
         if self._unit_inverses is None:
             object.__setattr__(self, "_unit_inverses",
-                               tuple(s.inverse().element for _, s in self.factors))
+                               tuple(invert(s.element) for _, s in self.factors))
         return self._unit_inverses
 
     def expanded(self, order: int | None = None) -> AlgebraElement:

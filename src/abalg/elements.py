@@ -102,6 +102,9 @@ class AlgebraElement:
     def __setattr__(self, name, value):
         raise AttributeError("AlgebraElement is immutable")
 
+    def __reduce__(self):
+        return _make, (self.order, self.ordering, self.den, self.table)
+
     # -- constructors --------------------------------------------------
 
     @staticmethod
@@ -512,16 +515,14 @@ def anti_automorphism(x: AlgebraElement, ordering: Ordering | None = None) -> Al
 
 
 def binomial_pow(x, p: int, order: int) -> AlgebraElement:
-    """(a + x*b)^p expanded in RIGHT ordering.
+    """(a + x*b)^p expanded in RIGHT ordering: the shear a -> a + x*b of a^p.
 
     Closed form: sum_j x(x+1)...(x+j-1) * C(p, j) * b^j a^(p-j).
     Agrees with the p-fold product of (a + x*b).
     """
     if p > order:
         raise OrderMismatchError(f"degree {p} exceeds truncation order {order}")
-    e, rows = _binomial_rows(GaussianRational.coerce(x), p)
-    return AlgebraElement.from_ints(order, RIGHT, e ** p,
-                                    {(p - j, j): c for j, c in enumerate(rows[p])})
+    return shear(x, AlgebraElement.monomial(p, 0, order, ordering=RIGHT))
 
 
 def shear(x, X: AlgebraElement) -> AlgebraElement:

@@ -42,6 +42,9 @@ class QMatrix:
     def __setattr__(self, name, value):
         raise AttributeError("QMatrix is immutable")
 
+    def __reduce__(self):
+        return QMatrix.from_ints, (self.den, self.table)
+
     @staticmethod
     def from_ints(den: int, table) -> QMatrix:
         """Entry (i, j) is (re + im*i) / den for table[i][j] == (re, im); den >= 1."""

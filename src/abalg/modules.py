@@ -374,7 +374,7 @@ def from_differential_system(system: DifferentialSystem, order: int
     b^n, W_d[n] = sum_(s+u=n-1) W_(d-1)[s] X_u + (n-1) W_(d-1)[n-1], and
     W_(d-1)[s] = 0 for s < d (a raises b-valuation), so W_d[t+1] needs only
     X_0..X_(t-1): X_t = [t = 0] M_0 + sum_(d>=1) M_d W_d[t+1] comes one
-    coefficient at a time, as in BSeries.inverse.
+    coefficient at a time, as the degree blocks of division.invert do.
 
     The recurrence runs on Gaussian-integer matrices: with D the lcm of the
     denominators of M_0..M_order and M~_d = D M_d, the matrices

@@ -45,6 +45,9 @@ class Poly:
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
 
+    def __reduce__(self):
+        return Poly.from_ints, (self.den, self.table)
+
     @staticmethod
     def from_ints(den: int, table) -> Poly:
         """sum_j (re_j + im_j*i) / den x^j for table[j] == (re_j, im_j), den >= 1."""
@@ -92,10 +95,14 @@ class Poly:
         return hash((self.den, self.table))
 
     def __add__(self, other):
+        if not isinstance(other, Poly):
+            return NotImplemented
         n = max(len(self.table), len(other.table))
         return Poly([self.coefficient(k) + other.coefficient(k) for k in range(n)])
 
     def __sub__(self, other):
+        if not isinstance(other, Poly):
+            return NotImplemented
         n = max(len(self.table), len(other.table))
         return Poly([self.coefficient(k) - other.coefficient(k) for k in range(n)])
 

@@ -5,11 +5,13 @@ Both are views of one AlgebraElement, stored as `element`.
 BSeries is a truncated series c_0 + c_1 b + ... + c_N b^N, stored as an
 order-N LEFT element whose keys are all (0, q).  These are the scalars of
 every module structure in the package.  Sums, scaling, truncation and
-comparison are the element's; shifted, derivative and inverse (unit
-inversion, and the derivative that the commutation rule
-a S(b) = S(b) a + b^2 S'(b) consumes) read its integer table.  `coeffs`
-and `coefficient` are built on each call.  `__mul__` stays a
-GaussianRational Cauchy product over `coeffs`: it referees `inverse`.
+comparison are the element's; shifted and derivative (the derivative that
+the commutation rule a S(b) = S(b) a + b^2 S'(b) consumes) read its
+integer table.  `inverse` is division.invert on the element: a unit of the
+b-subalgebra is a unit of the algebra, with an inverse in b again, so one
+inversion serves both.  `coeffs` and `coefficient` are built on each call.
+`__mul__` stays a GaussianRational Cauchy product over `coeffs`: it
+referees `invert` on b-series.
 
 APolynomial is sum_j S_j(b) a^j, stored as the order-N RIGHT element.
 `parts` gives back S_0..S_k, S_j at b-order N-j, as far as the
@@ -22,7 +24,7 @@ import math
 
 from .coefficients import GaussianRational, ONE, ZERO
 from .elements import LEFT, RIGHT, AlgebraElement, Ordering, _make, scale, with_ordering
-from .errors import OrderMismatchError, ZeroConstantTermError
+from .errors import OrderMismatchError
 
 
 def _wrap(cls, x: AlgebraElement):
@@ -49,6 +51,9 @@ class BSeries:
 
     def __setattr__(self, name, value):
         raise AttributeError("BSeries is immutable")
+
+    def __reduce__(self):
+        return BSeries.from_element, (self.element,)
 
     # -- constructors ---------------------------------------------------
 
@@ -175,50 +180,10 @@ class BSeries:
             {(0, q - 1): (re * q, im * q) for (_, q), (re, im) in x.table.items() if q}))
 
     def inverse(self) -> BSeries:
-        """The multiplicative inverse of a unit, by the Cauchy-product recursion.
-
-        The loop runs on the stored integers: the series is T / D, and
-        U = conj(T_0) T / g has the positive integer constant term
-        N = |T_0|^2 / g, g the gcd of |T_0|^2 and the parts of conj(T_0) T.
-        Then Y_n = N^(n+1) (U^(-1))_n is a Gaussian integer, with Y_0 = 1 and
-
-            Y_n = - sum_(i=1..n) U_i Y_(n-i) N^(i-1),
-
-        and the inverse has the b^n coefficient D conj(T_0) Y_n / (g N^(n+1)),
-        brought over g N^(order+1) at the end.
-        """
-        x = self.element
-        order = x.order
-        if (0, 0) not in x.table:
-            raise ZeroConstantTermError("b-series with zero constant term has no inverse")
-        cr, ci = x.table[(0, 0)]
-        norm = cr * cr + ci * ci
-        u = [(0, 0)] * (order + 1)
-        for (_, q), (re, im) in x.table.items():
-            u[q] = (re * cr + im * ci, im * cr - re * ci)
-        g = math.gcd(norm, *(part for c in u for part in c))
-        norm //= g
-        u = [(re // g, im // g) for re, im in u]
-        powers = [1]  # N^i for i = 0..order
-        for _ in range(order):
-            powers.append(powers[-1] * norm)
-        y = [(1, 0)]
-        for n in range(1, order + 1):
-            re = im = 0
-            for i in range(1, n + 1):
-                ur, ui = u[i]
-                if ur or ui:
-                    yr, yi = y[n - i]
-                    p = powers[i - 1]
-                    re += (ur * yr - ui * yi) * p
-                    im += (ur * yi + ui * yr) * p
-            y.append((-re, -im))
-        table = {}
-        for n, (yr, yi) in enumerate(y):
-            s = x.den * powers[order - n]
-            table[(0, n)] = ((yr * cr + yi * ci) * s, (yi * cr - yr * ci) * s)
-        return _wrap(BSeries, AlgebraElement.from_ints(order, LEFT, g * norm * powers[order],
-                                                       table))
+        """The multiplicative inverse of a unit: division.invert on the element,
+        since the inverse of a unit of the b-subalgebra is again a series in b."""
+        from .division import invert
+        return _wrap(BSeries, invert(self.element))
 
     def __repr__(self):
         terms = " + ".join(f"({c})b^{q}" for q, c in enumerate(self.coeffs) if c) or "0"
@@ -252,6 +217,9 @@ class APolynomial:
 
     def __setattr__(self, name, value):
         raise AttributeError("APolynomial is immutable")
+
+    def __reduce__(self):
+        return APolynomial.from_element, (self.element,)
 
     @staticmethod
     def zero(order: int) -> APolynomial:

@@ -60,10 +60,14 @@ def test_invert_is_two_sided_and_respects_scaling():
             assert invert(scale(c, x)) == scale(c.inverse(), y)
 
 
-def test_invert_agrees_with_series_inverse_on_b():
+def test_invert_on_b_is_refereed_by_the_cauchy_product():
+    """A unit of the b-subalgebra inverts to a b-series, which the
+    GaussianRational Cauchy product BSeries.__mul__ checks on both sides."""
     n = 9
     s = BSeries(n, {0: 2, 1: GaussianRational(Fraction(-1, 2)), 3: 1})
-    assert invert(s.to_element()) == s.inverse().to_element()
+    inverse = BSeries.from_element(invert(s.to_element()))
+    assert s * inverse == inverse * s == BSeries.one(n)
+    assert s.inverse() == inverse
 
 
 def _bits(n: int) -> int:
@@ -152,19 +156,44 @@ def test_divide_inverts_each_unit_part_once(monkeypatch):
                                     for k in range(3)), n)
     dividends = [random_element(r, n, terms=5) for _ in range(4)]
     inverted = []
-    original = BSeries.inverse
+    original = division.invert
 
-    def counted(self):
-        inverted.append(self.order)
-        return original(self)
+    def counted(x):
+        inverted.append(x.order)
+        return original(x)
 
-    monkeypatch.setattr(BSeries, "inverse", counted)
+    monkeypatch.setattr(division, "invert", counted)
     results = [divide(x, product) for x in dividends]
     monkeypatch.undo()
     assert inverted == [n] * 3
     for x, res in zip(dividends, results):
         recon = mul(res.quotient.lifted(n), product.expanded()) + res.remainder.to_element(LEFT)
         assert recon == x
+
+
+def test_unit_inverses_invert_each_unit_part_once(monkeypatch):
+    """The first read calls division.invert once per unit part, on the element
+    the part stores; a second read calls it no more."""
+    r = rng()
+    n = 8
+    product = FactoredProduct(tuple((GaussianRational(k), random_bseries_unit(r, n))
+                                    for k in range(3)), n)
+    calls = []
+    original = division.invert
+
+    def counted(x):
+        calls.append(x)
+        return original(x)
+
+    monkeypatch.setattr(division, "invert", counted)
+    inverses = product.unit_inverses
+    assert len(calls) == 3
+    assert all(x is s.element for x, (_, s) in zip(calls, product.factors))
+    calls.clear()
+    assert product.unit_inverses is inverses and calls == []
+    monkeypatch.undo()
+    for (_, s), y in zip(product.factors, inverses):
+        assert s * BSeries.from_element(y) == BSeries.one(n)
 
 
 def test_divide_agrees_with_the_running_tail_formula():

@@ -138,7 +138,7 @@ REFEREE_DIGESTS = {
     "linalg.evaluate_poly_at_matrix":
         "c346cec144b72d043799e5b039a4e8117d4b8728f9717c5eeab6d3c7f50ab040",
     "polynomials.Poly.__call__": "ed90ecf0fe4e4d230c9372002a2224c4c1b1ae809754319eb8d755763ec8412d",
-    # the GaussianRational Cauchy product over `coeffs` referees BSeries.inverse
+    # the GaussianRational Cauchy product over `coeffs` referees invert on b-series
     "series.BSeries.__mul__":
         "81a8af515df4527bf94d7322ba138042963cca681f99be394826d18b52ff29c0",
 }
@@ -277,6 +277,49 @@ def test_a_simple_pole_module_compares_without_its_cache():
     assert used.__reduce__() == fresh.__reduce__() == (SimplePoleModule, (theta, 4))
     assert copy.copy(used) == used and copy.copy(used)._factors is None
     assert act(x, fresh.basis_vector(0), fresh) == acted
+
+
+def _copied_values():
+    """name -> (value, its cache slots) for the six non-Frozen value classes, a
+    SimplePoleModule that has acted and a FactoredProduct whose caches are full."""
+    from fractions import Fraction
+    from abalg.coefficients import GaussianRational
+    from abalg.division import FactoredProduct
+    from abalg.elements import RIGHT, AlgebraElement
+    from abalg.linalg import QMatrix
+    from abalg.modules import SimplePoleModule, act
+    from abalg.polynomials import Poly
+    from abalg.series import APolynomial, BSeries
+
+    z = GaussianRational(Fraction(1, 2), Fraction(-3, 5))
+    s = BSeries(3, {0: 2, 2: z})
+    module = SimplePoleModule(QMatrix([[Fraction(1, 2), z], [0, Fraction(-1, 3)]]), 4)
+    act(AlgebraElement.monomial(3, 1, 4, ordering=RIGHT), module.basis_vector(0), module)
+    product = FactoredProduct(((z, s), (1, BSeries.one(3))), 3)
+    product.unit_inverses, product.expanded()
+    return {
+        "GaussianRational": (z, ()),
+        "AlgebraElement": (AlgebraElement(3, RIGHT, {(1, 1): z, (0, 2): 3}), ()),
+        "BSeries": (s, ()),
+        "APolynomial": (APolynomial(3, [s, BSeries.one(3)]), ()),
+        "QMatrix": (QMatrix([[1, z], [Fraction(2, 7), 0]]), ()),
+        "Poly": (Poly([z, 0, 1]), ()),
+        "SimplePoleModule": (module, ("_factors",)),
+        "FactoredProduct": (product, ("_unit_inverses", "_expansion")),
+    }
+
+
+@pytest.mark.parametrize("name", list(_copied_values()))
+def test_the_value_classes_copy_and_pickle(name):
+    """copy.copy, copy.deepcopy and a pickle round trip give == values of the
+    same class, and no cache travels with them."""
+    import copy
+    import pickle
+    x, caches = _copied_values()[name]
+    assert all(getattr(x, slot) is not None for slot in caches)
+    for y in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+        assert type(y) is type(x) and y == x and repr(y) == repr(x)
+        assert all(getattr(y, slot) is None for slot in caches)
 
 
 def private_imports(source: str) -> list[str]:

@@ -90,6 +90,17 @@ def test_poly_divmod_and_gcd():
     assert q == Poly.from_roots([2, 3]) and r.is_zero
 
 
+def test_poly_plus_or_minus_a_non_poly_is_a_type_error():
+    f = Poly([1])
+    for other in (1, Fraction(1, 2), GaussianRational(1)):
+        with pytest.raises(TypeError):
+            f + other
+        with pytest.raises(TypeError):
+            f - other
+        with pytest.raises(TypeError):
+            other - f
+
+
 def test_interpolation():
     pts = [(0, 1), (1, 2), (2, 5), (3, 10)]
     assert interpolate(pts) == Poly([1, 0, 1])

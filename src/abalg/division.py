@@ -15,10 +15,14 @@ a factored division peels the factors from the right on one table, each
 peel a convolution in the b-power by S_i^(-1) and one synthetic division,
 builds Q alone and takes R = x - Q P, with Q P multiplied out factor by
 factor on Q's table (_times_factors): P is never expanded and no generic
-product is made.  The b-series and a-polynomials taken and given (unit
+product is made.  The integers of each factor (lam_i, S_i and S_i^(-1)
+over their denominators, the terms sorted by b-power) are built once per
+product and cached on it, so repeated divisions split no scalar and sort no
+unit part again.  The b-series and a-polynomials taken and given (unit
 parts, their cached inverses, the remainders) are views of elements (see
 series), so no coefficient is split into integers or rebuilt as a fraction
-at either end.
+at either end.  Factorization peels its roots on one integer row, the
+monic core's LEFT numerators, with the same synthetic division.
 
 The polynomial layer is imported by remainder_polynomial and
 factor_homogeneous, the two functions that use it, so that inv, div-linear
@@ -236,11 +240,16 @@ def power_division_closed_form(m: int, lam) -> tuple[AlgebraElement, BSeries]:
 
 
 class FactoredProduct(Frozen):
-    """An ordered product of factors (a - lam_i b) S_i with unit S_i."""
+    """An ordered product of factors (a - lam_i b) S_i with unit S_i.
 
-    # factors: tuple of (GaussianRational, BSeries); the last two slots cache
-    # unit_inverses and the expansion, filled on first use
-    __slots__ = ("factors", "order", "_unit_inverses", "_expansion")
+    Three caches, each filled on first use and kept out of ==, hash, repr,
+    copy and pickle: the inverses S_i^(-1) (unit_inverses), the expansion
+    (expanded), and the integers of every factor that divide and
+    _times_factors read (factor_ints).
+    """
+
+    # factors: tuple of (GaussianRational, BSeries)
+    __slots__ = ("factors", "order", "_unit_inverses", "_expansion", "_factor_ints")
 
     def __init__(self, factors: tuple, order: int):
         if not factors:
@@ -255,7 +264,7 @@ class FactoredProduct(Frozen):
                 raise ZeroConstantTermError("unit part has zero constant term")
             checked.append((lam, s))
         super().__init__(factors=tuple(checked), order=order, _unit_inverses=None,
-                         _expansion=None)
+                         _expansion=None, _factor_ints=None)
 
     @staticmethod
     def linear(lam, order: int) -> FactoredProduct:
@@ -278,6 +287,20 @@ class FactoredProduct(Frozen):
                                tuple(invert(s.element) for _, s in self.factors))
         return self._unit_inverses
 
+    @property
+    def factor_ints(self) -> tuple:
+        """(e, (L_re, L_im), d, terms, d_inv, terms_inv) for each factor, built once.
+
+        lam_i = (L_re + L_im*i) / e in lowest terms; S_i is the sum of
+        (re + im*i) / d b^j over its terms (j, re, im), sorted by j, and
+        S_i^(-1) likewise over d_inv.
+        """
+        if self._factor_ints is None:
+            object.__setattr__(self, "_factor_ints", tuple(
+                (*_scalar_ints(lam), *_series_ints(s.element), *_series_ints(inverse))
+                for (lam, s), inverse in zip(self.factors, self.unit_inverses)))
+        return self._factor_ints
+
     def expanded(self, order: int | None = None) -> AlgebraElement:
         """The product, at an order up to its own (the default); expanded once.
 
@@ -296,6 +319,11 @@ class FactoredProduct(Frozen):
         return self._expansion.truncated(order)
 
 
+def _series_ints(s: AlgebraElement) -> tuple[int, tuple]:
+    """(den, terms): the b-series s as (re + im*i) / den at each term (j, re, im), by j."""
+    return s.den, tuple(sorted((j, re, im) for (_, j), (re, im) in s.table.items()))
+
+
 class DivisionResult(Frozen):
     """x = quotient * P + remainder, exactly modulo total degree > order."""
 
@@ -306,30 +334,31 @@ class DivisionResult(Frozen):
         super().__init__(quotient=quotient, remainder=remainder)
 
 
-def _times_factors(order: int, den: int, table: dict, factors: tuple) -> tuple[int, dict]:
+def _times_factors(order: int, den: int, table: dict, factor_ints: tuple) -> tuple[int, dict]:
     """(D, T) with T / D the LEFT table of X (a - lam_1 b) S_1 ... (a - lam_k b) S_k
-    to order N, X = table / den on the LEFT basis.
+    to order N, X = table / den on the LEFT basis, the factors given by
+    their integers (FactoredProduct.factor_ints).
 
     Since b^q a = a b^q - q b^(q+1),
 
         a^p b^q (a - lam b) = a^(p+1) b^q - (q + lam) a^p b^(q+1),
 
     so with lam = L / e a linear factor is one pass over the table, which
-    goes over den * e; a unit part S = T_S / d_S (terms b^j) is one
-    convolution in the b-power against its terms, over den * d_S.  Each
-    linear factor raises the degree by one, so after the t-th factor only
-    terms of degree <= N - k + t can reach the product: the rest are
-    dropped as they appear.  The table is flat, the key (p, q) at
-    p * (N + 1) + q, and no content is divided out: D is den times the
-    denominators of the factors.
+    goes over den * e; a unit part S = T_S / d_S (terms b^j, sorted by j)
+    is one convolution in the b-power against its terms, over den * d_S,
+    and S = 1 is skipped.  Each linear factor raises the degree by one, so
+    after the t-th factor only terms of degree <= N - k + t can reach the
+    product: the rest are dropped as they appear.  The table is flat, the
+    key (p, q) at p * (N + 1) + q, and no content is divided out: D is den
+    times the denominators of the factors.
     """
     width = order + 1
     size = width * width
     xr, xi = [0] * size, [0] * size
     for (p, q), (re, im) in table.items():
         xr[p * width + q], xi[p * width + q] = re, im
-    for top, (lam, s) in enumerate(factors, order - len(factors) + 1):
-        e, (lr, li) = _scalar_ints(lam)
+    for top, (e, (lr, li), s_den, terms, _, _) in enumerate(factor_ints,
+                                                            order - len(factor_ints) + 1):
         yr, yi = [0] * size, [0] * size
         for p in range(top):
             i = p * width
@@ -343,12 +372,10 @@ def _times_factors(order: int, den: int, table: dict, factors: tuple) -> tuple[i
                     yr[j - width + 1] -= cr * re - li * im
                     yi[j - width + 1] -= cr * im + li * re
         den *= e
-        s = s.element
-        terms = sorted((j, sr, si) for (_, j), (sr, si) in s.table.items() if j <= top)
-        if s.den == 1 and terms == [(0, 1, 0)]:
+        if s_den == 1 and terms == ((0, 1, 0),):
             xr, xi = yr, yi
             continue
-        den *= s.den
+        den *= s_den
         xr, xi = [0] * size, [0] * size
         for p in range(top + 1):
             i = p * width
@@ -388,21 +415,23 @@ def divide(x: AlgebraElement, product: FactoredProduct) -> DivisionResult:
             f"divisor known only to order {product.order} < dividend order {x.order}")
     left = with_ordering(x, LEFT)
     order, den, table = x.order, left.den, left.table
-    for top, (lam, _), s in zip(range(order, 0, -1), reversed(product.factors),
-                                reversed(product.unit_inverses)):
+    ints = product.factor_ints
+    for top, (e, lam, _, _, inv_den, inv_terms) in zip(range(order, 0, -1), reversed(ints)):
         rows = _by_degree(table, top)
         # terms past top are dropped: the inverse of a truncation truncates the inverse
         dense = [None] * (top + 1)
-        for j, (sr, si) in ((j, c) for (_, j), c in s.table.items() if j <= top):
+        for j, sr, si in inv_terms:
+            if j > top:
+                break
             for n, row in enumerate(rows[:top - j + 1]):
                 if row:
                     tr, ti = dense[n + j] = dense[n + j] or ([0] * (n + j + 1), [0] * (n + j + 1))
                     for p, _, xr, xi in row:
                         tr[p] += xr * sr - xi * si
                         ti[p] += xr * si + xi * sr
-        den, table = _synthetic_division(dense, top, den * s.den, *_scalar_ints(lam))
+        den, table = _synthetic_division(dense, top, den * inv_den, e, lam)
     quotient = _make(order - k, LEFT, den, table)
-    qp_den, qp = _times_factors(order, den, table, product.factors)
+    qp_den, qp = _times_factors(order, den, table, ints)
     den = math.lcm(left.den, qp_den)
     fx, fq = den // left.den, den // qp_den
     table = {key: (re * fx, im * fx) for key, (re, im) in left.table.items()}
@@ -517,14 +546,17 @@ def factor_homogeneous(x: AlgebraElement) -> HomogeneousFactorization:
     with multiplicity.  With the roots of the monic core's rho sorted by
     (re, im) descending, r_0 >= r_1 >= ..., step t peels lam_t = r_t + t;
     a real integer shift keeps the (re, im) order, so that is the largest
-    root at every step.  divide_linear's remainder must vanish at each
-    peel, which checks the rule exactly.
+    root at every step.  Each peel is one _synthetic_division (divide_linear's
+    kernel) of a single row, the quotient of the last, and its remainder
+    must vanish exactly, which checks the rule.
 
     The monic core is built once on the RIGHT basis, where
     remainder_polynomial reads it as it stands, and converted to LEFT once
-    for the peels.  The roots are sorted on integer keys, their parts over
-    one common denominator, and each lam_t is formed from the integers of
-    r_t's real part and t.
+    for its numerators: the degree-n core is one integer row, X_(p,n-p) for
+    p = 0..n over one denominator, and the unpeeled core comes back as an
+    element once, at the end.  The roots are sorted on integer keys, their
+    parts over one common denominator, and each lam_t is formed from the
+    integers of r_t's real part and t.
     """
     if x.is_zero:
         raise ZeroElementError("cannot factor the zero element")
@@ -546,19 +578,28 @@ def factor_homogeneous(x: AlgebraElement) -> HomogeneousFactorization:
     roots.sort(key=lambda z: (z.re.numerator * (d // z.re.denominator),
                               z.im.numerator * (d // z.im.denominator)), reverse=True)
     lambdas = []
+    den, table, rem = core.den, core.table, {}
     for t, r in enumerate(roots):
-        n, e = r.re.as_integer_ratio()
-        lam = GaussianRational(Fraction(n + t * e, e), r.im)
-        q, rem = divide_linear(core, lam)
-        if not rem.is_zero:
+        n = m - t  # the degree of the core that step t peels
+        xr, xi = [0] * (n + 1), [0] * (n + 1)
+        for (p, _), (re, im) in table.items():
+            xr[p], xi[p] = re, im
+        num, e = r.re.as_integer_ratio()
+        lam = GaussianRational(Fraction(num + t * e, e), r.im)
+        den, table = _synthetic_division([None] * n + [(xr, xi)], order, den,
+                                         *_scalar_ints(lam), rem)
+        if rem[(0, n)] != (0, 0):
             raise AssertionError("root of the remainder polynomial left a remainder; bug")
         lambdas.append(lam)
-        core = q.lifted(order)
     lambdas.reverse()
+    if len(roots) == m:
+        core = None
+    elif roots:
+        core = _make(order, LEFT, den, table)
     return HomogeneousFactorization(
         scale=over(lr, li, right.den),
         b_power=j,
         lambdas=tuple(lambdas),
-        core=core if core.degree else None,
+        core=core,
         order=order,
     )

@@ -197,8 +197,14 @@ def act(x: AlgebraElement, v: ModuleElement, module: SimplePoleModule) -> Module
 
 
 def bernstein(module: SimplePoleModule) -> Poly:
-    """The minimal polynomial of -theta (monic, exact)."""
-    return minimal_polynomial(-module.theta)
+    """The minimal polynomial of -theta (monic, exact).
+
+    mu_(-theta)(x) = (-1)^d mu_theta(-x), d = deg mu_theta: coefficient j of
+    mu_theta with the sign (-1)^(d-j), so theta is never negated."""
+    mu = minimal_polynomial(module.theta)
+    d = len(mu.table) - 1
+    return Poly.from_ints(mu.den, [(re, im) if (d - j) % 2 == 0 else (-re, -im)
+                                   for j, (re, im) in enumerate(mu.table)])
 
 
 class SpectrumCheck(Frozen):

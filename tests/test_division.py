@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 
 from abalg import division, elements, polynomials
-from abalg.checks import (_divide_by_the_tail, random_bseries_unit, random_element, random_gaussian,
-                          random_unit)
+from abalg.checks import (_divide_by_the_tail, _factor_by_peeling, random_bseries_unit,
+                          random_element, random_gaussian, random_unit)
 from abalg.coefficients import GaussianRational
 from abalg.division import (FactoredProduct, divide, divide_linear, factor_homogeneous,
                             invert, power_division_closed_form, remainder_polynomial)
@@ -15,7 +15,8 @@ from abalg.errors import (NotHomogeneousError, NotMonicError, OrderMismatchError
                           ZeroConstantTermError, ZeroElementError)
 from abalg.oracle import oracle_check_mul
 from abalg.polynomials import Poly, gaussian_roots, rational_roots
-from abalg.series import BSeries
+from abalg.modules import Fresco, fresco_act
+from abalg.series import APolynomial, BSeries
 
 
 def rng():
@@ -196,6 +197,36 @@ def test_unit_inverses_invert_each_unit_part_once(monkeypatch):
         assert s * BSeries.from_element(y) == BSeries.one(n)
 
 
+def test_each_lambda_is_split_once_per_product(monkeypatch):
+    """divide and fresco_act read the integers of lam_i, S_i and S_i^(-1) from
+    the product (FactoredProduct.factor_ints): division._scalar_ints splits
+    each lam once per product, however many divisions and actions use it."""
+    r = rng()
+    n = 8
+    lambdas = [GaussianRational(Fraction(k + 1, 3), Fraction(-1, k + 2)) for k in range(3)]
+    product = FactoredProduct(tuple((lam, random_bseries_unit(r, n)) for lam in lambdas), n)
+    fresco = Fresco(FactoredProduct(product.factors, n))
+    rep = APolynomial(n, [random_bseries_unit(r, n), BSeries.one(n)])
+    split = []
+    original = division._scalar_ints
+
+    def counted(c):
+        split.append(c)
+        return original(c)
+
+    monkeypatch.setattr(division, "_scalar_ints", counted)
+    results = []
+    for _ in range(3):
+        x = random_element(r, n, terms=6)
+        results.append((x, divide(x, product), fresco_act(x, rep, fresco)))
+    monkeypatch.undo()
+    assert split == lambdas * 2
+    for x, res, acted in results:
+        assert (res.quotient, res.remainder) == _divide_by_the_tail(x, product)
+        assert divide(mul(x, rep.to_element(LEFT)) - acted.to_element(LEFT),
+                      product).remainder.is_zero
+
+
 def test_divide_agrees_with_the_running_tail_formula():
     # divide forms R = x - Q P, which makes Q P + R = x hold by construction;
     # the running-tail formula computes R from the peels' own remainders
@@ -255,7 +286,7 @@ def _by_factors(y, product):
     n = y.order
     left = y.with_ordering(LEFT)
     return AlgebraElement.from_ints(n, LEFT, *division._times_factors(n, left.den, left.table,
-                                                                       product.factors))
+                                                                       product.factor_ints))
 
 
 def test_the_product_by_factors_equals_the_expanded_product():
@@ -555,6 +586,49 @@ def test_factor_random_split_products():
         x = mul(power(gen_b(n), r.randrange(0, 3)), x)
         f = factor_homogeneous(x)
         assert f.complete and f.expanded() == x
+
+
+# rho of a^2 + c b^2 is lam^2 + lam + c, with no root in Q(i) for these c
+_IRREDUCIBLE_CORES = (GaussianRational(7), GaussianRational(2), GaussianRational(Fraction(1, 3)))
+
+
+def test_one_row_peels_agree_with_peeling_after_a_fresh_search():
+    """factor_homogeneous, which peels every root on one integer row, gives
+    the referee's factorization (a fresh root search and divide_linear after
+    every peel) and re-expands to x, on random split forms at orders 1..12:
+    a leading power of b and a scale, linear forms whose lam is repeated,
+    one less than the one before (a double root of rho) or new and Gaussian
+    over denominators up to 7, and irreducible cores a^2 + c b^2."""
+    r = random.Random(211)
+
+    def gaussian():
+        return GaussianRational(Fraction(r.randrange(-9, 10), r.randrange(1, 8)),
+                                Fraction(r.randrange(-9, 10), r.randrange(1, 8)))
+
+    kinds = set()
+    for _ in range(80):
+        order = r.randrange(1, 13)
+        a, b = gen_a(order), gen_b(order)
+        j = r.randrange(0, min(order, 3) + 1)
+        x = scale(gaussian() or GaussianRational(1), power(b, j))
+        room = order - j
+        lam = gaussian()
+        while room and r.random() < 0.9:
+            if room >= 2 and r.random() < 0.15:
+                kinds.add("core")
+                x = mul(x, power(a, 2) + scale(r.choice(_IRREDUCIBLE_CORES), power(b, 2)))
+                room -= 2
+                continue
+            kind = r.choice(["repeat", "one less", "new"])
+            kinds.add(kind)
+            lam = {"repeat": lam, "one less": lam - 1, "new": gaussian()}[kind]
+            x = mul(x, a - scale(lam, b))
+            room -= 1
+        x = x.with_ordering(r.choice([LEFT, RIGHT]))
+        f = factor_homogeneous(x)
+        assert f == _factor_by_peeling(x)
+        assert f.expanded() == x.with_ordering(LEFT)
+    assert kinds == {"core", "repeat", "one less", "new"}
 
 
 def _planted(roots, order):

@@ -4,7 +4,8 @@ behave as frozen dataclasses on __slots__, the oracle, the
 GaussianRational routes of linalg and polynomials and BSeries.__mul__ stay
 independent referees of the integer kernels, BSeries and APolynomial keep
 one storage, every span of the traced benchmark names a function or
-method that exists, and a tiny traced run finds every span's module loaded.
+method that exists, a tiny traced run finds every span's module loaded, and
+the in-process benchmark workloads give the results of a pinned digest.
 """
 
 import ast
@@ -179,7 +180,7 @@ def _value_cases():
     return {
         "FactoredProduct": (
             lambda v: FactoredProduct.from_lambdas([2 + v], 1),
-            ("factors", "order", "_unit_inverses", "_expansion"), False,
+            ("factors", "order", "_unit_inverses", "_expansion", "_factor_ints"), False,
             "FactoredProduct(factors=((GaussianRational(Fraction(2, 1), Fraction(0, 1)), "
             "<BSeries order=1 (1)b^0>),), order=1)"),
         "DivisionResult": (
@@ -255,8 +256,9 @@ def test_the_value_classes_behave_as_frozen_dataclasses(name):
 def test_a_factored_product_compares_without_its_caches():
     from abalg.division import FactoredProduct
     used, fresh = FactoredProduct.from_lambdas([1, 2], 3), FactoredProduct.from_lambdas([1, 2], 3)
-    expansion, inverses = used.expanded(), used.unit_inverses
+    expansion, inverses, ints = used.expanded(), used.unit_inverses, used.factor_ints
     assert used.expanded() is expansion and used.unit_inverses is inverses
+    assert used.factor_ints is ints and fresh._factor_ints is None
     assert used == fresh and repr(used) == repr(fresh) and fresh.expanded() == expansion
 
 
@@ -296,7 +298,7 @@ def _copied_values():
     module = SimplePoleModule(QMatrix([[Fraction(1, 2), z], [0, Fraction(-1, 3)]]), 4)
     act(AlgebraElement.monomial(3, 1, 4, ordering=RIGHT), module.basis_vector(0), module)
     product = FactoredProduct(((z, s), (1, BSeries.one(3))), 3)
-    product.unit_inverses, product.expanded()
+    product.unit_inverses, product.expanded(), product.factor_ints
     return {
         "GaussianRational": (z, ()),
         "AlgebraElement": (AlgebraElement(3, RIGHT, {(1, 1): z, (0, 2): 3}), ()),
@@ -305,7 +307,7 @@ def _copied_values():
         "QMatrix": (QMatrix([[1, z], [Fraction(2, 7), 0]]), ()),
         "Poly": (Poly([z, 0, 1]), ()),
         "SimplePoleModule": (module, ("_factors",)),
-        "FactoredProduct": (product, ("_unit_inverses", "_expansion")),
+        "FactoredProduct": (product, ("_unit_inverses", "_expansion", "_factor_ints")),
     }
 
 
@@ -401,6 +403,23 @@ def test_every_traced_span_names_an_existing_function():
     missing += [f"scalar op: GaussianRational.{attr}" for attr in tracing.SCALAR_METHODS
                 if attr not in GaussianRational.__dict__]
     assert tracing.SPANS and tracing.SCALAR_METHODS and missing == []
+
+
+# The sha256 of the reprs, joined by "\n", of every op result of the
+# in-process workloads: perfbench's module_stack and then dense_kernels, each
+# at seed 1 and then seed 2.  A change that keeps every result == keeps it.
+WORKLOAD_RESULTS_DIGEST = "d1a78264e5d9ab8a974c8dba23605b2495ef7695740cbcd806d38bc2eeab38d0"
+
+
+def test_the_in_process_workloads_give_the_pinned_results(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    reprs = []
+    for name in ("module_stack", "dense_kernels"):
+        workload = importlib.import_module(name)
+        for seed in (1, 2):
+            reprs += [repr(workload.execute(op)) for op in workload.make_inputs(seed)]
+    digest = hashlib.sha256("\n".join(reprs).encode()).hexdigest()
+    assert digest == WORKLOAD_RESULTS_DIGEST
 
 
 @pytest.mark.parametrize("workload", ["dense-kernels", "module-stack", "cli-sparse"])

@@ -250,6 +250,51 @@ def test_bernstein_diagonalizable_is_product_over_distinct_eigenvalues():
     assert bernstein(SimplePoleModule(theta, 2)) == Poly.from_roots([-2, Fraction(-1, 3)])
 
 
+def test_bernstein_is_the_minimal_polynomial_of_minus_theta():
+    """bernstein flips the signs of mu_theta, (-1)^(d-j) on coefficient j,
+    instead of negating theta: it equals minimal_polynomial(-theta) on real
+    and Gaussian theta of ranks 1..6, dense ones and conjugates of
+    triangular forms with repeated eigenvalues, some of whose mu is a proper
+    divisor of the characteristic polynomial."""
+    r = random.Random(307)
+
+    def value(gaussian):
+        re = Fraction(r.randrange(-9, 10), r.randrange(1, 8))
+        return GaussianRational(re, Fraction(r.randrange(-9, 10), r.randrange(1, 8))) \
+            if gaussian else re
+
+    proper = 0
+    for k in range(1, 7):
+        for gaussian in (False, True):
+            for _ in range(3):
+                dense = QMatrix([[value(gaussian) for _ in range(k)] for _ in range(k)])
+                # a few eigenvalues, repeated and grouped, with a 1 above the
+                # diagonal between some equal neighbours, then conjugated by
+                # elementary matrices I + c e_(ij), whose inverse is I - c e_(ij)
+                values = [value(gaussian) for _ in range(r.randrange(1, k + 1))]
+                diagonal = [values[i] for i in sorted(r.randrange(len(values))
+                                                      for _ in range(k))]
+                form = [[0] * k for _ in range(k)]
+                for i, c in enumerate(diagonal):
+                    form[i][i] = c
+                    if i + 1 < k and diagonal[i + 1] == c and r.random() < 0.5:
+                        form[i][i + 1] = 1
+                theta = QMatrix(form)
+                for _ in range(2 * k if k > 1 else 0):
+                    i, j = r.sample(range(k), 2)
+                    c = r.randrange(-3, 4)
+                    e = [[int(a == b) + (c if (a, b) == (i, j) else 0) for b in range(k)]
+                         for a in range(k)]
+                    f = [[int(a == b) - (c if (a, b) == (i, j) else 0) for b in range(k)]
+                         for a in range(k)]
+                    theta = QMatrix(e) @ theta @ QMatrix(f)
+                for t in (dense, theta):
+                    mu = bernstein(SimplePoleModule(t, 0))
+                    assert mu == minimal_polynomial(-t)
+                    proper += mu.degree < k
+    assert proper >= 10, proper
+
+
 # -- geometric spectra ---------------------------------------------------------------
 
 def test_geometric_spectrum():

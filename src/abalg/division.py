@@ -16,13 +16,13 @@ peel a convolution in the b-power by S_i^(-1) and one synthetic division,
 builds Q alone and takes R = x - Q P, with Q P multiplied out factor by
 factor on Q's table (_times_factors): P is never expanded and no generic
 product is made.  The integers of each factor (lam_i, S_i and S_i^(-1)
-over their denominators, the terms sorted by b-power) are built once per
-product and cached on it, so repeated divisions split no scalar and sort no
-unit part again.  The b-series and a-polynomials taken and given (unit
-parts, their cached inverses, the remainders) are views of elements (see
-series), so no coefficient is split into integers or rebuilt as a fraction
-at either end.  Factorization peels its roots on one integer row, the
-monic core's LEFT numerators, with the same synthetic division.
+over their denominators, the terms sorted by b-power) are built with the
+product, so no division splits a scalar or sorts a unit part.  The b-series
+and a-polynomials taken and given (unit parts, the remainders) are views
+of elements (see series), so no coefficient is split into integers or
+rebuilt as a fraction at either end.  Factorization peels its roots on one
+integer row, the monic core's LEFT numerators, with the same synthetic
+division.
 
 The polynomial layer is imported by remainder_polynomial and
 factor_homogeneous, the two functions that use it, so that inv, div-linear
@@ -242,14 +242,13 @@ def power_division_closed_form(m: int, lam) -> tuple[AlgebraElement, BSeries]:
 class FactoredProduct(Frozen):
     """An ordered product of factors (a - lam_i b) S_i with unit S_i.
 
-    Three caches, each filled on first use and kept out of ==, hash, repr,
-    copy and pickle: the inverses S_i^(-1) (unit_inverses), the expansion
-    (expanded), and the integers of every factor that divide and
-    _times_factors read (factor_ints).
+    The integers of every factor that divide and _times_factors read
+    (factor_ints) are built with the product, one invert per unit part, and
+    kept out of ==, hash, repr, copy and pickle: a copy builds them again.
     """
 
     # factors: tuple of (GaussianRational, BSeries)
-    __slots__ = ("factors", "order", "_unit_inverses", "_expansion", "_factor_ints")
+    __slots__ = ("factors", "order", "_factor_ints")
 
     def __init__(self, factors: tuple, order: int):
         if not factors:
@@ -263,8 +262,9 @@ class FactoredProduct(Frozen):
             if not s.is_unit:
                 raise ZeroConstantTermError("unit part has zero constant term")
             checked.append((lam, s))
-        super().__init__(factors=tuple(checked), order=order, _unit_inverses=None,
-                         _expansion=None, _factor_ints=None)
+        super().__init__(factors=tuple(checked), order=order, _factor_ints=tuple(
+            (*_scalar_ints(lam), *_series_ints(s.element), *_series_ints(invert(s.element)))
+            for lam, s in checked))
 
     @staticmethod
     def linear(lam, order: int) -> FactoredProduct:
@@ -279,44 +279,31 @@ class FactoredProduct(Frozen):
         return len(self.factors)
 
     @property
-    def unit_inverses(self) -> tuple:
-        """S_i^(-1) for each factor, at the product's order, computed once by
-        invert on the AlgebraElement that BSeries stores."""
-        if self._unit_inverses is None:
-            object.__setattr__(self, "_unit_inverses",
-                               tuple(invert(s.element) for _, s in self.factors))
-        return self._unit_inverses
-
-    @property
     def factor_ints(self) -> tuple:
-        """(e, (L_re, L_im), d, terms, d_inv, terms_inv) for each factor, built once.
+        """(e, (L_re, L_im), d, terms, d_inv, terms_inv) for each factor.
 
         lam_i = (L_re + L_im*i) / e in lowest terms; S_i is the sum of
         (re + im*i) / d b^j over its terms (j, re, im), sorted by j, and
-        S_i^(-1) likewise over d_inv.
+        S_i^(-1), inverted at the product's order, likewise over d_inv.
         """
-        if self._factor_ints is None:
-            object.__setattr__(self, "_factor_ints", tuple(
-                (*_scalar_ints(lam), *_series_ints(s.element), *_series_ints(inverse))
-                for (lam, s), inverse in zip(self.factors, self.unit_inverses)))
         return self._factor_ints
 
     def expanded(self, order: int | None = None) -> AlgebraElement:
-        """The product, at an order up to its own (the default); expanded once.
+        """The product multiplied out, at an order up to its own (the default).
 
         divide does not use it (see _times_factors); the referees do."""
-        if self._expansion is None:
-            out = AlgebraElement.zero(self.order)  # every factor vanishes at order 0
-            if self.order:
-                out = AlgebraElement.one(self.order)
-                a = AlgebraElement.monomial(1, 0, self.order)
-                b = AlgebraElement.monomial(0, 1, self.order)
-                for lam, s in self.factors:
-                    out = mul(mul(out, a - scale(lam, b)), s.to_element(self.order))
-            object.__setattr__(self, "_expansion", out)
-        if order in (None, self.order):
-            return self._expansion
-        return self._expansion.truncated(order)
+        if order is None:
+            order = self.order
+        elif order > self.order:
+            raise OrderMismatchError(f"cannot expand a product of order {self.order} "
+                                     f"at order {order}")
+        if not order:
+            return AlgebraElement.zero(0)  # every factor vanishes at order 0
+        out = AlgebraElement.one(order)
+        a, b = AlgebraElement.monomial(1, 0, order), AlgebraElement.monomial(0, 1, order)
+        for lam, s in self.factors:
+            out = mul(mul(out, a - scale(lam, b)), s.to_element(order))
+        return out
 
 
 def _series_ints(s: AlgebraElement) -> tuple[int, tuple]:
@@ -337,7 +324,7 @@ class DivisionResult(Frozen):
 def _times_factors(order: int, den: int, table: dict, factor_ints: tuple) -> tuple[int, dict]:
     """(D, T) with T / D the LEFT table of X (a - lam_1 b) S_1 ... (a - lam_k b) S_k
     to order N, X = table / den on the LEFT basis, the factors given by
-    their integers (FactoredProduct.factor_ints).
+    their integers, built with the product (FactoredProduct.factor_ints).
 
     Since b^q a = a b^q - q b^(q+1),
 
@@ -405,7 +392,8 @@ def divide(x: AlgebraElement, product: FactoredProduct) -> DivisionResult:
     one pass per linear factor and one convolution per unit part), and R is
     assembled over the lcm of the two denominators; P is not expanded.
     Since the division is unique, R has a-degree <= k-1 exactly when Q is
-    right, so that bound is checked.
+    right, so that bound is checked.  The integers of every factor, S_i^(-1)
+    among them, come built with the product (FactoredProduct.factor_ints).
     """
     k = len(product)
     if x.order < k:

@@ -8,7 +8,8 @@ Three carriers:
         a^p e = M_p b^p e,  M_p = (theta + (p-1)I) ... (theta + I) theta,
 
     so b^q a^p e = M_p b^(p+q) e.  act forms x V(b) on the RIGHT form,
-    b^q a^p b^r = sum_j G(p, r, j) b^(q+r+j) a^(p-j), with no generic mul.
+    b^q a^p b^r = sum_j G(p, r, j) b^(q+r+j) a^(p-j), with no generic mul,
+    and reads M_0..M_N (N the b-order), built with the module.
 
   * Fresco: the cyclic quotient by a left ideal generated by a factored
     product P with k factors; elements are canonical remainders of
@@ -43,15 +44,27 @@ from .series import APolynomial, BSeries
 
 
 class SimplePoleModule(Frozen):
-    """Free rank-k module with a e = theta b e, entries truncated at b^order."""
+    """Free rank-k module with a e = theta b e, entries truncated at b^order.
 
-    # the last slot caches the list [F_0..F_top] of _shift_factors, grown on demand
+    The shift factors M_p = (theta + (p-1)I) ... (theta + I) theta = F_p / D^p
+    for p = 0..order, D theta's denominator, are built with the module and
+    kept out of ==, hash, repr, copy and pickle: each F_p is a Gaussian-integer
+    matrix, rows of (re, im), and F_p = (T + (p-1) D I) F_(p-1) with
+    T = D theta, theta's table, so F_0 = I and F_1 = T need no product.
+    """
+
     __slots__ = ("theta", "order", "_factors")
 
     def __init__(self, theta: QMatrix, order: int):
         if not theta.is_square:
             raise ValueError("theta must be square")
-        super().__init__(theta=theta, order=order, _factors=None)
+        den, t = theta.den, theta.table
+        factors = [_int_identity(len(t)), t][:order + 1]
+        for p in range(2, order + 1):
+            shifted = [[(re + (p - 1) * den, im) if i == l else (re, im)
+                        for l, (re, im) in enumerate(r)] for i, r in enumerate(t)]
+            factors.append(_int_matmul(shifted, factors[-1]))
+        super().__init__(theta=theta, order=order, _factors=tuple(factors))
 
     @property
     def rank(self) -> int:
@@ -110,25 +123,6 @@ class ModuleElement(Frozen):
         return ModuleElement(self.module, tuple(s.scaled(c) for s in self.entries))
 
 
-def _shift_factors(module: SimplePoleModule, top: int) -> tuple[int, list]:
-    """(D, [F_0..F_top, ...]) with M_p = (theta + (p-1)I) ... (theta + I) theta = F_p / D^p.
-
-    D is theta's denominator and each F_p a Gaussian-integer matrix, rows of
-    (re, im): F_p = (T + (p-1) D I) F_(p-1) with T = D theta, theta's table.
-    The list is kept on the module and continued from its last F_p, so each
-    F_p is built once per module; it may reach past top.
-    """
-    den, t = module.theta.den, module.theta.table
-    if module._factors is None:
-        object.__setattr__(module, "_factors", [_int_identity(len(t)), t])  # F_1 = T
-    out = module._factors
-    for p in range(len(out), top + 1):
-        shifted = [[(re + (p - 1) * den, im) if i == l else (re, im)
-                    for l, (re, im) in enumerate(r)] for i, r in enumerate(t)]
-        out.append(_int_matmul(shifted, out[-1]))
-    return den, out
-
-
 def act_on_basis(x: AlgebraElement, module: SimplePoleModule) -> list[QMatrix]:
     """The series matrix Z(b) with x e = Z(b) e, as matrices [z_0 .. z_N].
 
@@ -152,7 +146,8 @@ def act(x: AlgebraElement, v: ModuleElement, module: SimplePoleModule) -> Module
     formed.  The key b^(t-P) a^P of x V_i sends e_i to M_P b^t e: its
     coefficient times row i of F_P is added into the length-k row of b^t,
     on integers over x.den * lcm(den V_i) * D^N.  x may be in either ordering.
-    The F_P are built once per module (_shift_factors).
+    The F_P come built with the module (SimplePoleModule), so act reads them
+    and changes nothing.
     """
     if v.module != module:
         raise ValueError("element does not belong to the module")
@@ -182,7 +177,7 @@ def act(x: AlgebraElement, v: ModuleElement, module: SimplePoleModule) -> Module
                         acc[1] += g * ci
         products.append((i, out))
     top = max((p for _, out in products for p, _ in out), default=0)
-    den, factors = _shift_factors(module, top)
+    den, factors = module.theta.den, module._factors
     scales = [den ** (n - p) for p in range(top + 1)]  # M_p = F_p / D^p, over D^N
     rows = [[[0, 0] for _ in range(k)] for _ in range(n + 1)]
     for i, out in products:

@@ -151,34 +151,13 @@ def test_divide_product_examples():
 
 
 def test_divide_inverts_each_unit_part_once(monkeypatch):
+    """Building the product calls division.invert once per unit part, at the
+    product's order, on the element the part stores; the divisions that
+    follow call it no more, and the inverses in factor_ints are exact."""
     r = rng()
     n = 8
-    product = FactoredProduct(tuple((GaussianRational(k), random_bseries_unit(r, n))
-                                    for k in range(3)), n)
+    units = [random_bseries_unit(r, n) for _ in range(3)]
     dividends = [random_element(r, n, terms=5) for _ in range(4)]
-    inverted = []
-    original = division.invert
-
-    def counted(x):
-        inverted.append(x.order)
-        return original(x)
-
-    monkeypatch.setattr(division, "invert", counted)
-    results = [divide(x, product) for x in dividends]
-    monkeypatch.undo()
-    assert inverted == [n] * 3
-    for x, res in zip(dividends, results):
-        recon = mul(res.quotient.lifted(n), product.expanded()) + res.remainder.to_element(LEFT)
-        assert recon == x
-
-
-def test_unit_inverses_invert_each_unit_part_once(monkeypatch):
-    """The first read calls division.invert once per unit part, on the element
-    the part stores; a second read calls it no more."""
-    r = rng()
-    n = 8
-    product = FactoredProduct(tuple((GaussianRational(k), random_bseries_unit(r, n))
-                                    for k in range(3)), n)
     calls = []
     original = division.invert
 
@@ -187,25 +166,31 @@ def test_unit_inverses_invert_each_unit_part_once(monkeypatch):
         return original(x)
 
     monkeypatch.setattr(division, "invert", counted)
-    inverses = product.unit_inverses
-    assert len(calls) == 3
+    product = FactoredProduct(tuple((GaussianRational(k), s) for k, s in enumerate(units)), n)
+    assert [x.order for x in calls] == [n] * 3
     assert all(x is s.element for x, (_, s) in zip(calls, product.factors))
     calls.clear()
-    assert product.unit_inverses is inverses and calls == []
+    results = [divide(x, product) for x in dividends]
     monkeypatch.undo()
-    for (_, s), y in zip(product.factors, inverses):
-        assert s * BSeries.from_element(y) == BSeries.one(n)
+    assert calls == []
+    for (_, s), (*_, inv_den, inv_terms) in zip(product.factors, product.factor_ints):
+        inverse = BSeries(n, {j: GaussianRational(Fraction(re, inv_den), Fraction(im, inv_den))
+                              for j, re, im in inv_terms})
+        assert s * inverse == BSeries.one(n)
+    for x, res in zip(dividends, results):
+        recon = mul(res.quotient.lifted(n), product.expanded()) + res.remainder.to_element(LEFT)
+        assert recon == x
 
 
 def test_each_lambda_is_split_once_per_product(monkeypatch):
     """divide and fresco_act read the integers of lam_i, S_i and S_i^(-1) from
     the product (FactoredProduct.factor_ints): division._scalar_ints splits
-    each lam once per product, however many divisions and actions use it."""
+    each lam once, when the product is built, and no division or action
+    splits one again."""
     r = rng()
     n = 8
     lambdas = [GaussianRational(Fraction(k + 1, 3), Fraction(-1, k + 2)) for k in range(3)]
-    product = FactoredProduct(tuple((lam, random_bseries_unit(r, n)) for lam in lambdas), n)
-    fresco = Fresco(FactoredProduct(product.factors, n))
+    units = [random_bseries_unit(r, n) for _ in lambdas]
     rep = APolynomial(n, [random_bseries_unit(r, n), BSeries.one(n)])
     split = []
     original = division._scalar_ints
@@ -215,12 +200,16 @@ def test_each_lambda_is_split_once_per_product(monkeypatch):
         return original(c)
 
     monkeypatch.setattr(division, "_scalar_ints", counted)
+    product = FactoredProduct(tuple(zip(lambdas, units)), n)
+    fresco = Fresco(FactoredProduct(product.factors, n))
+    assert split == lambdas * 2
+    split.clear()
     results = []
     for _ in range(3):
         x = random_element(r, n, terms=6)
         results.append((x, divide(x, product), fresco_act(x, rep, fresco)))
     monkeypatch.undo()
-    assert split == lambdas * 2
+    assert split == []
     for x, res, acted in results:
         assert (res.quotient, res.remainder) == _divide_by_the_tail(x, product)
         assert divide(mul(x, rep.to_element(LEFT)) - acted.to_element(LEFT),
@@ -353,7 +342,6 @@ def test_divide_calls_no_mul_and_never_expands_the_divisor(monkeypatch):
     monkeypatch.setattr(FactoredProduct, "expanded", refuse)
     results = [divide(x, product) for x in dividends]
     monkeypatch.undo()
-    assert product._expansion is None
     for x, res in zip(dividends, results):
         assert (res.quotient, res.remainder) == _divide_by_the_tail(x, product)
         q = res.quotient.with_ordering(LEFT).lifted(x.order)
@@ -363,9 +351,9 @@ def test_divide_calls_no_mul_and_never_expands_the_divisor(monkeypatch):
 
 def test_divide_builds_as_many_elements_for_any_number_of_factors(monkeypatch):
     # the peels and the check R = x - Q P, with Q P multiplied out factor by
-    # factor, run on integer tables: with the unit parts inverted ahead, one
-    # division builds the same few elements (every element is filled in by
-    # elements._fill) for k = 1..6
+    # factor, run on integer tables: with the unit parts inverted when the
+    # product is built, one division builds the same few elements (every
+    # element is filled in by elements._fill) for k = 1..6
     r = rng()
     n = 10
     x = random_element(r, n, terms=6, ordering=RIGHT)
@@ -380,7 +368,6 @@ def test_divide_builds_as_many_elements_for_any_number_of_factors(monkeypatch):
     for k in range(1, 7):
         product = FactoredProduct(tuple((GaussianRational(Fraction(j + 1, 3), 1),
                                          random_bseries_unit(r, n)) for j in range(k)), n)
-        product.unit_inverses
         built.clear()
         monkeypatch.setattr(elements, "_fill", counted)
         res = divide(x, product)

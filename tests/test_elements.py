@@ -72,6 +72,24 @@ def test_add_scale_basics():
     assert add(gen_a(7), gen_b(5)).order == 5  # min of the operand orders
 
 
+def test_the_star_operator_is_mul_or_scale():
+    """x * y is mul, which takes LEFT operands; x * c is scale in either ordering."""
+    r = random.Random(5)
+    n = 6
+    for ordering in (LEFT, RIGHT):
+        x = random_element(r, n, terms=5, ordering=ordering)
+        y = random_element(r, n, terms=5, ordering=ordering)
+        if ordering is LEFT:
+            assert x * y == mul(x, y)
+        else:
+            with pytest.raises(OrderingMismatchError):
+                x * y
+        for c in (3, Fraction(-2, 7), GaussianRational(Fraction(1, 2), -3)):
+            assert x * c == scale(c, x)
+        with pytest.raises(TypeError):
+            x * "a"
+
+
 def test_ordering_mismatch_is_an_error():
     a = gen_a(4)
     with pytest.raises(OrderingMismatchError):

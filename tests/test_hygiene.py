@@ -1,11 +1,12 @@
 """Source hygiene: no module of the package imports a name it never uses or
 `dataclasses`, the package exports a fixed set of names, the value classes
-behave as frozen dataclasses on __slots__, the oracle, the
-GaussianRational routes of linalg and polynomials and BSeries.__mul__ stay
-independent referees of the integer kernels, BSeries and APolynomial keep
-one storage, every span of the traced benchmark names a function or
-method that exists, a tiny traced run finds every span's module loaded, and
-the in-process benchmark workloads give the results of a pinned digest.
+behave as frozen dataclasses on __slots__ and change only while they are
+built, the oracle, the GaussianRational routes of linalg and polynomials
+and BSeries.__mul__ stay independent referees of the integer kernels,
+BSeries and APolynomial keep one storage, every span of the traced
+benchmark names a function or method that exists, a tiny traced run finds
+every span's module loaded, and the in-process benchmark workloads give
+the results of a pinned digest.
 """
 
 import ast
@@ -180,7 +181,7 @@ def _value_cases():
     return {
         "FactoredProduct": (
             lambda v: FactoredProduct.from_lambdas([2 + v], 1),
-            ("factors", "order", "_unit_inverses", "_expansion", "_factor_ints"), False,
+            ("factors", "order", "_factor_ints"), False,
             "FactoredProduct(factors=((GaussianRational(Fraction(2, 1), Fraction(0, 1)), "
             "<BSeries order=1 (1)b^0>),), order=1)"),
         "DivisionResult": (
@@ -254,51 +255,50 @@ def test_the_value_classes_behave_as_frozen_dataclasses(name):
 
 
 def test_a_factored_product_compares_without_its_caches():
+    """Two products built alike are ==, show the same repr, hold equal but
+    distinct factor integers and expand alike."""
     from abalg.division import FactoredProduct
-    used, fresh = FactoredProduct.from_lambdas([1, 2], 3), FactoredProduct.from_lambdas([1, 2], 3)
-    expansion, inverses, ints = used.expanded(), used.unit_inverses, used.factor_ints
-    assert used.expanded() is expansion and used.unit_inverses is inverses
-    assert used.factor_ints is ints and fresh._factor_ints is None
-    assert used == fresh and repr(used) == repr(fresh) and fresh.expanded() == expansion
+    one, two = FactoredProduct.from_lambdas([1, 2], 3), FactoredProduct.from_lambdas([1, 2], 3)
+    assert one == two and repr(one) == repr(two)
+    assert one.factor_ints == two.factor_ints and one.factor_ints is not two.factor_ints
+    assert one.expanded() == two.expanded()
 
 
 def test_a_simple_pole_module_compares_without_its_cache():
-    """A used module and a fresh one are ==, show the same repr, reduce (the
-    state pickle and copy store) to theta and the order alone, and act alike."""
+    """Two modules built alike are ==, show the same repr, hold equal but
+    distinct shift factors, reduce (the state pickle and copy store) to
+    theta and the order alone, and act alike."""
     import copy
     from fractions import Fraction
     from abalg.elements import RIGHT, AlgebraElement
     from abalg.linalg import QMatrix
     from abalg.modules import SimplePoleModule, act
     theta = QMatrix([[Fraction(1, 2), 1], [0, Fraction(-1, 3)]])
-    used, fresh = SimplePoleModule(theta, 4), SimplePoleModule(theta, 4)
+    one, two = SimplePoleModule(theta, 4), SimplePoleModule(theta, 4)
     x = AlgebraElement.monomial(3, 1, 4, ordering=RIGHT)
-    acted = act(x, used.basis_vector(0), used)
-    assert used._factors is not None and fresh._factors is None
-    assert used == fresh and repr(used) == repr(fresh)
-    assert used.__reduce__() == fresh.__reduce__() == (SimplePoleModule, (theta, 4))
-    assert copy.copy(used) == used and copy.copy(used)._factors is None
-    assert act(x, fresh.basis_vector(0), fresh) == acted
+    assert one == two and repr(one) == repr(two)
+    assert one._factors == two._factors and one._factors is not two._factors
+    assert one.__reduce__() == two.__reduce__() == (SimplePoleModule, (theta, 4))
+    assert copy.copy(one) == one and copy.copy(one)._factors == one._factors
+    assert act(x, one.basis_vector(0), one) == act(x, two.basis_vector(0), two)
 
 
 def _copied_values():
-    """name -> (value, its cache slots) for the six non-Frozen value classes, a
-    SimplePoleModule that has acted and a FactoredProduct whose caches are full."""
+    """name -> (value, its derived slots) for the six non-Frozen value classes,
+    a SimplePoleModule and a FactoredProduct."""
     from fractions import Fraction
     from abalg.coefficients import GaussianRational
     from abalg.division import FactoredProduct
     from abalg.elements import RIGHT, AlgebraElement
     from abalg.linalg import QMatrix
-    from abalg.modules import SimplePoleModule, act
+    from abalg.modules import SimplePoleModule
     from abalg.polynomials import Poly
     from abalg.series import APolynomial, BSeries
 
     z = GaussianRational(Fraction(1, 2), Fraction(-3, 5))
     s = BSeries(3, {0: 2, 2: z})
     module = SimplePoleModule(QMatrix([[Fraction(1, 2), z], [0, Fraction(-1, 3)]]), 4)
-    act(AlgebraElement.monomial(3, 1, 4, ordering=RIGHT), module.basis_vector(0), module)
     product = FactoredProduct(((z, s), (1, BSeries.one(3))), 3)
-    product.unit_inverses, product.expanded(), product.factor_ints
     return {
         "GaussianRational": (z, ()),
         "AlgebraElement": (AlgebraElement(3, RIGHT, {(1, 1): z, (0, 2): 3}), ()),
@@ -307,21 +307,78 @@ def _copied_values():
         "QMatrix": (QMatrix([[1, z], [Fraction(2, 7), 0]]), ()),
         "Poly": (Poly([z, 0, 1]), ()),
         "SimplePoleModule": (module, ("_factors",)),
-        "FactoredProduct": (product, ("_unit_inverses", "_expansion", "_factor_ints")),
+        "FactoredProduct": (product, ("_factor_ints",)),
     }
 
 
 @pytest.mark.parametrize("name", list(_copied_values()))
 def test_the_value_classes_copy_and_pickle(name):
     """copy.copy, copy.deepcopy and a pickle round trip give == values of the
-    same class, and no cache travels with them."""
+    same class; a value reduces to its fields alone, so each copy builds its
+    derived slots again, equal to the original's."""
     import copy
     import pickle
-    x, caches = _copied_values()[name]
-    assert all(getattr(x, slot) is not None for slot in caches)
+    x, derived = _copied_values()[name]
+    if derived:
+        fields = tuple(getattr(x, slot) for slot in type(x).__slots__ if slot not in derived)
+        assert x.__reduce__() == (type(x), fields)
     for y in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
         assert type(y) is type(x) and y == x and repr(y) == repr(x)
-        assert all(getattr(y, slot) is None for slot in caches)
+        for slot in derived:
+            assert getattr(y, slot) == getattr(x, slot)
+            assert getattr(y, slot) is not getattr(x, slot)
+
+
+#: The helpers, besides every __init__, that fill in a value __new__ made.
+CONSTRUCTOR_HELPERS = {"elements.py": {"_fill"}, "linalg.py": {"_fill"},
+                       "polynomials.py": {"_fill"}, "series.py": {"_wrap"}}
+
+
+def setattr_outside_construction(source: str, name: str) -> list[str]:
+    """Each reference to object.__setattr__, or to a name bound to it, that
+    sits neither in an __init__ nor in one of the module's constructor helpers."""
+    tree = ast.parse(source)
+    allowed = {"__init__"} | CONSTRUCTOR_HELPERS.get(name, set())
+
+    def is_setattr(node):
+        return (isinstance(node, ast.Attribute) and node.attr == "__setattr__"
+                and isinstance(node.value, ast.Name) and node.value.id == "object")
+
+    aliases = {target.id for node in ast.walk(tree)
+               if isinstance(node, ast.Assign) and is_setattr(node.value)
+               for target in node.targets if isinstance(target, ast.Name)}
+    found = []
+
+    def visit(node, function):
+        if is_setattr(node) or (isinstance(node, ast.Name) and node.id in aliases
+                                and isinstance(node.ctx, ast.Load)):
+            if function not in allowed:
+                found.append(f"{name}:{node.lineno} in {function or 'the module body'}")
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, None)
+    return found
+
+
+def test_no_value_changes_after_construction():
+    """object.__setattr__, through an alias too, is used only while a value is
+    built: in an __init__, or in _fill (elements, linalg, polynomials) or
+    _wrap (series), which fill in a value that __new__ made."""
+    sample = ("set_ = object.__setattr__\n"
+              "class V:\n"
+              "    def __init__(self):\n"
+              "        object.__setattr__(self, 'x', 1)\n"
+              "    def fill(self):\n"
+              "        set_(self, 'y', 2)\n")
+    assert setattr_outside_construction(sample, "v.py") == [
+        "v.py:1 in the module body", "v.py:6 in fill"]
+    found = [line for path in MODULES
+             for line in setattr_outside_construction(path.read_text(encoding="utf-8"),
+                                                      path.name)]
+    assert found == []
 
 
 def private_imports(source: str) -> list[str]:

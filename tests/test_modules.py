@@ -1,6 +1,8 @@
 import random
 import sys
+import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
@@ -147,6 +149,42 @@ def test_act_errors():
         act(AlgebraElement.one(n, RIGHT), other.basis_vector(0), module)
 
 
+def test_module_elements_add_subtract_and_scale_entrywise():
+    """+, - and scaled act on each b-coefficient of each entry; + and -
+    across two different modules are refused."""
+    r = rng()
+    n = 5
+    module = SimplePoleModule(_theta(), n)
+    v, w = _sparse_vector(r, module), _sparse_vector(r, module)
+    c = random_gaussian(r)
+    total, diff, scaled = v + w, v - w, v.scaled(c)
+    assert total.module == diff.module == scaled.module == module
+    for i, (s, t) in enumerate(zip(v.entries, w.entries)):
+        for j in range(n + 1):
+            assert total.entries[i].coefficient(j) == s.coefficient(j) + t.coefficient(j)
+            assert diff.entries[i].coefficient(j) == s.coefficient(j) - t.coefficient(j)
+            assert scaled.entries[i].coefficient(j) == c * s.coefficient(j)
+    assert (v - v).is_zero and v.scaled(0).is_zero
+    other = SimplePoleModule(QMatrix.identity(2), n)
+    with pytest.raises(TypeError):
+        v + other.basis_vector(0)
+    with pytest.raises(TypeError):
+        v - other.basis_vector(0)
+
+
+def test_act_b_shifts_each_entry_by_one_b_power():
+    """b (V e) = (b V) e: each entry moves up one b-power, its b^N term dropped."""
+    r = rng()
+    n = 5
+    module, _ = from_differential_system(
+        DifferentialSystem((random_matrix(r, 2), random_matrix(r, 2))), n)
+    entries = (BSeries(n, {0: 1, 2: random_gaussian(r), n: 3}), BSeries.zero(n))
+    out = module.act_b(entries)
+    assert out == tuple(s.shifted(1) for s in entries)
+    for s, t in zip(entries, out):
+        assert t.coeffs == (ZERO,) + s.coeffs[:n]
+
+
 def test_act_makes_no_product_and_no_reordering(monkeypatch):
     def refuse(*args):
         raise AssertionError("act left the RIGHT form")
@@ -162,9 +200,9 @@ def test_act_makes_no_product_and_no_reordering(monkeypatch):
 
 
 def test_act_builds_each_shift_factor_once_per_module(monkeypatch):
-    """act_on_basis at rank 3 and b-order 8 builds F_2..F_8 with one matrix
-    product each across its three acts (F_0 = I and F_1 = T need none); a
-    later act that reaches a higher a-power only extends the list."""
+    """Building the rank-3 module of b-order 8 builds F_2..F_8 with one
+    matrix product each (F_0 = I and F_1 = T need none); act_on_basis and
+    the acts by a^3, a^6 and a^3 that follow make no product."""
     n, r = 8, rng()
     theta = random_matrix(r, 3)
     x = AlgebraElement(n, RIGHT, {(8, 0): 1, (2, 3): Fraction(1, 2), (0, 1): -3})
@@ -175,15 +213,45 @@ def test_act_builds_each_shift_factor_once_per_module(monkeypatch):
     products = []
     matmul = modules._int_matmul
     monkeypatch.setattr(modules, "_int_matmul", lambda a, b: products.append(1) or matmul(a, b))
-    assert act_on_basis(x, SimplePoleModule(theta, n)) == expected[0]
-    assert len(products) == 7
     module = SimplePoleModule(theta, n)
-    counts = []
+    assert len(products) == 7 and len(module._factors) == n + 1
+    products.clear()
+    assert act_on_basis(x, module) == expected[0]
     for y, want in zip((low, high, low), expected[1:]):
-        products.clear()
         assert act(y, v, module) == want
-        counts.append(len(products))
-    assert counts == [2, 3, 0] and len(module._factors) == 7
+    assert products == []
+
+
+def test_concurrent_acts_on_one_module_agree_with_a_lone_act(monkeypatch):
+    """Two threads act by a^4 on one module that has acted by a, while every
+    matrix product of modules waits on a two-party barrier, so that any
+    products the acts make interleave: both results, and later acts on the
+    module, equal the acts on a fresh module."""
+    theta = QMatrix([[Fraction(1, 2), 1], [0, Fraction(1, 3)]])
+    n = 6
+    module = SimplePoleModule(theta, n)
+    v = module.basis_vector(0)
+    a4, a6 = (power(gen_a(n), p).to_right() for p in (4, 6))
+    act(gen_a(n).to_right(), v, module)
+    want = [act(y, v, SimplePoleModule(theta, n)) for y in (a4, a6)]
+    barrier = threading.Barrier(2, timeout=0.5)
+    matmul = modules._int_matmul
+
+    def paired(a, b):
+        out = matmul(a, b)
+        try:
+            barrier.wait()
+        except threading.BrokenBarrierError:
+            pass
+        return out
+
+    monkeypatch.setattr(modules, "_int_matmul", paired)
+    with ThreadPoolExecutor(2) as pool:
+        results = [f.result(timeout=60) for f in [pool.submit(act, a4, v, module)
+                                                  for _ in range(2)]]
+    monkeypatch.undo()
+    assert results == [want[0]] * 2
+    assert [act(y, v, module) for y in (a4, a6)] == want
 
 
 def _refuse_everywhere(monkeypatch, names):

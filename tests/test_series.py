@@ -22,6 +22,13 @@ def test_bseries_arithmetic():
     assert s.shifted(2) == BSeries(4, {2: 1, 4: Fraction(1, 2)})
 
 
+def test_bseries_constant_term():
+    c = GaussianRational(Fraction(2, 3), -1)
+    assert BSeries(4, {0: c, 2: 5}).constant_term == c
+    assert BSeries(4, {1: 1}).constant_term == GaussianRational(0)
+    assert BSeries.one(0).constant_term == GaussianRational(1)
+
+
 def test_bseries_shift_by_a_negative_power_is_refused():
     s = BSeries(4, {1: 3})
     assert s.shifted(0) == s
@@ -99,6 +106,24 @@ def test_poly_plus_or_minus_a_non_poly_is_a_type_error():
             f - other
         with pytest.raises(TypeError):
             other - f
+
+
+def test_poly_subtraction_negation_and_leading_coefficient():
+    f = Poly([1, Fraction(1, 2), GaussianRational(0, 3)])
+    g = Poly([GaussianRational(Fraction(2, 3), -1), 0, GaussianRational(0, 3), 5])
+    assert (f - g).coeffs == (GaussianRational(Fraction(1, 3), 1),
+                              GaussianRational(Fraction(1, 2)), GaussianRational(0),
+                              GaussianRational(-5))
+    assert (g - f).coeffs == tuple(-c for c in (f - g).coeffs)
+    assert (-g).coeffs == (GaussianRational(Fraction(-2, 3), 1), GaussianRational(0),
+                           GaussianRational(0, -3), GaussianRational(-5))
+    assert -Poly() == Poly() and (f - f).is_zero and (f - f).degree == -1
+    # the top coefficient cancels, so the difference drops to degree 2
+    assert g - Poly([0, 0, 0, 5]) == Poly([GaussianRational(Fraction(2, 3), -1), 0,
+                                           GaussianRational(0, 3)])
+    assert f.leading == GaussianRational(0, 3) and g.leading == GaussianRational(5)
+    assert (g - Poly([0, 0, 0, 5])).leading == GaussianRational(0, 3)
+    assert Poly().leading == GaussianRational(0)
 
 
 def test_interpolation():

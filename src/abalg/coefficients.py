@@ -14,7 +14,7 @@ import math
 import sys
 from fractions import Fraction
 
-from .errors import AbalgError, SchemaError
+from .errors import AbalgError, Frozen, SchemaError
 
 RationalLike = (int, Fraction)
 
@@ -27,20 +27,15 @@ def _as_fraction(value) -> Fraction:
     raise TypeError(f"expected an int or Fraction, got {type(value).__name__}")
 
 
-class GaussianRational:
-    """An element of Q(i), immutable."""
+class GaussianRational(Frozen):
+    """An element of Q(i), immutable.  With im == 0 it equals, and hashes as,
+    the rational re."""
 
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
         object.__setattr__(self, "re", _as_fraction(re))
         object.__setattr__(self, "im", _as_fraction(im))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GaussianRational is immutable")
-
-    def __reduce__(self):
-        return GaussianRational, (self.re, self.im)
 
     # -- constructors ------------------------------------------------
 
@@ -134,7 +129,7 @@ class GaussianRational:
         return self.re == other.re and self.im == other.im
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        return hash((self.re, self.im)) if self.im else hash(self.re)
 
     # -- display -----------------------------------------------------
 

@@ -43,7 +43,7 @@ from functools import cache
 
 from .coefficients import (ONE, ZERO, Coefficient, GaussianRational, RationalLike,
                            common_denominator, over)
-from .errors import OrderingMismatchError, OrderMismatchError
+from .errors import Frozen, OrderingMismatchError, OrderMismatchError
 
 
 class Ordering(enum.Enum):
@@ -73,7 +73,7 @@ def reorder_coeff(p: int, q: int, j: int) -> int:
     return math.comb(q + j - 1, j) * math.perm(p, j)
 
 
-class AlgebraElement:
+class AlgebraElement(Frozen):
     """An element of the order-N quotient algebra, in a fixed normal ordering.
 
     Immutable.  Stored as `den` and `table` (see the module docstring); no
@@ -98,9 +98,6 @@ class AlgebraElement:
                 split[(p, q)] = c
         # The lcm of reduced denominators leaves no common factor: lowest terms.
         _fill(self, order, ordering, *common_denominator(split))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("AlgebraElement is immutable")
 
     def __reduce__(self):
         return _make, (self.order, self.ordering, self.den, self.table)
@@ -263,6 +260,7 @@ class AlgebraElement:
 
 
 def _fill(x: AlgebraElement, order: int, ordering: Ordering, den: int, table: dict):
+    # slot by slot, not Frozen.__init__(**fields): this builds every kernel result
     setattr_ = object.__setattr__
     setattr_(x, "order", order)
     setattr_(x, "ordering", ordering)

@@ -11,6 +11,8 @@ class Frozen:
     a frozen dataclass is.  The fields are the subclass's __slots__ that do
     not start with "_" (those are caches); the subclass's __init__ takes them
     in that order, checks them and passes them on to Frozen.__init__ by name.
+    A subclass overrides __eq__ and __hash__ only where its equality is not
+    by field, and __reduce__ only where its constructor takes other arguments.
     """
 
     __slots__ = ()

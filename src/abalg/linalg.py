@@ -20,10 +20,11 @@ from __future__ import annotations
 import math
 
 from .coefficients import GaussianRational, ONE, ZERO, common_denominator, over
+from .errors import Frozen
 from .polynomials import Poly
 
 
-class QMatrix:
+class QMatrix(Frozen):
     """A nonempty rectangular matrix over the Gaussian rationals; immutable."""
 
     __slots__ = ("den", "table")
@@ -39,11 +40,10 @@ class QMatrix:
         flat = tuple(table.values())
         _fill(self, den, [flat[i:i + width] for i in range(0, len(flat), width)])
 
-    def __setattr__(self, name, value):
-        raise AttributeError("QMatrix is immutable")
-
     def __reduce__(self):
         return QMatrix.from_ints, (self.den, self.table)
+
+    __hash__ = None  # so that the modules and systems built on matrices stay unhashable
 
     @staticmethod
     def from_ints(den: int, table) -> QMatrix:
@@ -75,11 +75,6 @@ class QMatrix:
 
     def entry(self, i: int, j: int) -> GaussianRational:
         return over(*self.table[i][j], self.den)
-
-    def __eq__(self, other):
-        if not isinstance(other, QMatrix):
-            return NotImplemented
-        return self.den == other.den and self.table == other.table
 
     def __add__(self, other):
         if not isinstance(other, QMatrix):
@@ -127,8 +122,7 @@ def _fill(a: QMatrix, den: int, table: list) -> QMatrix:
     g = math.gcd(den, *[v for r in table for z in r for v in z])  # a list: see _divide_content
     if g > 1:
         den, table = den // g, [[(re // g, im // g) for re, im in r] for r in table]
-    object.__setattr__(a, "den", den)
-    object.__setattr__(a, "table", tuple(map(tuple, table)))
+    Frozen.__init__(a, den=den, table=tuple(map(tuple, table)))
     return a
 
 

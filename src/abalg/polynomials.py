@@ -30,9 +30,10 @@ from functools import cache
 from math import gcd, isqrt
 
 from .coefficients import GaussianRational, ONE, ZERO, common_denominator, over
+from .errors import Frozen
 
 
-class Poly:
+class Poly(Frozen):
     """Gaussian-integer numerators (re, im), low to high and without trailing
     zeros, over one positive denominator, in lowest terms: zero is (1, ())."""
 
@@ -41,9 +42,6 @@ class Poly:
     def __init__(self, coeffs=()):
         den, table = common_denominator(dict(enumerate(map(GaussianRational.coerce, coeffs))))
         _fill(self, den, table.values())
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Poly is immutable")
 
     def __reduce__(self):
         return Poly.from_ints, (self.den, self.table)
@@ -85,14 +83,6 @@ class Poly:
 
     def coefficient(self, k: int) -> GaussianRational:
         return over(*self.table[k], self.den) if 0 <= k < len(self.table) else ZERO
-
-    def __eq__(self, other):
-        if not isinstance(other, Poly):
-            return NotImplemented
-        return self.den == other.den and self.table == other.table
-
-    def __hash__(self):
-        return hash((self.den, self.table))
 
     def __add__(self, other):
         if not isinstance(other, Poly):
@@ -167,8 +157,7 @@ def _fill(f: Poly, den: int, table) -> Poly:
     g = gcd(den, *[v for z in cs for v in z])  # a list: see linalg._divide_content
     if g > 1:
         den, cs = den // g, [(re // g, im // g) for re, im in cs]
-    object.__setattr__(f, "den", den)
-    object.__setattr__(f, "table", tuple(cs))
+    Frozen.__init__(f, den=den, table=tuple(cs))
     return f
 
 

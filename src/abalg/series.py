@@ -24,17 +24,17 @@ import math
 
 from .coefficients import GaussianRational, ONE, ZERO
 from .elements import LEFT, RIGHT, AlgebraElement, Ordering, _make, scale, with_ordering
-from .errors import OrderMismatchError
+from .errors import Frozen, OrderMismatchError
 
 
 def _wrap(cls, x: AlgebraElement):
     """The cls view of x, which must already have cls's storage form."""
     out = object.__new__(cls)
-    object.__setattr__(out, "element", x)
+    Frozen.__init__(out, element=x)
     return out
 
 
-class BSeries:
+class BSeries(Frozen):
     """A series in b alone, truncated at b^order.  Immutable."""
 
     __slots__ = ("element",)
@@ -47,13 +47,12 @@ class BSeries:
                 raise ValueError("negative exponent")
             if q <= order:
                 table[(0, q)] = c
-        object.__setattr__(self, "element", AlgebraElement(order, LEFT, table))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BSeries is immutable")
+        super().__init__(element=AlgebraElement(order, LEFT, table))
 
     def __reduce__(self):
         return BSeries.from_element, (self.element,)
+
+    __hash__ = None
 
     # -- constructors ---------------------------------------------------
 
@@ -123,13 +122,6 @@ class BSeries:
     def lifted(self, order: int) -> BSeries:
         return _wrap(BSeries, self.element.lifted(order))
 
-    def __eq__(self, other):
-        if not isinstance(other, BSeries):
-            return NotImplemented
-        return self.element == other.element
-
-    __hash__ = None
-
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other):
@@ -190,7 +182,7 @@ class BSeries:
         return f"<BSeries order={self.order} {terms}>"
 
 
-class APolynomial:
+class APolynomial(Frozen):
     """sum_j S_j(b) a^j with BSeries left coefficients, inside the order-N quotient.
 
     Stored as the order-N RIGHT element, so S_j is carried at b-order N-j.
@@ -213,13 +205,12 @@ class APolynomial:
             for (_, q), (re, im) in s.element.table.items():
                 if j + q <= order:
                     table[(j, q)] = (re * f, im * f)
-        object.__setattr__(self, "element", AlgebraElement.from_ints(order, RIGHT, den, table))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("APolynomial is immutable")
+        super().__init__(element=AlgebraElement.from_ints(order, RIGHT, den, table))
 
     def __reduce__(self):
         return APolynomial.from_element, (self.element,)
+
+    __hash__ = None
 
     @staticmethod
     def zero(order: int) -> APolynomial:
@@ -252,13 +243,6 @@ class APolynomial:
         return _wrap(BSeries, AlgebraElement.from_ints(
             max(x.order - j, 0), LEFT, x.den, {(0, q): c for (p, q), c in x.table.items()
                                                if p == j}))
-
-    def __eq__(self, other):
-        if not isinstance(other, APolynomial):
-            return NotImplemented
-        return self.element == other.element
-
-    __hash__ = None
 
     def __add__(self, other):
         if not isinstance(other, APolynomial):

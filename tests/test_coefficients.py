@@ -45,6 +45,20 @@ def test_coercion_rules():
         GaussianRational.coerce(0.5)  # floats never enter the kernel
 
 
+@pytest.mark.parametrize("z, x", [
+    (GaussianRational(1), 1), (GaussianRational(0), 0), (GaussianRational(-7), -7),
+    (GaussianRational(2 ** 70), 2 ** 70), (GaussianRational(Fraction(1, 2)), Fraction(1, 2)),
+    (GaussianRational(Fraction(-3, 4)), Fraction(-3, 4)),
+    (GaussianRational(Fraction(1, 2), 3), GaussianRational(Fraction(1, 2), 3))])
+def test_equal_scalars_hash_equal(z, x):
+    """a == b implies hash(a) == hash(b), so a set or a dict finds a real
+    GaussianRational by its int or Fraction, and the other way round."""
+    assert z == x and x == z and hash(z) == hash(x)
+    assert x in {z} and z in {x} and {z: 1}[x] == {x: 1}[z] == 1
+    shifted = z + GaussianRational(0, 1)
+    assert shifted not in {x} and x not in {shifted}
+
+
 def test_rational_strings():
     assert fraction_to_str(Fraction(-3, 2)) == "-3/2"
     assert fraction_from_str("-3/2") == Fraction(-3, 2)

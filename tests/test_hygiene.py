@@ -284,8 +284,8 @@ def test_a_simple_pole_module_compares_without_its_cache():
 
 
 def _copied_values():
-    """name -> (value, its derived slots) for the six non-Frozen value classes,
-    a SimplePoleModule and a FactoredProduct."""
+    """name -> (value, its derived slots) for the six kernel value classes
+    (KERNEL_VALUES), a SimplePoleModule and a FactoredProduct."""
     from fractions import Fraction
     from abalg.coefficients import GaussianRational
     from abalg.division import FactoredProduct
@@ -329,9 +329,60 @@ def test_the_value_classes_copy_and_pickle(name):
             assert getattr(y, slot) is not getattr(x, slot)
 
 
+#: The six value classes that the kernels build and return, each with a
+#: __reduce__, a repr or an equality of its own.
+KERNEL_VALUES = ("GaussianRational", "AlgebraElement", "BSeries", "APolynomial", "QMatrix",
+                 "Poly")
+
+
+@pytest.mark.parametrize("name", KERNEL_VALUES)
+def test_the_kernel_values_refuse_assignment_and_deletion(name):
+    """Every slot refuses setattr and delattr, a new attribute is refused,
+    and the value is then == to a deep copy taken before and survives a
+    pickle round trip."""
+    import copy
+    import pickle
+    x = _copied_values()[name][0]
+    before = copy.deepcopy(x)
+    for slot in type(x).__slots__:
+        with pytest.raises(AttributeError):
+            setattr(x, slot, None)
+        with pytest.raises(AttributeError):
+            delattr(x, slot)
+    with pytest.raises(AttributeError):
+        x.extra = 1
+    assert x == before and pickle.loads(pickle.dumps(x)) == before
+
+
+#: Classes with __slots__ that are not errors.Frozen, each with its reason.
+NOT_FROZEN = {
+    "oracle.PolySeries": "a referee: REFEREE_DIGESTS pins its source",
+    "expr._Token": "the parser's own token, never handed out",
+}
+
+
+def test_every_slots_class_is_frozen():
+    """Every class of the package with __slots__ subclasses errors.Frozen,
+    but for the named exceptions in NOT_FROZEN, and none of them writes a
+    guard of its own."""
+    from abalg.errors import Frozen
+    found, guarded = set(), []
+    for path in MODULES:
+        module = importlib.import_module("abalg" if path.stem == "__init__" else
+                                         f"abalg.{path.stem}")
+        for obj in vars(module).values():
+            if not (isinstance(obj, type) and obj.__module__ == module.__name__
+                    and "__slots__" in vars(obj)):
+                continue
+            if not issubclass(obj, Frozen):
+                found.add(f"{path.stem}.{obj.__qualname__}")
+            elif obj is not Frozen and {"__setattr__", "__delattr__"} & vars(obj).keys():
+                guarded.append(obj.__qualname__)
+    assert found == set(NOT_FROZEN) and guarded == []
+
+
 #: The helpers, besides every __init__, that fill in a value __new__ made.
-CONSTRUCTOR_HELPERS = {"elements.py": {"_fill"}, "linalg.py": {"_fill"},
-                       "polynomials.py": {"_fill"}, "series.py": {"_wrap"}}
+CONSTRUCTOR_HELPERS = {"elements.py": {"_fill"}}
 
 
 def setattr_outside_construction(source: str, name: str) -> list[str]:
@@ -365,8 +416,8 @@ def setattr_outside_construction(source: str, name: str) -> list[str]:
 
 def test_no_value_changes_after_construction():
     """object.__setattr__, through an alias too, is used only while a value is
-    built: in an __init__, or in _fill (elements, linalg, polynomials) or
-    _wrap (series), which fill in a value that __new__ made."""
+    built: in an __init__, or in elements._fill, which fills in an element
+    that __new__ made (the other helpers go through Frozen.__init__)."""
     sample = ("set_ = object.__setattr__\n"
               "class V:\n"
               "    def __init__(self):\n"

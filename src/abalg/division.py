@@ -78,6 +78,9 @@ def invert(x: AlgebraElement) -> AlgebraElement:
     # constant term's numerator; one gcd per degree block gives D_k.
     cr, ci = c0
     norm = cr * cr + ci * ci
+    if len(src.table) == 1:  # x = c0 needs no degree loop: 1/c0 as below, from_ints reduces it
+        return AlgebraElement.from_ints(order, x.ordering, norm,
+                                        {(0, 0): (src.den * cr, -src.den * ci)})
     table = {k: (re * cr + im * ci, im * cr - re * ci)
              for k, (re, im) in src.table.items() if k != (0, 0)}
     x_blocks = []
@@ -312,13 +315,10 @@ def _series_ints(s: AlgebraElement) -> tuple[int, tuple]:
 
 
 class DivisionResult(Frozen):
-    """x = quotient * P + remainder, exactly modulo total degree > order."""
+    """x = quotient * P + remainder, exactly modulo total degree > order: the
+    quotient at order N - k, the remainder at order N with a-degree <= k-1."""
 
     __slots__ = ("quotient", "remainder")
-
-    def __init__(self, quotient: AlgebraElement, remainder: APolynomial):
-        # quotient at order N - k, remainder at order N with a-degree <= k-1
-        super().__init__(quotient=quotient, remainder=remainder)
 
 
 def _times_factors(order: int, den: int, table: dict, factor_ints: tuple) -> tuple[int, dict]:
@@ -494,10 +494,6 @@ class HomogeneousFactorization(Frozen):
     """
 
     __slots__ = ("scale", "b_power", "lambdas", "core", "order")
-
-    def __init__(self, scale: GaussianRational, b_power: int, lambdas: tuple,
-                 core: AlgebraElement | None, order: int):
-        super().__init__(scale=scale, b_power=b_power, lambdas=lambdas, core=core, order=order)
 
     @property
     def complete(self) -> bool:

@@ -77,9 +77,12 @@ class AlgebraElement(Frozen):
     """An element of the order-N quotient algebra, in a fixed normal ordering.
 
     Immutable.  Stored as `den` and `table` (see the module docstring); no
-    stored key exceeds total degree `order`.  Equality demands identical
-    order and ordering: comparing across truncations or orderings raises
-    instead of silently returning False - convert explicitly.
+    stored key exceeds total degree `order`.  `table` is a plain dict that
+    _make, lifted, BSeries.from_element and to_element share between values,
+    so it is read-only by contract: Frozen guards the fields, not what they
+    hold.  Equality demands identical order and ordering: comparing across
+    truncations or orderings raises instead of silently returning False -
+    convert explicitly.
     """
 
     __slots__ = ("order", "ordering", "den", "table")
@@ -98,9 +101,6 @@ class AlgebraElement(Frozen):
                 split[(p, q)] = c
         # The lcm of reduced denominators leaves no common factor: lowest terms.
         _fill(self, order, ordering, *common_denominator(split))
-
-    def __reduce__(self):
-        return _make, (self.order, self.ordering, self.den, self.table)
 
     # -- constructors --------------------------------------------------
 
@@ -260,7 +260,7 @@ class AlgebraElement(Frozen):
 
 
 def _fill(x: AlgebraElement, order: int, ordering: Ordering, den: int, table: dict):
-    # slot by slot, not Frozen.__init__(**fields): this builds every kernel result
+    # slot by slot, not through Frozen.__init__: this builds every kernel result
     setattr_ = object.__setattr__
     setattr_(x, "order", order)
     setattr_(x, "ordering", ordering)

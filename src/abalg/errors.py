@@ -5,36 +5,54 @@ CLI can map them to a single exit code.  Anything else escaping an
 operation is a bug.
 """
 
+import operator
+
 
 class Frozen:
     """An immutable value compared, hashed, shown and copied by its fields, as
-    a frozen dataclass is.  The fields are the subclass's __slots__ that do
-    not start with "_" (those are caches); the subclass's __init__ takes them
-    in that order, checks them and passes them on to Frozen.__init__ by name.
-    A subclass overrides __eq__ and __hash__ only where its equality is not
-    by field, and __reduce__ only where its constructor takes other arguments.
+    a frozen dataclass is.  The fields are the __slots__ that do not start
+    with "_", in order, found once per class; the other slots are derived
+    by the class's own __init__ and left out of ==, hash, repr, copy and
+    pickle.  Frozen.__init__ binds the fields by position or by name and
+    the derived slots by name only, and raises TypeError when one is
+    missing, extra or given twice.  A copy or pickle calls the constructor
+    on the fields where there are derived slots, to build them again, and
+    else _rebuild, which stores them as they are.  A subclass overrides
+    __eq__ and __hash__ only where its equality is not by field.
     """
 
     __slots__ = ()
 
-    def __init__(self, **fields):
-        for name, value in fields.items():
-            object.__setattr__(self, name, value)
+    def __init_subclass__(cls):
+        cls._fields = tuple(name for name in cls.__slots__ if name[0] != "_")
+        cls._derived = tuple(name for name in cls.__slots__ if name[0] == "_")
+        cls._values = operator.attrgetter(*cls._fields)
+        # all fields by position need no binding; derived slots always come by name
+        cls._arity = -1 if cls._derived else len(cls._fields)
 
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__ if name[0] != "_")
+    def __init__(self, *values, **named):
+        names = self._fields
+        if named or len(values) != self._arity:
+            names, rest = names + self._derived, names[len(values):] + self._derived
+            if len(values) > len(self._fields) or named.keys() != set(rest):
+                raise TypeError(f"{type(self).__qualname__}() takes {names}, the fields by "
+                                f"position or name, not {len(values)} and {tuple(named)}")
+            values += tuple(named[name] for name in rest)
+        i = 0  # a counter, not zip: this builds most values, and zip costs more per call
+        for name in names:
+            object.__setattr__(self, name, values[i])
+            i += 1
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._fields() == other._fields()
+        return self._values(self) == self._values(other)
 
     def __hash__(self):
-        return hash(self._fields())
+        return hash(self._values(self))
 
     def __repr__(self):
-        shown = ", ".join(f"{name}={getattr(self, name)!r}"
-                          for name in self.__slots__ if name[0] != "_")
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__qualname__}({shown})"
 
     def __setattr__(self, name, value):
@@ -44,7 +62,15 @@ class Frozen:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
-        return type(self), self._fields()
+        fields = tuple(getattr(self, name) for name in self._fields)
+        return (type(self), fields) if self._derived else (_rebuild, (type(self), fields))
+
+
+def _rebuild(cls, fields: tuple) -> Frozen:
+    """The cls value holding fields as they are; cls.__init__ does not run."""
+    x = object.__new__(cls)
+    Frozen.__init__(x, *fields)
+    return x
 
 
 class AbalgError(Exception):

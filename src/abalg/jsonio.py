@@ -79,15 +79,15 @@ def element_from_json(doc) -> AlgebraElement:
 
 # -- b-series and factored products ----------------------------------------
 
-def bseries_from_json(doc, order: int | None = None) -> BSeries:
-    """The b-series of an element document, cut at b^order if order is given.
+def bseries_from_json(doc, order: int) -> BSeries:
+    """The b-series of an element document, cut at b^order.
 
     The cut comes before the series is built, so a huge truncation order in
     the document costs nothing beyond the order asked for.
     """
     from .series import BSeries
     x = element_from_json(doc)
-    if order is not None and x.order > order:
+    if x.order > order:
         x = x.truncated(order)
     try:
         return BSeries.from_element(x)
@@ -95,7 +95,7 @@ def bseries_from_json(doc, order: int | None = None) -> BSeries:
         raise SchemaError(str(exc)) from exc
 
 
-def factored_product_from_json(doc, order: int | None = None) -> FactoredProduct:
+def factored_product_from_json(doc, order: int) -> FactoredProduct:
     from .division import FactoredProduct
     factors = []
     for entry in _need(doc, "factors", list):
@@ -104,8 +104,6 @@ def factored_product_from_json(doc, order: int | None = None) -> FactoredProduct
         factors.append((lam, s))
     if not factors:
         raise SchemaError("a factored product needs at least one factor")
-    if order is None:
-        order = max(s.order for _, s in factors)
     return FactoredProduct(tuple(factors), order)
 
 

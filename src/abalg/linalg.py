@@ -40,9 +40,6 @@ class QMatrix(Frozen):
         flat = tuple(table.values())
         _fill(self, den, [flat[i:i + width] for i in range(0, len(flat), width)])
 
-    def __reduce__(self):
-        return QMatrix.from_ints, (self.den, self.table)
-
     __hash__ = None  # so that the modules and systems built on matrices stay unhashable
 
     @staticmethod
@@ -122,7 +119,7 @@ def _fill(a: QMatrix, den: int, table: list) -> QMatrix:
     g = math.gcd(den, *[v for r in table for z in r for v in z])  # a list: see _divide_content
     if g > 1:
         den, table = den // g, [[(re // g, im // g) for re, im in r] for r in table]
-    Frozen.__init__(a, den=den, table=tuple(map(tuple, table)))
+    Frozen.__init__(a, den, tuple(map(tuple, table)))
     return a
 
 

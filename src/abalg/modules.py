@@ -96,7 +96,7 @@ class ModuleElement(Frozen):
             s if s.order == module.order else
             (s.truncated(module.order) if s.order > module.order else s.lifted(module.order))
             for s in entries)
-        super().__init__(module=module, entries=fixed)
+        super().__init__(module, fixed)
 
     @property
     def is_zero(self) -> bool:
@@ -203,14 +203,10 @@ def bernstein(module: SimplePoleModule) -> Poly:
 
 
 class SpectrumCheck(Frozen):
-    """Outcome of the geometric-spectrum test; falsy when not geometric."""
+    """Outcome of the geometric-spectrum test; falsy when not geometric.  The
+    eigenvalues are Fractions with multiplicity, when they split over Q."""
 
     __slots__ = ("is_geometric", "eigenvalues", "diagnostic")
-
-    def __init__(self, is_geometric: bool, eigenvalues: tuple | None, diagnostic: str | None):
-        # eigenvalues: Fractions with multiplicity, when split over Q
-        super().__init__(is_geometric=is_geometric, eigenvalues=eigenvalues,
-                         diagnostic=diagnostic)
 
     def __bool__(self):
         return self.is_geometric
@@ -242,13 +238,10 @@ class Fresco(Frozen):
     """The cyclic quotient by the left ideal generated by a factored product.
 
     Free over the b-series with basis 1, a, ..., a^(k-1); elements are the
-    canonical remainders.
+    canonical remainders.  product is the FactoredProduct.
     """
 
     __slots__ = ("product",)
-
-    def __init__(self, product: FactoredProduct):
-        super().__init__(product=product)
 
     @property
     def rank(self) -> int:
@@ -310,13 +303,10 @@ class DifferentialSystem(Frozen):
 
 
 class SeriesPoleModule(Frozen):
-    """a e = X(b) b e with X a matrix of b-series: x_coeffs[t] holds the b^t matrices."""
+    """a e = X(b) b e with X a matrix of b-series: x_coeffs holds order + 1
+    QMatrix, the one of b^t at index t."""
 
     __slots__ = ("x_coeffs", "order")
-
-    def __init__(self, x_coeffs: tuple, order: int):
-        # x_coeffs: order + 1 QMatrix, the one of b^t at index t
-        super().__init__(x_coeffs=x_coeffs, order=order)
 
     @property
     def rank(self) -> int:

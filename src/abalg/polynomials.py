@@ -43,9 +43,6 @@ class Poly(Frozen):
         den, table = common_denominator(dict(enumerate(map(GaussianRational.coerce, coeffs))))
         _fill(self, den, table.values())
 
-    def __reduce__(self):
-        return Poly.from_ints, (self.den, self.table)
-
     @staticmethod
     def from_ints(den: int, table) -> Poly:
         """sum_j (re_j + im_j*i) / den x^j for table[j] == (re_j, im_j), den >= 1."""
@@ -157,7 +154,7 @@ def _fill(f: Poly, den: int, table) -> Poly:
     g = gcd(den, *[v for z in cs for v in z])  # a list: see linalg._divide_content
     if g > 1:
         den, cs = den // g, [(re // g, im // g) for re, im in cs]
-    Frozen.__init__(f, den=den, table=tuple(cs))
+    Frozen.__init__(f, den, tuple(cs))
     return f
 
 

@@ -30,7 +30,7 @@ from .errors import Frozen, OrderMismatchError
 def _wrap(cls, x: AlgebraElement):
     """The cls view of x, which must already have cls's storage form."""
     out = object.__new__(cls)
-    Frozen.__init__(out, element=x)
+    Frozen.__init__(out, x)
     return out
 
 
@@ -47,10 +47,7 @@ class BSeries(Frozen):
                 raise ValueError("negative exponent")
             if q <= order:
                 table[(0, q)] = c
-        super().__init__(element=AlgebraElement(order, LEFT, table))
-
-    def __reduce__(self):
-        return BSeries.from_element, (self.element,)
+        super().__init__(AlgebraElement(order, LEFT, table))
 
     __hash__ = None
 
@@ -205,10 +202,7 @@ class APolynomial(Frozen):
             for (_, q), (re, im) in s.element.table.items():
                 if j + q <= order:
                     table[(j, q)] = (re * f, im * f)
-        super().__init__(element=AlgebraElement.from_ints(order, RIGHT, den, table))
-
-    def __reduce__(self):
-        return APolynomial.from_element, (self.element,)
+        super().__init__(AlgebraElement.from_ints(order, RIGHT, den, table))
 
     __hash__ = None
 

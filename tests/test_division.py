@@ -111,6 +111,22 @@ def test_invert_requires_unit():
         invert(gen_a(5))
 
 
+def test_a_constant_is_inverted_without_the_degree_loop(monkeypatch):
+    """A unit whose constant term is its only term inverts to the scalar
+    inverse before the degree loop starts, so the 90 S = 1 unit parts of a
+    product at order 100 cost no inversion loop."""
+    def refuse(*args):
+        raise AssertionError("_by_degree called")
+
+    monkeypatch.setattr(division, "_by_degree", refuse)
+    for c in (GaussianRational(1), GaussianRational(2), GaussianRational(Fraction(1, 2), 1)):
+        for order in (0, 1, 100):
+            for ordering in (LEFT, RIGHT):
+                x = AlgebraElement(order, ordering, {(0, 0): c})
+                assert invert(x) == AlgebraElement(order, ordering, {(0, 0): c.inverse()})
+    assert len(FactoredProduct.from_lambdas([1] * 90, 100)) == 90
+
+
 # -- linear division ---------------------------------------------------------------
 
 def test_divide_linear_examples():

@@ -1,8 +1,8 @@
 """Source hygiene: no module of the package imports a name it never uses or
 `dataclasses`, the package exports a fixed set of names, the value classes
-behave as frozen dataclasses on __slots__ and change only while they are
-built, the oracle, the GaussianRational routes of linalg and polynomials
-and BSeries.__mul__ stay independent referees of the integer kernels,
+behave as frozen dataclasses on __slots__, change only while they are
+built and copy by one rule, the oracle, the GaussianRational routes of
+linalg and polynomials and BSeries.__mul__ stay independent referees of the integer kernels,
 BSeries and APolynomial keep one storage, every span of the traced
 benchmark names a function or method that exists, a tiny traced run finds
 every span's module loaded, and the in-process benchmark workloads give
@@ -330,7 +330,7 @@ def test_the_value_classes_copy_and_pickle(name):
 
 
 #: The six value classes that the kernels build and return, each with a
-#: __reduce__, a repr or an equality of its own.
+#: constructor, a repr or an equality of its own.
 KERNEL_VALUES = ("GaussianRational", "AlgebraElement", "BSeries", "APolynomial", "QMatrix",
                  "Poly")
 
@@ -352,6 +352,74 @@ def test_the_kernel_values_refuse_assignment_and_deletion(name):
     with pytest.raises(AttributeError):
         x.extra = 1
     assert x == before and pickle.loads(pickle.dumps(x)) == before
+
+
+#: Every value class without derived slots, by name; a copy of one of them
+#: stores the fields as they are.
+PLAIN_VALUES = sorted(set(_value_cases()) - {"FactoredProduct", "SimplePoleModule"}
+                      | set(KERNEL_VALUES))
+
+
+@pytest.mark.parametrize("name", PLAIN_VALUES)
+def test_a_copy_of_a_plain_value_does_not_run_its_constructor(name, monkeypatch):
+    """copy.copy, copy.deepcopy and a pickle round trip of a value without
+    derived slots give an == value with the same repr while its class's
+    __init__ raises."""
+    import copy
+    import pickle
+    x = _copied_values()[name][0] if name in KERNEL_VALUES else _value_cases()[name][0](0)
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError(f"{name}.__init__ ran")
+
+    monkeypatch.setattr(type(x), "__init__", refuse)
+    for y in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+        assert type(y) is type(x) and y == x and repr(y) == repr(x)
+
+
+@pytest.mark.parametrize("name", ["DivisionResult", "HomogeneousFactorization", "SpectrumCheck",
+                                  "Fresco", "SeriesPoleModule"])
+def test_a_value_that_only_stores_its_fields_binds_them_as_a_dataclass(name):
+    """Built by errors.Frozen.__init__ alone: the fields bind by position or
+    by name, and a missing, an extra or a doubled field is a TypeError."""
+    x = _value_cases()[name][0](0)
+    cls, slots = type(x), type(x).__slots__
+    assert "__init__" not in vars(cls)
+    values = [getattr(x, slot) for slot in slots]
+    by_name = dict(zip(slots, values))
+    rest = dict(list(by_name.items())[1:])
+    assert cls(*values) == cls(**by_name) == cls(values[0], **rest) == x
+    for args, kwargs in [(values[:-1], {}), ((), rest), (values + [None], {}),
+                         (values, {"extra": None}), (values, {slots[0]: values[0]})]:
+        with pytest.raises(TypeError):
+            cls(*args, **kwargs)
+
+
+def test_derived_slots_bind_by_name_only():
+    """errors.Frozen.__init__ takes a derived slot by name, never by position,
+    and refuses a value with one missing."""
+    from fractions import Fraction
+    from abalg.errors import Frozen
+    from abalg.linalg import QMatrix
+    from abalg.modules import SimplePoleModule
+    module = SimplePoleModule(QMatrix([[Fraction(1, 2)]]), 1)
+    fields = (module.theta, module.order)
+    for args, kwargs in [(fields, {}), ((*fields, module._factors), {})]:
+        with pytest.raises(TypeError):
+            Frozen.__init__(object.__new__(SimplePoleModule), *args, **kwargs)
+    built = object.__new__(SimplePoleModule)
+    Frozen.__init__(built, *fields, _factors=module._factors)
+    assert built == module and built._factors is module._factors
+
+
+def test_only_frozen_defines_reduce():
+    """One copy rule: no class of the package but errors.Frozen defines __reduce__."""
+    found = [f"{path.stem}.{node.name}"
+             for path in MODULES for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.ClassDef) and any(
+                 isinstance(item, ast.FunctionDef) and item.name == "__reduce__"
+                 for item in node.body)]
+    assert found == ["errors.Frozen"]
 
 
 #: Classes with __slots__ that are not errors.Frozen, each with its reason.

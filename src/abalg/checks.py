@@ -588,16 +588,15 @@ def check_determinism(rng, count=40, order=8):
         assert s1 == s2 and format_element(x) == format_element(y)
 
 
-def run_all(seed: int = 20260810, names=None, out=print, as_json: bool = False) -> bool:
-    """Run the suites, one PASS/FAIL row each; a suite that raises fails alone.
+def run_all(seed: int = 20260810, out=print, as_json: bool = False) -> bool:
+    """Run every suite, one PASS/FAIL row each; a suite that raises fails alone.
 
     With as_json, each row is instead one JSON object {"suite", "ok",
     "seconds", "seed", "error"}, error being "<Type>: <message>" or null.
     """
-    selected = CHECKS if names is None else {n: CHECKS[n] for n in names}
-    width = max(len(n) for n in selected) + 2
+    width = max(len(n) for n in CHECKS) + 2
     ok = True
-    for name, fn in selected.items():
+    for name, fn in CHECKS.items():
         rng = random.Random(seed)
         start = time.perf_counter()
         try:

@@ -14,11 +14,9 @@ import json
 import os
 import sys
 
-from .elements import LEFT, RIGHT, AlgebraElement, anti_automorphism, mul, shear
+from .elements import RIGHT, AlgebraElement, Ordering, anti_automorphism, mul, shear
 from .errors import AbalgError, ExprError, SchemaError
 from .expr import format_element, parse_element, parse_scalar
-
-_FORMS = {"left": LEFT, "right": RIGHT}
 
 
 def _emit(doc):
@@ -85,9 +83,8 @@ def _load(path):
             raise SchemaError(f"input file cannot be read: {exc}") from None
 
 
-def _element_args(sub, order_default=8):
-    sub.add_argument("--order", type=int, default=order_default,
-                     help=f"truncation order (default {order_default})")
+def _element_args(sub):
+    sub.add_argument("--order", type=int, default=8, help="truncation order (default 8)")
     sub.add_argument("--pretty", action="store_true",
                      help="print a monomial sum instead of JSON")
 
@@ -242,12 +239,12 @@ def _run(args) -> int:
     # Each branch imports the kernels it uses, so that a process loads only
     # what its subcommand needs.
     if cmd == "normalize":
-        x = parse_element(args.expr, args.order, _FORMS[args.form])
+        x = parse_element(args.expr, args.order, Ordering(args.form))
         _print_element(x, args.pretty)
     elif cmd == "mul":
         x = parse_element(args.x, args.order)
         y = parse_element(args.y, args.order)
-        _print_element(mul(x, y).with_ordering(_FORMS[args.form]), args.pretty)
+        _print_element(mul(x, y).with_ordering(Ordering(args.form)), args.pretty)
     elif cmd == "inv":
         from .division import invert
         x = parse_element(args.expr, args.order)
@@ -266,11 +263,11 @@ def _run(args) -> int:
         _print_quotient_remainder(res.quotient, res.remainder.to_element(), args.pretty)
     elif cmd == "tau":
         x = parse_element(args.expr, args.order)
-        _print_element(shear(parse_scalar(args.x), x).with_ordering(_FORMS[args.form]),
+        _print_element(shear(parse_scalar(args.x), x).with_ordering(Ordering(args.form)),
                        args.pretty)
     elif cmd == "anti-f":
         x = parse_element(args.expr, args.order)
-        _print_element(anti_automorphism(x, _FORMS[args.form]), args.pretty)
+        _print_element(anti_automorphism(x, Ordering(args.form)), args.pretty)
     elif cmd == "act":
         from .jsonio import polyseries_from_json, polyseries_to_json
         from .oracle import PolySeries, act

@@ -74,13 +74,16 @@ def invert(x: AlgebraElement) -> AlgebraElement:
         raise ZeroConstantTermError("constant term is zero; element is not a unit")
     order = x.order
     width = order + 1
-    # x' = x / c0 - 1: the numerators times conj(C) are over |C|^2, C the
-    # constant term's numerator; one gcd per degree block gives D_k.
     cr, ci = c0
     norm = cr * cr + ci * ci
-    if len(src.table) == 1:  # x = c0 needs no degree loop: 1/c0 as below, from_ints reduces it
-        return AlgebraElement.from_ints(order, x.ordering, norm,
-                                        {(0, 0): (src.den * cr, -src.den * ci)})
+    # 1/c0 = src.den * conj(C) / |C|^2 = (ur + ui*i) / e in lowest terms
+    ur, ui = src.den * cr, -src.den * ci
+    g = math.gcd(norm, ur, ui)
+    e, ur, ui = norm // g, ur // g, ui // g
+    if len(src.table) == 1:  # x = c0 needs no degree loop
+        return AlgebraElement.from_ints(order, x.ordering, e, {(0, 0): (ur, ui)})
+    # x' = x / c0 - 1: the numerators times conj(C) are over |C|^2, C the
+    # constant term's numerator; one gcd per degree block gives D_k.
     table = {k: (re * cr + im * ci, im * cr - re * ci)
              for k, (re, im) in src.table.items() if k != (0, 0)}
     x_blocks = []
@@ -124,10 +127,6 @@ def invert(x: AlgebraElement) -> AlgebraElement:
         y_blocks.append([(m, d - m, -acc_re[i], -acc_im[i])
                          for m, i in enumerate(keys) if acc_re[i] or acc_im[i]])
         scales.append(scale_d)
-    # 1/c0 = src.den * conj(C) / |C|^2 = (ur + ui*i) / e in lowest terms
-    ur, ui = src.den * cr, -src.den * ci
-    g = math.gcd(norm, ur, ui)
-    e, ur, ui = norm // g, ur // g, ui // g
     common = math.lcm(*scales)
     out = {}
     for block, s in zip(y_blocks, scales):

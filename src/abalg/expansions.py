@@ -52,17 +52,9 @@ class XiElement(Frozen):
         super().__init__(dim=dim, log_depth=log_depth, m_bound=m_bound, terms=table)
 
     @staticmethod
-    def zero(dim: int, log_depth: int, m_bound: int) -> XiElement:
-        return XiElement(dim, log_depth, m_bound, {})
-
-    @staticmethod
-    def symbol(alpha, m: int, j: int, m_bound: int, dim: int = 1,
-               log_depth: int | None = None, vec=None) -> XiElement:
-        if log_depth is None:
-            log_depth = j
-        if vec is None:
-            vec = [1] + [0] * (dim - 1)
-        return XiElement(dim, log_depth, m_bound, {(Fraction(alpha), m, j): tuple(vec)})
+    def symbol(alpha, m: int, j: int, m_bound: int) -> XiElement:
+        """The one-dimensional s^(alpha+m) (log s)^j, of log depth j."""
+        return XiElement(1, j, m_bound, {(Fraction(alpha), m, j): (1,)})
 
     @property
     def is_zero(self) -> bool:

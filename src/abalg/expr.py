@@ -359,7 +359,7 @@ def format_element(x: AlgebraElement) -> str:
                        sorted(x.coeffs.items(), key=lambda kv: (kv[0][0] + kv[0][1], kv[0][1])))
 
 
-def format_poly(coeffs, var: str = "x") -> str:
-    """Pretty form of a univariate polynomial, highest power first."""
-    return _signed_sum(_coeff_str(coeffs[k], "" if k == 0 else (var if k == 1 else f"{var}^{k}"))
+def format_poly(coeffs) -> str:
+    """Pretty form of a univariate polynomial in x, highest power first."""
+    return _signed_sum(_coeff_str(coeffs[k], "" if k == 0 else ("x" if k == 1 else f"x^{k}"))
                        for k in range(len(coeffs) - 1, -1, -1) if coeffs[k])

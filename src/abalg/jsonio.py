@@ -31,10 +31,12 @@ if TYPE_CHECKING:
 
 
 def _need(doc: dict, key: str, kind=None):
+    """doc[key], of exactly the type kind if one is given: json.load builds no
+    subclasses, and bool is an int subclass that no int field accepts."""
     if not isinstance(doc, dict) or key not in doc:
         raise SchemaError(f"missing field {key!r}")
     value = doc[key]
-    if kind is not None and not isinstance(value, kind):
+    if kind is not None and type(value) is not kind:
         raise SchemaError(f"field {key!r} has the wrong type")
     return value
 
@@ -244,8 +246,10 @@ def xi_from_json(doc) -> XiElement:
     # m_bound is part of the type but optional on the wire: default leaves
     # one step of room so a single a- or b-action does not truncate.
     bound = doc.get("m_bound", max_m + 1)
-    if not isinstance(bound, int):
+    if type(bound) is not int:
         raise SchemaError("m_bound must be an integer")
+    if bound < 0:
+        raise SchemaError("m_bound must be nonnegative")
     if bound > MAX_SHIFT:
         raise SchemaError("m_bound must be at most 10^100")
     try:

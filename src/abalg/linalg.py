@@ -52,8 +52,8 @@ class QMatrix(Frozen):
         return QMatrix.from_ints(1, _int_identity(k))
 
     @staticmethod
-    def zeros(k: int, m: int | None = None) -> QMatrix:
-        return QMatrix.from_ints(1, [[(0, 0)] * (k if m is None else m)] * k)
+    def zeros(k: int) -> QMatrix:
+        return QMatrix.from_ints(1, [[(0, 0)] * k] * k)
 
     @property
     def shape(self) -> tuple[int, int]:

@@ -193,10 +193,7 @@ def _ggcd(a: tuple, b: tuple) -> tuple:
 
 
 def _primitive(cs: list) -> list:
-    """cs without trailing zeros, divided by the Gaussian-integer gcd of its entries."""
-    cs = list(cs)
-    while cs and cs[-1] == (0, 0):
-        cs.pop()
+    """cs divided by the Gaussian-integer gcd of its entries; its last entry is nonzero."""
     g = (0, 0)
     for c in cs:
         g = _ggcd(g, c)
@@ -385,10 +382,10 @@ def _lift_constants(p: int, k: int) -> tuple:
 
 
 def _reduction(g: list, p: int):
-    """(s, the roots of g mod p under i -> s, as _roots_mod gives them) for
-    s = _square_root_of_minus_one(p)."""
+    """The roots of g mod p under i -> s = _square_root_of_minus_one(p), as
+    _roots_mod gives them."""
     s = _square_root_of_minus_one(p)
-    return s, _roots_mod([(re + s * im) % p for re, im in g], p)
+    return _roots_mod([(re + s * im) % p for re, im in g], p)
 
 
 def _multiple(residues: list) -> bool:
@@ -500,7 +497,7 @@ def gaussian_roots(f: Poly) -> list[GaussianRational]:
         return [-f.coefficient(0) / f.coefficient(1)] if len(cs) == 2 else []
     n = len(cs) - 1
     g, p = _monic(cs), _prime_after(max(n, 20))
-    _, residues = _reduction(g, p)
+    residues = _reduction(g, p)
     if _multiple(residues):
         if n > _CERTIFY_ABOVE and _certified_squarefree(cs):
             p = _prime_after(p)
@@ -511,10 +508,10 @@ def gaussian_roots(f: Poly) -> list[GaussianRational]:
                     return _divided_by_leading(found, cs)
             cs = _squarefree(cs)
             g = _monic(cs)
-        _, residues = _reduction(g, p)
+        residues = _reduction(g, p)
         while _multiple(residues):
             p = _prime_after(p)
-            _, residues = _reduction(g, p)
+            residues = _reduction(g, p)
     return _divided_by_leading(_lifted_roots(g, p, residues), cs)
 
 

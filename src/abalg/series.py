@@ -74,11 +74,12 @@ class BSeries(Frozen):
         # b^q a^0 and a^0 b^q coincide, so the table reads the same in either ordering.
         return _wrap(BSeries, x if x.ordering is LEFT else _make(x.order, LEFT, x.den, x.table))
 
-    def to_element(self, order: int | None = None, ordering: Ordering = LEFT) -> AlgebraElement:
+    def to_element(self, order: int | None = None) -> AlgebraElement:
+        """The LEFT element, truncated or lifted to order if one is given."""
         x = self.element
         if order is not None and order != x.order:
             x = x.truncated(order) if order < x.order else x.lifted(order)
-        return x if ordering is LEFT else _make(x.order, RIGHT, x.den, x.table)
+        return x
 
     # -- structure ----------------------------------------------------------
 

@@ -29,7 +29,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import given  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from abalg.cli import _FORMS, main  # noqa: E402
+from abalg.cli import main  # noqa: E402
+from abalg.elements import Ordering  # noqa: E402
 from abalg.expr import format_element, parse_element  # noqa: E402
 from abalg.jsonio import element_from_json  # noqa: E402
 
@@ -115,15 +116,19 @@ def doc_path(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz") / "input.json"
 
 
-def _run(doc_path, case, doc):
-    """Exit code of the case on doc, written by json.dumps, or as it is if bytes."""
+def _invoke(doc_path, case, doc):
+    """(exit code, stderr) of the case on doc, written by json.dumps, or as it is if bytes."""
     doc_path.write_bytes(doc if isinstance(doc, bytes) else json.dumps(doc).encode())
     argv = [str(doc_path) if a == "FILE" else a for a in CASES[case][1]]
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = main(argv)
     assert "internal error" not in err.getvalue(), (case, doc, err.getvalue())
-    return code
+    return code, err.getvalue()
+
+
+def _run(doc_path, case, doc):
+    return _invoke(doc_path, case, doc)[0]
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -174,6 +179,21 @@ def _with(doc, *path_and_value):
 ])
 def test_the_documents_that_once_exited_4(doc_path, case, doc, code):
     assert _run(doc_path, case, doc) == code
+
+
+@pytest.mark.parametrize("case, doc, named", [
+    # JSON true and false are no integers, though bool subclasses int
+    ("xi-act a", {"dim": True, "log_depth": 0, "m_bound": True, "terms": [
+        {"alpha": "1", "m": False, "j": 0, "c": [_c("1")]}]}, "field 'dim'"),
+    ("xi-act a", _with(_XI, "terms", 0, "m", False), "field 'm'"),
+    ("xi-act a", _with(_XI, "m_bound", True), "m_bound"),
+    ("act", _with(_SERIES, "degree", True), "field 'degree'"),
+    # a negative m_bound, which would drop every term
+    ("xi-act a", _with(_XI, "m_bound", -5), "m_bound"),
+])
+def test_a_boolean_or_negative_count_exits_2_naming_its_field(doc_path, case, doc, named):
+    code, err = _invoke(doc_path, case, doc)
+    assert code == 2 and named in err
 
 
 # -- expressions on the command line ------------------------------------------------
@@ -272,8 +292,8 @@ def test_accepted_text_re_parses_from_its_printed_form(text, order, form, pretty
     argv = ["normalize", "--order", str(order), "--form", form] + ["--pretty"] * pretty
     code, out = _cli(argv + ["--", text])
     if code == 0:
-        x = parse_element(text, order, _FORMS[form])
-        printed = parse_element(out, order, _FORMS[form]) if pretty else element_from_json(
+        x = parse_element(text, order, Ordering(form))
+        printed = parse_element(out, order, Ordering(form)) if pretty else element_from_json(
             json.loads(out))
         assert printed == x
         assert _cli(argv + ["--", format_element(x)]) == (0, out)

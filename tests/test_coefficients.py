@@ -24,6 +24,14 @@ def test_inverse_and_division():
         GaussianRational().inverse()
 
 
+def test_a_number_divided_by_a_gaussian_rational():
+    z = GaussianRational(Fraction(1, 3), -2)
+    assert 1 / z == z.inverse()
+    assert Fraction(1, 2) / z == z.inverse() * Fraction(1, 2)
+    with pytest.raises(ZeroDivisionError):
+        1 / GaussianRational(0)
+
+
 def test_powers_and_conjugate():
     i = GaussianRational(0, 1)
     assert i ** 2 == GaussianRational(-1)

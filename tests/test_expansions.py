@@ -66,6 +66,17 @@ def test_alpha_range_is_enforced():
         XiElement.symbol(Fraction(0), 0, 0, m_bound=1)
 
 
+def test_construction_truncates_at_m_bound():
+    """A term past m_bound is dropped when the element is built, one at
+    m_bound is kept, and a negative shift is refused."""
+    one = (GaussianRational(1),)
+    xi = XiElement(1, 0, 2, {(Fraction(1, 2), 2, 0): one, (Fraction(1, 2), 3, 0): one})
+    assert xi.terms == {(Fraction(1, 2), 2, 0): one}
+    assert XiElement(1, 0, 2, {(Fraction(1, 2), 3, 0): one}).is_zero
+    with pytest.raises(ValueError):
+        XiElement(1, 0, 2, {(Fraction(1, 2), -1, 0): one})
+
+
 def test_log_depth_is_enforced():
     with pytest.raises(ValueError):
         XiElement(1, 1, 2, {(Fraction(1, 2), 0, 2): (GaussianRational(1),)})

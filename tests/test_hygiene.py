@@ -5,8 +5,9 @@ built and copy by one rule, the oracle, the GaussianRational routes of
 linalg and polynomials and BSeries.__mul__ stay independent referees of the integer kernels,
 BSeries and APolynomial keep one storage, every span of the traced
 benchmark names a function or method that exists, a tiny traced run finds
-every span's module loaded, and the in-process benchmark workloads give
-the results of a pinned digest.
+every span's module loaded, every defaulted parameter has a call that
+sets it, and the in-process benchmark workloads give the results of a
+pinned digest.
 """
 
 import ast
@@ -555,6 +556,96 @@ def test_the_referee_functions_are_unchanged():
     found = {name: hashlib.sha256(shape(definition(name)).encode()).hexdigest()
              for name in REFEREE_DIGESTS}
     assert found == REFEREE_DIGESTS
+
+
+# -- every option has a caller ------------------------------------------------------
+
+CALLER_DIRS = ("src", "tests", "perfbench")
+
+
+def defaulted_parameters(source: str, module: str) -> list[tuple[str, str, list[str], str]]:
+    """(module.qualname, the name a call uses, the positional parameters, a
+    defaulted parameter) for every defaulted parameter of every def in
+    source.  A method's first parameter, unless it is a staticmethod, is not
+    positional for its callers, and an __init__ is called by its class's name."""
+    found = []
+
+    def visit(node, prefix, cls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, f"{prefix}{child.name}.", child.name)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = child.args
+                names = [a.arg for a in args.posonlyargs + args.args]
+                if cls and not any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                                   for d in child.decorator_list):
+                    names = names[1:]
+                defaulted = names[len(names) - len(args.defaults):] if args.defaults else []
+                defaulted += [a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                              if d is not None]
+                called = cls if child.name == "__init__" else child.name
+                found.extend((f"{module}.{prefix}{child.name}", called, names, p)
+                             for p in defaulted)
+                visit(child, f"{prefix}{child.name}.", None)
+
+    visit(ast.parse(source), "", None)
+    return found
+
+
+def options_without_a_caller(defining: dict, calling: list, exempt=frozenset()) -> list[str]:
+    """module.qualname(parameter) for each defaulted parameter of the sources
+    in defining (module -> source) that no call in the sources of calling
+    passes, by position or by keyword, to a function of that name.  A call
+    with *args or **kwargs passes every parameter."""
+    calls = {}
+    for source in calling:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = (func.id if isinstance(func, ast.Name)
+                        else func.attr if isinstance(func, ast.Attribute) else None)
+                calls.setdefault(name, []).append(node)
+
+    def passes(call, names, p):
+        return (any(isinstance(a, ast.Starred) for a in call.args)
+                or any(k.arg in (None, p) for k in call.keywords)
+                or (p in names and names.index(p) < len(call.args)))
+
+    return [f"{qualname}({p})" for module, source in defining.items()
+            for qualname, called, names, p in defaulted_parameters(source, module)
+            if qualname not in exempt
+            and not any(passes(call, names, p) for call in calls.get(called, []))]
+
+
+def test_the_option_scan_sees_positions_keywords_and_starred_calls():
+    source = ("class C:\n"
+              "    def __init__(self, a, b=1):\n"
+              "        pass\n"
+              "    def f(self, x, y=0, *, z=None):\n"
+              "        def inner(w=2):\n"
+              "            pass\n"
+              "    @staticmethod\n"
+              "    def g(u=1, v=2):\n"
+              "        pass\n"
+              "def h(t=3):\n"
+              "    pass\n")
+    caller = "C(0, 2)\nC(0).f(1, 2)\nC.g(v=5)\nh(*args)\n"
+    assert options_without_a_caller({"m": source}, [source, caller]) == [
+        "m.C.f(z)", "m.C.f.inner(w)", "m.C.g(u)"]
+    assert options_without_a_caller({"m": source}, [caller, "inner(**kw)"],
+                                    exempt={"m.C.f"}) == ["m.C.g(u)"]
+
+
+def test_every_option_has_a_caller():
+    """A defaulted parameter of the package that no call in src, tests or
+    perfbench sets is a constant.  The suites registered in checks.CHECKS are
+    exempt: their volume keywords are the acceptance criteria's interface."""
+    from abalg.checks import CHECKS
+    defining = {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
+    calling = [path.read_text(encoding="utf-8") for folder in CALLER_DIRS
+               for path in sorted((ROOT / folder).rglob("*.py"))]
+    exempt = {f"checks.{fn.__qualname__}" for fn in CHECKS.values()}
+    assert options_without_a_caller(defining, calling, exempt) == []
 
 
 # -- the traced benchmark's spans ---------------------------------------------------

@@ -1076,7 +1076,7 @@ def test_one_reduction_reads_off_roots_that_meet_under_the_other_sign_of_i(
     monkeypatch.setattr(polynomials, "_squarefree",
                         lambda cs: squarefree_calls.append(cs) or exact(cs))
     f = Poly.from_roots(planted)
-    assert polynomials._reduction(f.table, 29)[0] == 12
+    assert polynomials._square_root_of_minus_one(29) == 12
     primes.clear()
     found = _roots_with_multiplicity(f)
     assert primes == [29] and squarefree_calls == []
